@@ -45,6 +45,7 @@ from .gaussian import (
     second_moment_from_covariance,
 )
 from .linalg import (
+    DriftFactor,
     SpectrumReport,
     classify_spectrum,
     lyap_finite,
@@ -86,6 +87,7 @@ __all__ = [
     "CostSpec",
     "CostStats",
     "DimensionError",
+    "DriftFactor",
     "EmpiricalCostStats",
     "GainPair",
     "INFINITE_HORIZON",

@@ -50,13 +50,15 @@ AUTO_GROWTH_SWITCH = 20.0
 
 @dataclass(frozen=True)
 class BlockExpResult:
-    """The five blocks of e^{C T} the cost statistics consume."""
+    """The five blocks of e^{C T} the cost statistics consume, and the
+    exponent T * max|Re eig(C)| the accuracy guard judged them by."""
 
     C12: np.ndarray
     C13: np.ndarray
     C14: np.ndarray
     C15: np.ndarray
     C44: np.ndarray
+    growth: float
 
 
 def build_block_matrix(sys: LtiSystem, cost: CostSpec):
@@ -95,7 +97,10 @@ def block_exponential(sys: LtiSystem, cost: CostSpec):
     """e^{C T} partitioned into the blocks used by :func:`cost_stats_expm`."""
     if cost.is_infinite:
         raise ValueError("the block-exponential route needs a finite horizon")
-    growth = _growth_exponent(sys, cost)
+    return _block_exponential(sys, cost, _growth_exponent(sys, cost))
+
+
+def _block_exponential(sys, cost, growth):
     if growth > EXPM_GROWTH_LIMIT:
         raise AccuracyError(
             f"T * max|Re eig| = {growth:.3g} exceeds {EXPM_GROWTH_LIMIT:g}; the block "
@@ -119,12 +124,16 @@ def block_exponential(sys: LtiSystem, cost: CostSpec):
         C14=e[0:n, 3 * n:4 * n],
         C15=e[0:n, 4 * n:5 * n],
         C44=c44,
+        growth=growth,
     )
 
 
 def cost_stats_expm(sys: LtiSystem, cost: CostSpec):
     """Finite-horizon mean and variance from the block exponential."""
-    blocks = block_exponential(sys, cost)
+    return _stats_from_blocks(sys, cost, block_exponential(sys, cost))
+
+
+def _stats_from_blocks(sys, cost, blocks):
     sigma0, mu0 = sys.Sigma0, sys.mu0
     m = blocks.C44.T @ (blocks.C12 @ sigma0 + blocks.C13)
     mean = float(np.trace(m))
@@ -132,11 +141,10 @@ def cost_stats_expm(sys: LtiSystem, cost: CostSpec):
         2.0 * np.trace(m @ m - 2.0 * blocks.C44.T @ (blocks.C14 @ sigma0 + blocks.C15))
         - 2.0 * (mu0 @ blocks.C44.T @ blocks.C12 @ mu0) ** 2
     )
-    growth = _growth_exponent(sys, cost)
     checks = [
         ConditionCheck("finite horizon", True, f"T = {cost.horizon:g}"),
         ConditionCheck("exponent range", True,
-                       f"T * max|Re eig| = {growth:.3g} <= {EXPM_GROWTH_LIMIT:g}"),
+                       f"T * max|Re eig| = {blocks.growth:.3g} <= {EXPM_GROWTH_LIMIT:g}"),
     ]
     return CostStats(
         mean=mean,
@@ -153,31 +161,34 @@ def auto_cost_stats(sys: LtiSystem, cost: CostSpec):
 
     Infinite horizon: only the Lyapunov route applies.  Finite horizon: the
     exponential route wins for small T * (spectral range), the Lyapunov route
-    for large; if the Lyapunov route's solvability conditions fail, fall back
+    for large; if the Lyapunov route's solvability conditions fail, or its
+    finite-horizon identities cancel beyond their accuracy limit, fall back
     to the exponential route (with a warning when outside its comfort zone).
     """
     if cost.is_infinite:
         return cost_stats_lyapunov(sys, cost)
-    if _growth_exponent(sys, cost) <= AUTO_GROWTH_SWITCH:
+    growth = _growth_exponent(sys, cost)
+    if growth <= AUTO_GROWTH_SWITCH:
         try:
-            return cost_stats_expm(sys, cost)
+            return _stats_from_blocks(sys, cost, _block_exponential(sys, cost, growth))
         except AccuracyError:
             return cost_stats_lyapunov(sys, cost)
     try:
         return cost_stats_lyapunov(sys, cost)
-    except ConditionError as lyap_err:
+    except (ConditionError, AccuracyError) as lyap_err:
+        reason = ("validity conditions failed" if isinstance(lyap_err, ConditionError)
+                  else "accuracy check failed")
         warnings.warn(
-            "Lyapunov validity conditions failed "
-            f"({lyap_err}); falling back to the block-exponential route at "
-            f"T * max|Re eig| = {_growth_exponent(sys, cost):.3g}, expect reduced accuracy",
+            f"Lyapunov {reason} ({lyap_err}); falling back to the block-exponential route "
+            f"at T * max|Re eig| = {growth:.3g}, expect reduced accuracy",
             RuntimeWarning,
             stacklevel=2,
         )
         try:
-            stats = cost_stats_expm(sys, cost)
+            stats = _stats_from_blocks(sys, cost, _block_exponential(sys, cost, growth))
         except AccuracyError as expm_err:
             raise ConditionError(
-                "neither method applies: Lyapunov conditions failed "
+                f"neither method applies: Lyapunov {reason} "
                 f"({lyap_err}) and the exponential route refused ({expm_err})",
                 conditions=getattr(lyap_err, "conditions", []),
             )

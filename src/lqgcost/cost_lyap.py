@@ -1,12 +1,17 @@
 """Closed-form mean and variance of the quadratic cost via Lyapunov solutions.
 
-Notation used throughout (all solved with :mod:`lqgcost.linalg`):
+Notation used throughout:
 
 * ``A_k``      : A + k*alpha*I, the exponent-shifted drift,
 * ``X[W; A_k]``: solution of  A_k X + X A_k^T + W = 0,
 * ``Y[W; A_k]``: solution of  A_k^T Y + Y A_k + W = 0 (transposed equation),
 * ``Y_T``      : the finite-horizon version integral_0^T e^{A_k^T t} W e^{A_k t} dt,
                obtained from Y via the exact identity Y_T = Y - e^{A_k^T T} Y e^{A_k T}.
+
+Every drift A_k shares the Schur basis of A, so one evaluation factors
+``sys.A`` once (:class:`lqgcost.linalg.DriftFactor`) and solves each X and Y
+above by one quasi-triangular back-substitution on that factor; the
+solvability and stability conditions read its eigenvalues plus k*alpha.
 
 Validity requirements (checked, and reported in ``conditions_checked``):
 
@@ -15,6 +20,12 @@ finite mean         A and A_1 uniquely solvable (sylvester)
 finite variance     A_-1, A, A_1 and A_2 sylvester
 infinite mean/var   alpha < 0 and A_1 stable
 ==================  =========================================
+
+At a finite horizon the identities for Y_T and for the state covariance
+Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A] subtract terms that
+can be far larger than their result; when a term exceeds the result by more
+than ``CANCELLATION_LIMIT`` the evaluation raises :class:`AccuracyError`
+instead of returning a value that has lost most of its digits.
 
 The alpha = 0 forms are the analytic limits of the alpha != 0 forms; the
 branch is selected automatically when |alpha| * max(1, T) < 1e-9 because the
@@ -26,15 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConditionError, NumericalError
-from .linalg import (
-    classify_spectrum,
-    mat_exp,
-    solve_lyapunov,
-    solve_lyapunov_transposed,
-    symmetrize,
-    van_loan_integral,
-)
+from .exceptions import AccuracyError, ConditionError, NumericalError
+from .linalg import DEFAULT_SPECTRAL_TOL, DriftFactor, mat_exp, symmetrize, van_loan_integral
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
@@ -53,6 +57,11 @@ ALPHA_BRANCH_TOL = 1e-9
 
 #: Raw variances in [-VARIANCE_CLAMP_RTOL * (1 + mean^2), 0) clamp to zero.
 VARIANCE_CLAMP_RTOL = 1e-8
+
+#: Largest ||term||_F / ||result||_F allowed in the finite-horizon identities
+#: for Y_T and Sigma_T.  Each factor of ten past it costs the result a digit
+#: on top of the Lyapunov solutions' own rounding.
+CANCELLATION_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -88,13 +97,12 @@ def _use_zero_alpha(alpha, horizon):
     return abs(alpha) * max(1.0, horizon) < ALPHA_BRANCH_TOL
 
 
-def _check_sylvester(a, multiples, alpha):
-    """Classify A + k*alpha*I for each k; return checks and failure list."""
+def _check_sylvester(fac, multiples, alpha):
+    """Classify A + k*alpha*I for each k from the factor's eigenvalues."""
     checks = []
-    failed = []
     for k in multiples:
         name = "A sylvester" if k == 0 else f"A{k:+g}a sylvester"
-        rep = classify_spectrum(_shift(a, k, alpha))
+        rep = fac.spectrum(k * alpha)
         detail = "" if rep.is_sylvester else (
             "eigenvalue pair sums to zero: " + ", ".join(
                 f"({rep.eigenvalues[i]:.4g}, {rep.eigenvalues[j]:.4g})"
@@ -102,27 +110,25 @@ def _check_sylvester(a, multiples, alpha):
             )
         )
         checks.append(ConditionCheck(name, rep.is_sylvester, detail))
-        if not rep.is_sylvester:
-            failed.append(name)
-    return checks, failed
+    return checks
 
 
-def _check_infinite(a, alpha):
-    checks = [ConditionCheck("alpha < 0", alpha < 0.0, f"alpha = {alpha:g}")]
-    rep = classify_spectrum(_shift(a, 1, alpha))
-    checks.append(ConditionCheck(
-        "A+1a stable", rep.is_stable,
-        f"max Re eig = {rep.eigenvalues.real.max():.4g}",
-    ))
+def _check_infinite(fac, alpha):
+    max_re = fac.eigenvalues.real.max() + alpha
+    return [
+        ConditionCheck("alpha < 0", alpha < 0.0, f"alpha = {alpha:g}"),
+        ConditionCheck("A+1a stable", bool(max_re < -DEFAULT_SPECTRAL_TOL),
+                       f"max Re eig = {max_re:.4g}"),
+    ]
+
+
+def _require(checks, what):
     failed = [c.name for c in checks if not c.passed]
-    return checks, failed
-
-
-def _raise_conditions(failed, checks, what):
-    raise ConditionError(
-        f"{what} is not computable by the Lyapunov method: failed {', '.join(failed)}",
-        conditions=checks,
-    )
+    if failed:
+        raise ConditionError(
+            f"{what} is not computable by the Lyapunov method: failed {', '.join(failed)}",
+            conditions=checks,
+        )
 
 
 def _finalize_variance(raw, mean):
@@ -136,90 +142,67 @@ def _finalize_variance(raw, mean):
     )
 
 
-def _transposed_finite(y_inf, e_t):
+def _difference(first, second, name):
+    """symmetrize(first - second), refused when it cancels beyond CANCELLATION_LIMIT."""
+    out = symmetrize(first - second)
+    big = max(np.linalg.norm(first), np.linalg.norm(second))
+    ratio = big / max(np.linalg.norm(out), 1e-300) if big > 0.0 else 0.0
+    if ratio > CANCELLATION_LIMIT:
+        raise AccuracyError(
+            f"finite-horizon identity for {name} cancels: its terms are {ratio:.3g} times "
+            f"the result (limit {CANCELLATION_LIMIT:g}); use the exponential route"
+        )
+    return out
+
+
+def _transposed_finite(y_inf, e_t, name):
     """Y_T = Y - e^{A^T T} Y e^{A T} given Y and e^{A T}."""
-    return symmetrize(y_inf - e_t.T @ y_inf @ e_t)
+    return _difference(y_inf, e_t.T @ y_inf @ e_t, name)
 
 
 # ---------------------------------------------------------------------------
 # finite horizon
 # ---------------------------------------------------------------------------
 
-def _shared(work, key, compute):
-    """Memoize Lyapunov solutions and exponentials within one evaluation."""
-    if key not in work:
-        work[key] = compute()
-    return work[key]
-
-
-def _finite_mean(sys, cost, checks_out=None, work=None):
-    a, v, q = sys.A, sys.V, cost.Q
+def _finite_mean(sys, cost, xv, y, e0):
+    """Mean from X[V; A], Y[Q; A_1] (Y[Q; A] on the zero branch) and e^{A T}."""
     alpha, t = cost.alpha, cost.horizon
-    work = {} if work is None else work
-    zero_branch = _use_zero_alpha(alpha, t)
-    multiples = (0,) if zero_branch else (0, 1)
-    checks, failed = _check_sylvester(a, multiples, alpha)
-    if checks_out is not None:
-        checks_out.extend(checks)
-    if failed:
-        _raise_conditions(failed, checks, "finite-horizon mean")
-
-    xv = _shared(work, "xv", lambda: solve_lyapunov(a, v))
-    e0 = _shared(work, "e0", lambda: mat_exp(a, t))
-    sig_t = _shared(work, "sig_t",
-                    lambda: symmetrize(e0 @ (sys.Sigma0 - xv) @ e0.T + xv))
-    if zero_branch:
-        y = _shared(work, "y0", lambda: solve_lyapunov_transposed(a, q))
-        mean = float(np.trace((sys.Sigma0 - sig_t + t * v) @ y))
-        return mean, "finite mean, alpha=0 branch"
-    y = _shared(work, "y_p",
-                lambda: solve_lyapunov_transposed(_shift(a, 1, alpha), q))
+    # Sigma_T = e^{A T} (Sigma0 - X) e^{A^T T} + X, written as a difference
+    sig_t = _difference(e0 @ (sys.Sigma0 - xv) @ e0.T, -xv, "Sigma_T")
+    if _use_zero_alpha(alpha, t):
+        return float(np.trace((sys.Sigma0 - sig_t + t * sys.V) @ y))
     g = math.exp(2.0 * alpha * t)
-    mean = float(np.trace((sys.Sigma0 - g * sig_t + (g - 1.0) / (2.0 * alpha) * v) @ y))
-    return mean, "finite mean, general-alpha branch"
+    return float(np.trace((sys.Sigma0 - g * sig_t + (g - 1.0) / (2.0 * alpha) * sys.V) @ y))
 
 
-def _finite_variance(sys, cost, checks_out=None, work=None):
-    a, v, q = sys.A, sys.V, cost.Q
+def _finite_variance(sys, cost, fac, xv, y, e0):
+    """Raw variance; ``xv``, ``y`` and ``e0`` as for :func:`_finite_mean`."""
+    a, q, mu0 = sys.A, cost.Q, sys.mu0
     alpha, t = cost.alpha, cost.horizon
-    mu0 = sys.mu0
-    work = {} if work is None else work
-    zero_branch = _use_zero_alpha(alpha, t)
-    multiples = (0,) if zero_branch else (-1, 0, 1, 2)
-    checks, failed = _check_sylvester(a, multiples, alpha)
-    if checks_out is not None:
-        checks_out.extend(checks)
-    if failed:
-        _raise_conditions(failed, checks, "finite-horizon variance")
-
-    xv = _shared(work, "xv", lambda: solve_lyapunov(a, v))
     delta = symmetrize(sys.Sigma0 - xv)
 
-    if zero_branch:
-        e0 = _shared(work, "e0", lambda: mat_exp(a, t))
-        y0 = _shared(work, "y0", lambda: solve_lyapunov_transposed(a, q))
-        y0_t = _transposed_finite(y0, e0)
+    if _use_zero_alpha(alpha, t):
+        y0_t = _transposed_finite(y, e0, "Y_T of A")
         # analytic alpha -> 0 limit of (e^{4aT} Y_-1,T - Y_1,T) / (4a):
         # T * Y - integral_0^T e^{A^T t} Y e^{A t} dt
-        y_of_y = solve_lyapunov_transposed(a, y0)
-        limit_term = t * y0 - _transposed_finite(y_of_y, e0)
-        xd = solve_lyapunov(a, delta)
+        y_of_y = fac.solve(y, transposed=True)
+        limit_term = t * y - _transposed_finite(y_of_y, e0, "Y_T of A, weight Y")
+        xd = fac.solve(delta)
         cross = van_loan_integral(a, xd @ e0.T @ q, a, t)
         raw = (
             2.0 * np.trace((delta @ y0_t) @ (delta @ y0_t))
             - 2.0 * (mu0 @ y0_t @ mu0) ** 2
             + 4.0 * np.trace(xv @ q @ (xv @ limit_term + 2.0 * xd @ y0_t - 2.0 * cross))
         )
-        return float(raw), "finite variance, alpha=0 branch"
+        return float(raw)
 
     a_p = _shift(a, 1, alpha)
     a_m = _shift(a, -1, alpha)
     e_p = mat_exp(a_p, t)
-    y_p = _shared(work, "y_p", lambda: solve_lyapunov_transposed(a_p, q))
-    y_p_t = _transposed_finite(y_p, e_p)
-    y_m = solve_lyapunov_transposed(a_m, q)
-    y_m_t = _transposed_finite(y_m, mat_exp(a_m, t))
-    x2d = solve_lyapunov(_shift(a, 2, alpha), delta)
+    y_p_t = _transposed_finite(y, e_p, "Y_T of A+1a")
+    y_m = fac.solve(q, shift=-alpha, transposed=True)
+    y_m_t = _transposed_finite(y_m, mat_exp(a_m, t), "Y_T of A-1a")
+    x2d = fac.solve(delta, shift=2.0 * alpha)
     cross = van_loan_integral(_shift(a, 3, alpha), x2d @ e_p.T @ q, a_p, t)
     g4 = math.exp(4.0 * alpha * t)
     mid = xv @ ((g4 * y_m_t - y_p_t) / (4.0 * alpha)) + 2.0 * x2d @ y_p_t - 2.0 * cross
@@ -228,22 +211,7 @@ def _finite_variance(sys, cost, checks_out=None, work=None):
         - 2.0 * (mu0 @ y_p_t @ mu0) ** 2
         + 4.0 * np.trace(xv @ q @ mid)
     )
-    return float(raw), "finite variance, general-alpha branch"
-
-
-def expected_cost_finite(sys: LtiSystem, cost: CostSpec):
-    """E of the finite-horizon cost integral (requires a finite ``cost.horizon``)."""
-    _require_finite_horizon(cost)
-    mean, _ = _finite_mean(sys, cost)
-    return mean
-
-
-def variance_cost_finite(sys: LtiSystem, cost: CostSpec):
-    """Var of the finite-horizon cost integral, clamped at zero against rounding."""
-    _require_finite_horizon(cost)
-    mean, _ = _finite_mean(sys, cost)
-    raw, _ = _finite_variance(sys, cost)
-    return _finalize_variance(raw, mean)
+    return float(raw)
 
 
 def _require_finite_horizon(cost):
@@ -260,46 +228,77 @@ def _require_infinite_horizon(cost):
 # infinite horizon
 # ---------------------------------------------------------------------------
 
-def _infinite_mean(sys, cost, checks_out=None):
-    checks, failed = _check_infinite(sys.A, cost.alpha)
-    if checks_out is not None:
-        checks_out.extend(checks)
-    if failed:
-        _raise_conditions(failed, checks, "infinite-horizon mean (cost diverges)")
-    y = solve_lyapunov_transposed(_shift(sys.A, 1, cost.alpha), cost.Q)
+def _infinite_mean(sys, cost, y):
+    """Mean from Y[Q; A_1]."""
     return float(np.trace((sys.Sigma0 - sys.V / (2.0 * cost.alpha)) @ y))
+
+
+def _infinite_variance(sys, cost, fac, y):
+    """Raw variance from Y[Q; A_1]."""
+    alpha = cost.alpha
+    # X[Sigma0; A_2] - X[V; A_2] / (4 alpha) in one solve, by linearity
+    x2 = fac.solve(sys.Sigma0 - sys.V / (4.0 * alpha), shift=2.0 * alpha)
+    raw = (
+        2.0 * np.trace((sys.Sigma0 @ y) @ (sys.Sigma0 @ y))
+        - 2.0 * (sys.mu0 @ y @ sys.mu0) ** 2
+        + 4.0 * np.trace(x2 @ y @ sys.V @ y)
+    )
+    return float(raw)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation on one factor
+# ---------------------------------------------------------------------------
+
+def _evaluate(sys, cost, with_variance):
+    """``(mean, raw variance or None, branch, checks)`` from one factor of ``sys.A``."""
+    fac = DriftFactor(sys.A)
+    alpha = cost.alpha
+    if cost.is_infinite:
+        checks = _check_infinite(fac, alpha)
+        what = "infinite-horizon variance" if with_variance else "infinite-horizon mean"
+        _require(checks, what + " (cost diverges)")
+        y = fac.solve(cost.Q, shift=alpha, transposed=True)
+        mean = _infinite_mean(sys, cost, y)
+        raw = _infinite_variance(sys, cost, fac, y) if with_variance else None
+        return mean, raw, "infinite horizon", checks
+
+    zero_branch = _use_zero_alpha(alpha, cost.horizon)
+    multiples = (0,) if zero_branch else (0, 1, -1, 2) if with_variance else (0, 1)
+    checks = _check_sylvester(fac, multiples, alpha)
+    _require(checks, "finite-horizon variance" if with_variance else "finite-horizon mean")
+    xv = fac.solve(sys.V)
+    y = fac.solve(cost.Q, shift=0.0 if zero_branch else alpha, transposed=True)
+    e0 = mat_exp(sys.A, cost.horizon)
+    mean = _finite_mean(sys, cost, xv, y, e0)
+    raw = _finite_variance(sys, cost, fac, xv, y, e0) if with_variance else None
+    branch = "finite horizon, " + ("alpha=0 branch" if zero_branch else "general-alpha branch")
+    return mean, raw, branch, checks
+
+
+def expected_cost_finite(sys: LtiSystem, cost: CostSpec):
+    """E of the finite-horizon cost integral (requires a finite ``cost.horizon``)."""
+    _require_finite_horizon(cost)
+    return _evaluate(sys, cost, with_variance=False)[0]
+
+
+def variance_cost_finite(sys: LtiSystem, cost: CostSpec):
+    """Var of the finite-horizon cost integral, clamped at zero against rounding."""
+    _require_finite_horizon(cost)
+    mean, raw, _, _ = _evaluate(sys, cost, with_variance=True)
+    return _finalize_variance(raw, mean)
 
 
 def expected_cost_infinite(sys: LtiSystem, cost: CostSpec):
     """E of the infinite-horizon cost; requires alpha < 0 and stable shifted drift."""
     _require_infinite_horizon(cost)
-    return _infinite_mean(sys, cost)
-
-
-def _infinite_variance(sys, cost, checks_out=None):
-    checks, failed = _check_infinite(sys.A, cost.alpha)
-    if checks_out is not None:
-        checks_out.extend(checks)
-    if failed:
-        _raise_conditions(failed, checks, "infinite-horizon variance (cost diverges)")
-    alpha = cost.alpha
-    y = solve_lyapunov_transposed(_shift(sys.A, 1, alpha), cost.Q)
-    a2 = _shift(sys.A, 2, alpha)
-    x2_s0 = solve_lyapunov(a2, sys.Sigma0)
-    x2_v = solve_lyapunov(a2, sys.V)
-    raw = (
-        2.0 * np.trace((sys.Sigma0 @ y) @ (sys.Sigma0 @ y))
-        - 2.0 * (sys.mu0 @ y @ sys.mu0) ** 2
-        + 4.0 * np.trace((x2_s0 - x2_v / (4.0 * alpha)) @ y @ sys.V @ y)
-    )
-    return float(raw)
+    return _evaluate(sys, cost, with_variance=False)[0]
 
 
 def variance_cost_infinite(sys: LtiSystem, cost: CostSpec):
     """Var of the infinite-horizon cost; requires alpha < 0 and stable shifted drift."""
     _require_infinite_horizon(cost)
-    mean = _infinite_mean(sys, cost)
-    raw = _infinite_variance(sys, cost)
+    mean, raw, _, _ = _evaluate(sys, cost, with_variance=True)
     return _finalize_variance(raw, mean)
 
 
@@ -312,21 +311,19 @@ def variance_cost_infinite_unreduced(sys: LtiSystem, cost: CostSpec):
     Exposed for the equivalence test between the two evaluations.
     """
     _require_infinite_horizon(cost)
-    checks, failed = _check_infinite(sys.A, cost.alpha)
-    if failed:
-        _raise_conditions(failed, checks, "infinite-horizon variance (cost diverges)")
+    fac = DriftFactor(sys.A)
     alpha = cost.alpha
-    xv = solve_lyapunov(sys.A, sys.V)
+    _require(_check_infinite(fac, alpha), "infinite-horizon variance (cost diverges)")
+    xv = fac.solve(sys.V)
     delta = symmetrize(sys.Sigma0 - xv)
-    y = solve_lyapunov_transposed(_shift(sys.A, 1, alpha), cost.Q)
-    x2d = solve_lyapunov(_shift(sys.A, 2, alpha), delta)
+    y = fac.solve(cost.Q, shift=alpha, transposed=True)
+    x2d = fac.solve(delta, shift=2.0 * alpha)
     raw = (
         2.0 * np.trace((delta @ y) @ (delta @ y))
         - 2.0 * (sys.mu0 @ y @ sys.mu0) ** 2
         + 4.0 * np.trace(y @ xv @ cost.Q @ (2.0 * x2d - xv / (4.0 * alpha)))
     )
-    mean = _infinite_mean(sys, cost)
-    return _finalize_variance(float(raw), mean)
+    return _finalize_variance(float(raw), _infinite_mean(sys, cost, y))
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +332,12 @@ def variance_cost_infinite_unreduced(sys: LtiSystem, cost: CostSpec):
 
 def cost_stats_lyapunov(sys: LtiSystem, cost: CostSpec):
     """Mean and variance through the Lyapunov route, with condition provenance."""
-    checks = []
-    if cost.is_infinite:
-        mean = _infinite_mean(sys, cost, checks_out=checks)
-        raw = _infinite_variance(sys, cost)
-        branch = "infinite horizon"
-    else:
-        work = {}
-        mean, branch_m = _finite_mean(sys, cost, checks_out=checks, work=work)
-        raw, _ = _finite_variance(sys, cost, checks_out=checks, work=work)
-        branch = branch_m.replace("finite mean", "finite horizon")
-    seen = set()
-    unique_checks = [c for c in checks if not (c.name in seen or seen.add(c.name))]
+    mean, raw, branch, checks = _evaluate(sys, cost, with_variance=True)
     return CostStats(
         mean=mean,
         variance=_finalize_variance(raw, mean),
         method="lyapunov",
-        conditions_checked=unique_checks,
+        conditions_checked=checks,
         branch=branch,
-        raw_variance=float(raw),
+        raw_variance=raw,
     )

@@ -15,6 +15,7 @@ from lqgcost import (
     mat_exp,
     simulate_costs,
 )
+import lqgcost.cost_expm
 from conftest import random_spd, random_system, scalar_cost, scalar_system
 
 
@@ -112,6 +113,50 @@ class TestCostStatsExpm:
         values = [cost_stats_expm(sys, CostSpec(Q=q, alpha=-0.2, horizon=t)).mean
                   for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestGrowthExponent:
+    @pytest.fixture
+    def growth_calls(self, monkeypatch):
+        calls = []
+        real = lqgcost.cost_expm._growth_exponent
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lqgcost.cost_expm, "_growth_exponent", counting)
+        return calls
+
+    def test_block_exponential_carries_growth(self, rng):
+        sys = random_system(3, rng)
+        cost = CostSpec(Q=random_spd(3, rng), alpha=-0.3, horizon=2.0)
+        blocks = block_exponential(sys, cost)
+        re = np.linalg.eigvals(sys.A).real
+        rate = max(np.abs(re).max(), np.abs(re - 0.6).max(), np.abs(re + 0.6).max())
+        assert blocks.growth == pytest.approx(2.0 * rate, rel=1e-12)
+
+    def test_expm_route_computes_it_once(self, rng, growth_calls):
+        sys = random_system(2, rng)
+        cost_stats_expm(sys, CostSpec(Q=random_spd(2, rng), alpha=-0.3, horizon=1.0))
+        assert len(growth_calls) == 1
+
+    @pytest.mark.parametrize("horizon", [1.0, 30.0])     # expm, then Lyapunov route
+    def test_auto_computes_it_once(self, horizon, rng, growth_calls):
+        sys = random_system(2, rng, alpha_shifts=(-0.3, 0.3, -0.6))
+        stats = auto_cost_stats(sys, CostSpec(Q=random_spd(2, rng), alpha=-0.3,
+                                              horizon=horizon))
+        assert stats.method == ("expm" if horizon < 10.0 else "lyapunov")
+        assert len(growth_calls) == 1
+
+    def test_fallback_warning_reports_growth(self, growth_calls):
+        sys = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], V=np.eye(2),
+                        mu0=np.zeros(2), Sigma0=np.eye(2))
+        cost = CostSpec(Q=np.eye(2), alpha=-0.5, horizon=30.0)
+        with pytest.warns(RuntimeWarning, match=r"T \* max\|Re eig\| = 30,"):
+            stats = auto_cost_stats(sys, cost)
+        assert len(growth_calls) == 1
+        assert "= 30 <=" in stats.conditions_checked[1].detail
 
 
 class TestAutoCostStats:

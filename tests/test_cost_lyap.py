@@ -5,10 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lqgcost import (
+    AccuracyError,
     ConditionError,
     CostSpec,
+    LqgPlant,
     LtiSystem,
+    auto_cost_stats,
+    close_loop_output_feedback,
+    cost_stats_expm,
     cost_stats_lyapunov,
+    kalman_gain,
+    optimal_gain,
     expected_cost_finite,
     expected_cost_infinite,
     variance_cost_finite,
@@ -208,3 +215,54 @@ class TestCostStatsLyapunov:
         sys = LtiSystem(A=[[-1.0]], V=[[0.0]], mu0=mu0, Sigma0=[[9.0]])
         stats = cost_stats_lyapunov(sys, scalar_cost(alpha=-0.5))
         assert stats.variance >= 0.0
+
+
+def _output_feedback_loop_with_near_singular_shift():
+    """40-state output-feedback loop whose drift A - alpha I has an eigenvalue
+    pair summing to about 7e-4: Y[Q; A_-1] is huge, while its finite-horizon
+    version over the short horizon below is not."""
+    rng = np.random.default_rng(11)
+    n, m, p = 20, 3, 4
+    a = rng.normal(size=(n, n)) / math.sqrt(n)
+    b = rng.normal(size=(n, m))
+    c = rng.normal(size=(p, n))
+    g_q = rng.normal(size=(n, n))
+    g_v = rng.normal(size=(n, n))
+    plant = LqgPlant(A=a, B=b, C=c, Q=g_q @ g_q.T / n + 0.1 * np.eye(n), R=np.eye(m),
+                     V=g_v @ g_v.T / n + 0.1 * np.eye(n), W=0.1 * np.eye(p), alpha=-0.2)
+    sigma0 = np.zeros((2 * n, 2 * n))
+    sigma0[:n, :n] = np.eye(n)
+    sys, cost = close_loop_output_feedback(plant, optimal_gain(plant), kalman_gain(plant),
+                                           np.zeros(2 * n), sigma0)
+    horizon = 8.0 / np.abs(np.linalg.eigvals(sys.A).real).max()
+    return sys, CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=horizon)
+
+
+class TestCancellationGuard:
+    def test_cancelling_identity_raises_and_auto_uses_expm(self):
+        # the Lyapunov route used to return a variance about 1300x too large here
+        sys, cost = _output_feedback_loop_with_near_singular_shift()
+        with pytest.raises(AccuracyError, match="Y_T of A-1a"):
+            cost_stats_lyapunov(sys, cost)
+        with pytest.raises(AccuracyError):
+            variance_cost_finite(sys, cost)
+        auto = auto_cost_stats(sys, cost)
+        expm = cost_stats_expm(sys, cost)
+        assert auto.method == "expm"
+        assert (auto.mean, auto.variance) == (expm.mean, expm.variance)
+
+    def test_auto_falls_back_to_expm_beyond_switch(self):
+        # A - alpha I has the eigenvalue -1e-7: Y[Q; A_-1] is about 5e6 while
+        # its integral over T = 1 is about 1; growth 30 makes auto try Lyapunov first
+        sys = LtiSystem(A=np.diag([-0.2 - 1e-7, -30.0]), V=np.eye(2),
+                        mu0=np.array([1.0, -1.0]), Sigma0=np.eye(2) * 2.0)
+        cost = CostSpec(Q=np.eye(2), alpha=-0.2, horizon=1.0)
+        with pytest.raises(AccuracyError):
+            cost_stats_lyapunov(sys, cost)
+        with pytest.warns(RuntimeWarning, match="accuracy check failed.*falling back"):
+            auto = auto_cost_stats(sys, cost)
+        expm = cost_stats_expm(sys, cost)
+        assert auto.method == "expm"
+        assert (auto.mean, auto.variance) == (expm.mean, expm.variance)
+        assert any(c.name == "lyapunov fallback" and not c.passed
+                   for c in auto.conditions_checked)

@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_continuous_lyapunov
 
+import lqgcost.linalg
 from lqgcost import (
+    CostSpec,
     DimensionError,
+    DriftFactor,
     SingularLyapunovError,
     classify_spectrum,
+    cost_stats_lyapunov,
     lyap_finite,
     mat_exp,
     psd_factor,
     solve_lyapunov,
     solve_lyapunov_transposed,
     van_loan_integral,
+    variance_cost_finite,
+    variance_cost_infinite,
 )
 from conftest import (
     finite_integral_by_quadrature,
@@ -21,6 +28,7 @@ from conftest import (
     random_spd,
     random_stable,
     random_stable_sylvester,
+    random_system,
 )
 
 
@@ -72,6 +80,21 @@ class TestClassifySpectrum:
         for _ in range(50):
             rep = classify_spectrum(random_stable(3, rng))
             assert not rep.is_stable or rep.is_sylvester
+
+    def test_degenerate_pairs_in_pair_loop_order(self, rng):
+        # mirrored eigenvalues +-1, +-2 and a conjugate pair on the imaginary
+        # axis, conjugated by a random basis change
+        d = np.zeros((7, 7))
+        d[:5, :5] = np.diag([1.0, -2.0, -1.0, 2.0, -3.0])
+        d[5:, 5:] = [[0.0, 1.5], [-1.5, 0.0]]
+        s = rng.normal(size=(7, 7))
+        rep = classify_spectrum(s @ d @ np.linalg.inv(s), tol=1e-7)
+        lam, tol = rep.eigenvalues, rep.tolerance_used
+        expected = [(i, j) for i in range(7) for j in range(i, 7)
+                    if abs(lam[i] + lam[j]) <= tol * (1.0 + abs(lam[i]) + abs(lam[j]))]
+        assert len(expected) == 3
+        assert rep.degenerate_pairs == expected
+        assert not rep.is_sylvester
 
 
 class TestSolveLyapunov:
@@ -156,6 +179,99 @@ class TestSolveLyapunovTransposed:
         q = random_spd(3, rng)
         x = solve_lyapunov_transposed(a, q)
         assert_allclose(a.T @ x + x @ a + q, np.zeros((3, 3)), atol=1e-10)
+
+
+def _drift_with_complex_pairs(n, alpha, rng):
+    shifts = [k * alpha for k in range(-2, 4)]
+    while True:
+        a = random_stable_sylvester(n, rng, alpha_shifts=shifts)
+        if np.iscomplexobj(np.linalg.eigvals(a)):
+            return a, shifts
+
+
+class TestDriftFactor:
+    @pytest.mark.parametrize("n", [2, 10, 40])
+    def test_shifted_solves_match_scipy(self, n, rng):
+        a, shifts = _drift_with_complex_pairs(n, 0.3, rng)
+        fac = DriftFactor(a)
+        assert np.any(np.diag(fac.t, -1) != 0.0)          # T has 2x2 blocks
+        w = random_spd(n, rng)
+        eye = np.eye(n)
+        for s in shifts:
+            x = fac.solve(w, shift=s)
+            ref = solve_continuous_lyapunov(a + s * eye, -w)
+            assert_allclose(x, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+            y = fac.solve(w, shift=s, transposed=True)
+            ref = solve_continuous_lyapunov((a + s * eye).T, -w)
+            assert_allclose(y, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n", [2, 10, 40])
+    def test_eigenvalues_from_schur_blocks(self, n, rng):
+        a, _ = _drift_with_complex_pairs(n, 0.3, rng)
+        lam = DriftFactor(a).eigenvalues
+        assert_allclose(np.sort_complex(lam), np.sort_complex(np.linalg.eigvals(a)),
+                        rtol=1e-10, atol=1e-12)
+
+    def test_near_degenerate_shift_names_pair(self):
+        fac = DriftFactor([[-1.0, 2.0], [-2.0, -1.0]])     # eigenvalues -1 +- 2i
+        x = fac.solve(np.eye(2), shift=0.5)
+        assert_allclose(x, np.eye(2), rtol=1e-12)
+        with pytest.raises(SingularLyapunovError, match=r"lambda\[0\].*lambda\[1\].*sum to"):
+            fac.solve(np.eye(2), shift=1.0 + 1e-13)
+        with pytest.raises(SingularLyapunovError, match="sum to"):
+            fac.solve(np.eye(2), shift=1.0 + 1e-13, transposed=True)
+
+    def test_sylvester_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(lqgcost.linalg, "dtrsyl", lambda a, b, c, **kw: (c, 1.0, 1))
+        with pytest.raises(SingularLyapunovError, match="info = 1"):
+            solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+
+    def test_divides_by_scale(self, monkeypatch):
+        real = lqgcost.linalg.dtrsyl
+
+        def scaled(a, b, c, **kw):
+            z, scale, info = real(a, b, c, **kw)
+            return 0.25 * z, 0.25 * scale, info
+
+        monkeypatch.setattr(lqgcost.linalg, "dtrsyl", scaled)
+        x = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+        assert_allclose(x, np.diag([0.5, 0.25]), rtol=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            DriftFactor(-np.eye(2)).solve(np.eye(3))
+
+
+class TestOneFactorPerEvaluation:
+    @pytest.fixture
+    def schur_calls(self, monkeypatch):
+        calls = []
+        real = lqgcost.linalg.schur
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lqgcost.linalg, "schur", counting)
+        return calls
+
+    @pytest.mark.parametrize("alpha,horizon", [(0.3, 1.2), (-0.4, 1.2), (0.0, 1.2),
+                                               (-0.4, math.inf)])
+    def test_one_schur_per_evaluation(self, alpha, horizon, rng, schur_calls):
+        sys = random_system(3, rng, alpha_shifts=(-0.4, 0.3, -0.3, 0.4, -0.8, 0.6, 0.9))
+        cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=horizon)
+        cost_stats_lyapunov(sys, cost)
+        assert len(schur_calls) == 1
+        variance = variance_cost_infinite if cost.is_infinite else variance_cost_finite
+        variance(sys, cost)
+        assert len(schur_calls) == 2
+
+    @pytest.mark.parametrize("alpha,horizon", [(0.25, 1.5), (0.0, 0.8), (-0.4, math.inf)])
+    def test_variance_functions_match_combined_exactly(self, alpha, horizon, rng):
+        sys = random_system(3, rng, alpha_shifts=(-0.25, 0.25, 0.5, 0.75, -0.4, -0.8))
+        cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=horizon)
+        variance = variance_cost_infinite if cost.is_infinite else variance_cost_finite
+        assert variance(sys, cost) == cost_stats_lyapunov(sys, cost).variance
 
 
 class TestLyapFinite:

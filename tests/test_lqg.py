@@ -106,6 +106,25 @@ class TestOptimalGain:
         with pytest.raises(SynthesisError):
             optimal_gain(plant)
 
+    def test_ill_conditioned_newton_start(self):
+        # the second draw of this 20-state recipe has a stabilizing start gain
+        # of norm about 2e6, whose Lyapunov solves must stay accurate for the
+        # Newton iteration to reach the stabilizing solution
+        rng = np.random.default_rng(11)
+        n, m, p = 20, 3, 4
+        for _ in range(2):
+            a = rng.normal(size=(n, n)) / math.sqrt(n)
+            b = rng.normal(size=(n, m))
+            c = rng.normal(size=(p, n))
+            g_q = rng.normal(size=(n, n))
+            g_v = rng.normal(size=(n, n))
+        plant = LqgPlant(A=a, B=b, C=c, Q=g_q @ g_q.T / n + 0.1 * np.eye(n), R=np.eye(m),
+                         V=g_v @ g_v.T / n + 0.1 * np.eye(n), W=0.1 * np.eye(p), alpha=-0.2)
+        x = solve_continuous_are(plant.shifted_drift(), plant.B, plant.Q, plant.R)
+        expected = plant.B.T @ x
+        assert_allclose(optimal_gain(plant), expected, rtol=1e-9,
+                        atol=1e-9 * np.abs(expected).max())
+
     def test_first_order_optimality(self):
         # the Riccati gain is a stationary point of the mean cost
         plant = benchmark_plant()
