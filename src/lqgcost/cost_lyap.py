@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import AccuracyError, ConditionError, NumericalError
-from .linalg import DEFAULT_SPECTRAL_TOL, DriftFactor, mat_exp, symmetrize, van_loan_integral
+from .linalg import DriftFactor, mat_exp, symmetrize, van_loan_integral
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
@@ -114,11 +114,11 @@ def _check_sylvester(fac, multiples, alpha):
 
 
 def _check_infinite(fac, alpha):
-    max_re = fac.eigenvalues.real.max() + alpha
+    rep = fac.spectrum(alpha)
     return [
         ConditionCheck("alpha < 0", alpha < 0.0, f"alpha = {alpha:g}"),
-        ConditionCheck("A+1a stable", bool(max_re < -DEFAULT_SPECTRAL_TOL),
-                       f"max Re eig = {max_re:.4g}"),
+        ConditionCheck("A+1a stable", rep.is_stable,
+                       f"max Re eig = {rep.eigenvalues.real.max():.4g}"),
     ]
 
 

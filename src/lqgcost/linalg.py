@@ -109,7 +109,7 @@ def _classify(lam, tol):
     pairs = [tuple(p) for p in np.argwhere(np.triu(bad)).tolist()] if bad.any() else []
     return SpectrumReport(
         eigenvalues=lam,
-        is_stable=bool(np.all(lam.real < -tol)),
+        is_stable=bool((lam.real < -tol).all()),
         is_sylvester=not pairs,
         tolerance_used=tol,
         degenerate_pairs=pairs,

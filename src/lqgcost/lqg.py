@@ -20,15 +20,18 @@ of eig(A - BF) and eig(A - KC), as the separation principle demands.
 The algebraic Riccati equations are solved by Newton's method, where each
 step is one Lyapunov solve through :mod:`lqgcost.linalg`; the iteration is
 started from a stabilizing gain constructed by the eigenvalue-shift
-(Bass) trick, which is itself one more Lyapunov solve.
+(Bass) trick, which is itself one more Lyapunov solve.  Every stability
+test reads ``classify_spectrum(m).is_stable`` (Re lambda < -DEFAULT_SPECTRAL_TOL).
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionError, SynthesisError
-from .linalg import solve_lyapunov, solve_lyapunov_transposed, symmetrize
+from .linalg import _as_matrix, classify_spectrum, symmetrize
+from .linalg import solve_lyapunov, solve_lyapunov_transposed
 from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON
 
 __all__ = [
@@ -54,10 +57,6 @@ class GainPair:
     K: np.ndarray = None
 
 
-def _is_stable(a, margin=0.0):
-    return np.linalg.eigvals(a).real.max() < -margin
-
-
 def _stabilizing_init(a, b):
     """Initial gain F0 with A - B F0 stable, by the eigenvalue-shift construction.
 
@@ -66,7 +65,7 @@ def _stabilizing_init(a, b):
     a controllable pair, and F0 = B^T P^{-1} stabilizes A
     (since (A - B F0) P + P (A - B F0)^T = -2 beta P < 0).
     """
-    if _is_stable(a):
+    if classify_spectrum(a).is_stable:
         return np.zeros((b.shape[1], a.shape[0]))
     beta = 1.0 + np.linalg.norm(a, 2)
     shifted = a + beta * np.eye(a.shape[0])
@@ -78,7 +77,7 @@ def _stabilizing_init(a, b):
             "cannot construct a stabilizing initial gain: the pair (A, B) "
             "appears uncontrollable along an unstable mode"
         )
-    if not _is_stable(a - b @ f0):
+    if not classify_spectrum(a - b @ f0).is_stable:
         raise SynthesisError(
             "stabilizing-gain construction failed; (A, B) is likely not stabilizable"
         )
@@ -128,7 +127,7 @@ def solve_riccati(a, b, q, r, max_iter=RICCATI_MAX_ITER, step_tol=RICCATI_STEP_T
             f"(tolerance {RICCATI_RESIDUAL_RTOL * scale:.3e}); "
             f"step history {['%.2e' % s for s in history[-5:]]}"
         )
-    if not _is_stable(a - gain_term @ x):
+    if not classify_spectrum(a - gain_term @ x).is_stable:
         raise SynthesisError("Riccati iteration converged to a non-stabilizing solution")
     return x
 
@@ -137,7 +136,7 @@ def optimal_gain(plant: LqgPlant):
     """Mean-cost-optimal state feedback gain F = R^{-1} B^T X on the shifted drift."""
     x = solve_riccati(plant.shifted_drift(), plant.B, plant.Q, plant.R)
     f = np.linalg.solve(plant.R, plant.B.T @ x)
-    if not _is_stable(plant.shifted_drift() - plant.B @ f):
+    if not classify_spectrum(plant.shifted_drift() - plant.B @ f).is_stable:
         raise SynthesisError("optimal gain does not stabilize the shifted drift")
     return f
 
@@ -151,7 +150,7 @@ def kalman_gain(plant: LqgPlant):
     """
     e = solve_riccati(plant.A.T, plant.C.T, plant.V, plant.W)
     k = np.linalg.solve(plant.W, plant.C @ e).T
-    if not _is_stable(plant.A - k @ plant.C):
+    if not classify_spectrum(plant.A - k @ plant.C).is_stable:
         raise SynthesisError("observer gain does not stabilize the error dynamics")
     return k
 
@@ -170,15 +169,24 @@ def close_loop_full_state(plant: LqgPlant, f, mu0, sigma0, horizon=INFINITE_HORI
     spec whose weight Q + F^T R F accounts for the input penalty u^T R u
     under the feedback law.
     """
-    f = np.asarray(f, dtype=float)
+    f = _as_matrix(f, "F")
     if f.shape != (plant.n_inputs, plant.n_states):
         raise DimensionError(
             f"F must be {plant.n_inputs}x{plant.n_states}, got {f.shape}"
         )
-    a_cl = plant.A - plant.B @ f
-    q_cl = symmetrize(plant.Q + f.T @ plant.R @ f)
-    sys = LtiSystem(A=a_cl, V=plant.V, mu0=mu0, Sigma0=sigma0)
-    return sys, CostSpec(Q=q_cl, alpha=plant.alpha, horizon=horizon)
+    # no check depends on the gain: validate the plant's parts, then swap in F's
+    sys = LtiSystem(A=plant.A, V=plant.V, mu0=mu0, Sigma0=sigma0)
+    cost = CostSpec(Q=plant.Q, alpha=plant.alpha, horizon=horizon)
+    return _regain_full_state(plant, sys, cost, f)
+
+
+def _regain_full_state(plant, sys, cost, f):
+    """Copies of a validated loop of ``plant`` with the gain-dependent A - B F and
+    Q + F^T R F of ``f`` (a finite float array of the gain's shape) swapped in."""
+    sys, cost = copy.copy(sys), copy.copy(cost)
+    sys.A = plant.A - plant.B @ f
+    cost.Q = symmetrize(plant.Q + f.T @ plant.R @ f)
+    return sys, cost
 
 
 def close_loop_output_feedback(plant: LqgPlant, f, k, mu0, sigma0,

@@ -45,6 +45,13 @@ def _as_vector(v, n, name):
     return arr
 
 
+def _square_of_size(m, n, name):
+    m = _as_square(m, name)
+    if m.shape != (n, n):
+        raise DimensionError(f"{name} must be {n}x{n}, got {m.shape}")
+    return _require_symmetric(m, name)
+
+
 def _require_symmetric(m, name, tol=1e-8):
     scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
     if np.abs(m - m.T).max() > tol * scale:
@@ -62,6 +69,13 @@ def _require_psd(m, name, tol=PSD_TOL):
         )
 
 
+def _require_pd(m, name):
+    w = np.linalg.eigvalsh(m)
+    if w[0] <= PSD_TOL * max(abs(w[-1]), 1.0):
+        raise ConditionError(f"{name} must be positive definite",
+                             conditions=[(f"{name} > 0", False)])
+
+
 @dataclass
 class LtiSystem:
     """Autonomous noisy linear system (A, V, mu0, Sigma0)."""
@@ -74,16 +88,10 @@ class LtiSystem:
     def __post_init__(self):
         self.A = _as_square(self.A, "A")
         n = self.A.shape[0]
-        self.V = _as_square(self.V, "V")
-        if self.V.shape != (n, n):
-            raise DimensionError(f"V must be {n}x{n}, got {self.V.shape}")
-        self.V = _require_symmetric(self.V, "V")
+        self.V = _square_of_size(self.V, n, "V")
         _require_psd(self.V, "V")
         self.mu0 = _as_vector(self.mu0, n, "mu0")
-        self.Sigma0 = _as_square(self.Sigma0, "Sigma0")
-        if self.Sigma0.shape != (n, n):
-            raise DimensionError(f"Sigma0 must be {n}x{n}, got {self.Sigma0.shape}")
-        self.Sigma0 = _require_symmetric(self.Sigma0, "Sigma0")
+        self.Sigma0 = _square_of_size(self.Sigma0, n, "Sigma0")
         _require_psd(self.Sigma0 - np.outer(self.mu0, self.mu0), "Sigma0 - mu0 mu0^T")
 
     @property
@@ -146,23 +154,14 @@ class LqgPlant:
         if self.C.shape[1] != n:
             raise DimensionError(f"C must have {n} columns, got {self.C.shape}")
         m, p = self.B.shape[1], self.C.shape[0]
-        self.Q = _require_symmetric(_as_square(self.Q, "Q"), "Q")
-        if self.Q.shape != (n, n):
-            raise DimensionError(f"Q must be {n}x{n}, got {self.Q.shape}")
+        self.Q = _square_of_size(self.Q, n, "Q")
         _require_psd(self.Q, "Q")
-        self.R = _require_symmetric(_as_square(self.R, "R"), "R")
-        if self.R.shape != (m, m):
-            raise DimensionError(f"R must be {m}x{m}, got {self.R.shape}")
-        w = np.linalg.eigvalsh(self.R)
-        if w[0] <= PSD_TOL * max(abs(w[-1]), 1.0):
-            raise ConditionError("R must be positive definite", conditions=[("R > 0", False)])
-        self.V = _require_symmetric(_as_square(self.V, "V"), "V")
-        if self.V.shape != (n, n):
-            raise DimensionError(f"V must be {n}x{n}, got {self.V.shape}")
+        self.R = _square_of_size(self.R, m, "R")
+        _require_pd(self.R, "R")
+        self.V = _square_of_size(self.V, n, "V")
         _require_psd(self.V, "V")
-        self.W = _require_symmetric(_as_square(self.W, "W"), "W")
-        if self.W.shape != (p, p):
-            raise DimensionError(f"W must be {p}x{p}, got {self.W.shape}")
+        self.W = _square_of_size(self.W, p, "W")
+        _require_pd(self.W, "W")
         self.alpha = float(self.alpha)
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")

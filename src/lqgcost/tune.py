@@ -1,12 +1,12 @@
 """Feedback-gain search on the analytic cost statistics.
 
-The objective (mean or variance of the infinite-horizon cost) is evaluated
-in closed form for each candidate gain by closing the loop and calling the
-Lyapunov-route statistics, so a plain gradient descent with finite-difference
-gradients and a backtracking line search is cheap and adequate.  Candidates
-that fail to stabilize the shifted closed loop are treated as infinitely
-bad, which confines the search to the stabilizing set without any
-constraint machinery.
+The objective (mean or variance of the infinite-horizon cost) is evaluated in
+closed form for each candidate gain by the Lyapunov-route statistics of a loop
+closed and validated once, with only its drift A - B F and weight Q + F^T R F
+swapped in, so a plain gradient descent with finite-difference gradients and a
+backtracking line search is cheap and adequate.  A gain that fails only the
+route's "A+1a stable" check (at DEFAULT_SPECTRAL_TOL) is infinitely bad, which
+confines the search to the stabilizing set without any constraint machinery.
 """
 
 import math
@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost_lyap import (
+    ConditionCheck,
     CostStats,
     cost_stats_lyapunov,
     expected_cost_infinite,
     variance_cost_infinite,
 )
-from .exceptions import InfeasibleGainError
-from .lqg import close_loop_full_state
+from .exceptions import ConditionError, InfeasibleGainError
+from .lqg import _regain_full_state, close_loop_full_state
 from .systems import LqgPlant
 
 __all__ = [
@@ -69,34 +70,40 @@ class TuneResult:
     trace: list = field(default_factory=list)
 
 
+def _evaluate(route, sys, cost):
+    """``route(sys, cost)``; InfeasibleGainError when it fails only "A+1a stable"."""
+    try:
+        return route(sys, cost)
+    except ConditionError as exc:
+        if [c.name for c in exc.conditions
+                if isinstance(c, ConditionCheck) and not c.passed] != ["A+1a stable"]:
+            raise
+        raise InfeasibleGainError(f"gain does not stabilize the shifted closed loop: {exc}",
+                                  conditions=exc.conditions) from exc
+
+
+def _objective(sys, cost, objective):
+    """Mean or variance of a closed loop's cost; +inf for an infeasible gain."""
+    try:
+        return _evaluate(expected_cost_infinite if objective == "mean" else variance_cost_infinite,
+                         sys, cost)
+    except InfeasibleGainError:
+        return math.inf
+
+
 def evaluate_gain(plant: LqgPlant, f, mu0, sigma0) -> CostStats:
     """Analytic infinite-horizon cost statistics of the loop closed with gain ``f``.
 
-    Raises :class:`InfeasibleGainError` when ``f`` does not stabilize the
-    exponent-shifted closed loop (the cost then diverges).
+    Raises :class:`InfeasibleGainError` when the only condition failed is the
+    Lyapunov route's "A+1a stable" (every Re eig(A + alpha I - B F) below
+    -DEFAULT_SPECTRAL_TOL), :class:`ConditionError` when another one is.
     """
-    f = np.asarray(f, dtype=float)
-    shifted = plant.shifted_drift() - plant.B @ f
-    max_re = np.linalg.eigvals(shifted).real.max()
-    if max_re >= 0.0:
-        raise InfeasibleGainError(
-            f"gain does not stabilize the shifted closed loop (max Re eig = {max_re:.4g})",
-            conditions=[("A+1a-BF stable", False)],
-        )
-    sys, cost = close_loop_full_state(plant, f, mu0, sigma0)
-    return cost_stats_lyapunov(sys, cost)
+    return _evaluate(cost_stats_lyapunov, *close_loop_full_state(plant, f, mu0, sigma0))
 
 
 def objective_value(plant, f, mu0, sigma0, objective):
-    """Objective at gain ``f``; +inf for infeasible (destabilizing) gains."""
-    f = np.asarray(f, dtype=float)
-    shifted = plant.shifted_drift() - plant.B @ f
-    if np.linalg.eigvals(shifted).real.max() >= 0.0:
-        return math.inf
-    sys, cost = close_loop_full_state(plant, f, mu0, sigma0)
-    if objective == "mean":
-        return expected_cost_infinite(sys, cost)
-    return variance_cost_infinite(sys, cost)
+    """Objective at gain ``f``; +inf where :func:`evaluate_gain` raises InfeasibleGainError."""
+    return _objective(*close_loop_full_state(plant, f, mu0, sigma0), objective)
 
 
 def finite_difference_gradient(func, f, fd_step, stencil=2):
@@ -133,12 +140,13 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
     that rejects non-decreasing or destabilizing candidates, and reports
     ``converged=True`` when the gradient norm drops below ``opts.grad_tol``.
     """
+    loop = close_loop_full_state(plant, opts.f0, mu0, sigma0)
 
     def func(f):
-        return objective_value(plant, f, mu0, sigma0, opts.objective)
+        return _objective(*_regain_full_state(plant, *loop, f), opts.objective)
 
     f = opts.f0.copy()
-    value = func(f)
+    value = _objective(*loop, opts.objective)
     if not math.isfinite(value):
         raise InfeasibleGainError("initial gain f0 does not stabilize the shifted closed loop")
 
@@ -176,7 +184,7 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
         grad = finite_difference_gradient(func, f, opts.fd_step)
         converged = float(np.linalg.norm(grad)) < opts.grad_tol
 
-    stats = evaluate_gain(plant, f, mu0, sigma0)
+    stats = _evaluate(cost_stats_lyapunov, *_regain_full_state(plant, *loop, f))
     return TuneResult(
         F=f,
         objective_value=value,

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_continuous_are
 
 from lqgcost import (
+    ConditionError,
     CostSpec,
     LqgPlant,
     SimConfig,
@@ -166,6 +167,23 @@ class TestKalmanGain:
                          V=random_spd(3, rng), W=random_spd(3, rng), alpha=0.0)
         k = kalman_gain(plant)
         assert np.linalg.eigvals(a - k @ plant.C).real.max() < 0
+
+    @pytest.mark.parametrize("name, matrix", [
+        ("W", -0.01 * np.eye(2)),
+        ("W", np.zeros((2, 2))),
+        ("W", np.diag([0.01, -0.01])),
+        ("R", np.zeros((1, 1))),
+    ])
+    def test_noise_and_input_weights_must_be_positive_definite(self, name, matrix):
+        # kalman_gain inverts W: a singular or indefinite one is refused by
+        # the plant, not deep inside the Riccati iteration
+        parts = dict(A=[[1.0, 0.0], [0.05, 1.0]], B=[[1.0], [0.0]], C=np.eye(2),
+                     Q=np.eye(2), R=np.eye(1), V=np.eye(2), W=0.01 * np.eye(2),
+                     alpha=-0.8)
+        parts[name] = matrix
+        with pytest.raises(ConditionError) as info:
+            LqgPlant(**parts)
+        assert info.value.conditions == [(f"{name} > 0", False)]
 
 
 class TestCloseLoopFullState:

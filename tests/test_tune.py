@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lqgcost import (
+    ConditionError,
     InfeasibleGainError,
+    LtiSystem,
     LqgPlant,
     TuneOptions,
     evaluate_gain,
@@ -55,6 +59,70 @@ class TestEvaluateGain:
         print(f"mean cost at the Riccati gain: {stats.mean:.4f} (published ~154.4)")
         assert 100.0 < stats.mean < 220.0
         assert stats.variance > 0.0
+
+
+class TestStabilityThreshold:
+    """Every candidate reads the Lyapunov route's one stability check."""
+
+    # max Re eig(A + alpha I - B F) = -5.0e-10: stable by eigvals' sign, but
+    # not below the route's -DEFAULT_SPECTRAL_TOL
+    BAND_GAIN = np.array([[1.0, 3.2 + 6e-9]])
+
+    def test_band_gain_is_infeasible(self):
+        plant = benchmark_plant()
+        max_re = np.linalg.eigvals(plant.shifted_drift() - plant.B @ self.BAND_GAIN).real.max()
+        assert -1e-9 < max_re < 0.0
+        for objective in ("mean", "variance"):
+            assert objective_value(plant, self.BAND_GAIN, ZERO2, ZERO22, objective) == math.inf
+        with pytest.raises(InfeasibleGainError):
+            evaluate_gain(plant, self.BAND_GAIN, ZERO2, ZERO22)
+
+
+class TestDivergingCost:
+    """alpha >= 0 diverges for every gain: a ConditionError, never an infeasible gain."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_alpha_not_negative_raises(self, alpha, monkeypatch):
+        # F = 0 stabilizes A + alpha I - B F = -2 + alpha
+        plant = LqgPlant(A=[[-2.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                         V=[[1.0]], W=[[1.0]], alpha=alpha)
+        f = np.zeros((1, 1))
+        for call in (lambda: objective_value(plant, f, [0.0], [[0.0]], "variance"),
+                     lambda: objective_value(plant, f, [0.0], [[0.0]], "mean"),
+                     lambda: evaluate_gain(plant, f, [0.0], [[0.0]])):
+            with pytest.raises(ConditionError) as info:
+                call()
+            assert not isinstance(info.value, InfeasibleGainError)
+            assert [c.name for c in info.value.conditions if not c.passed] == ["alpha < 0"]
+
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("minimize_variance started iterating")
+
+        monkeypatch.setattr("lqgcost.tune.finite_difference_gradient", no_iteration)
+        with pytest.raises(ConditionError) as info:
+            minimize_variance(plant, [0.0], [[0.0]], TuneOptions(f0=f, max_iter=10))
+        assert not isinstance(info.value, InfeasibleGainError)
+
+
+class TestValidateOnce:
+    def test_loop_validated_once_and_same_numbers(self, monkeypatch):
+        plant = benchmark_plant()
+        f0 = optimal_gain(plant)
+        counts = []
+        original = LtiSystem.__post_init__
+
+        def counting(self):
+            counts[-1] += 1
+            original(self)
+
+        monkeypatch.setattr(LtiSystem, "__post_init__", counting)
+        for max_iter in (20, 60):
+            counts.append(0)
+            result = minimize_variance(plant, ZERO2, ZERO22, TuneOptions(
+                f0=f0, objective="variance", grad_tol=1e-2, max_iter=max_iter))
+            assert result.iterations == max_iter
+        assert counts[0] == counts[1] <= 2
+        assert objective_value(plant, result.F, ZERO2, ZERO22, "variance") == result.objective_value
 
 
 class TestTuneOptions:
