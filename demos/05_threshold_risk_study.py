@@ -3,8 +3,8 @@
 The mean-optimal feedback gain minimizes E[J], but if what you actually care
 about is the chance of the cost blowing past a budget, a gain with a higher
 mean and a lower *variance* can violate the budget far less often.  This
-study tunes such a gain by gradient descent on the analytic variance and
-compares threshold-exceedance frequencies by simulation.
+study tunes such a gain by BFGS on the analytic variance and its exact
+gradient, and compares threshold-exceedance frequencies by simulation.
 
 Note on path count: this demo uses 40 000 paths to stay quick; the CLI
 command `lqgcost reproduce-example` runs the full 250 000-path version.

@@ -280,6 +280,7 @@ def cmd_tune(args):
     print(f"  F         = {np.array2string(result.F, precision=6)}")
     print(f"  objective = {_fmt(result.objective_value)} after {result.iterations} iterations"
           f" (converged = {result.converged})")
+    print(f"  stopped on {result.stop_reason}, gradient norm = {_fmt(result.gradient_norm)}")
     print(f"  mean = {_fmt(result.mean_at_F)}, variance = {_fmt(result.variance_at_F)}")
 
     report = {
@@ -292,6 +293,8 @@ def cmd_tune(args):
         "variance": result.variance_at_F,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "gradient_norm": result.gradient_norm,
         "trace": [[i, v] for i, v in result.trace],
     }
     _write_out(args, report)
@@ -342,6 +345,9 @@ def cmd_reproduce_example(args):
               f"{row['analytic']['std']:>10.4f} "
               f"{row['empirical']['exceed_prob']:>10.5%} "
               f"{row['empirical']['exceed_count']:>8d} {ok:>10s}")
+    tuner = report["tuner"]
+    print(f"  tuner: {tuner['iterations']} iterations, stopped on {tuner['stop_reason']}, "
+          f"gradient norm = {_fmt(tuner['gradient_norm'])}")
     direction = "holds" if report["direction_holds"] else "DOES NOT HOLD"
     print(f"  variance-minimizing gain exceeds the threshold less often: {direction}")
 
@@ -386,7 +392,7 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("tune", help="gradient search of the feedback gain")
+    p = sub.add_parser("tune", help="BFGS search of the feedback gain on exact gradients")
     p.add_argument("model")
     p.add_argument("--objective", choices=["mean", "variance"], default="variance")
     p.add_argument("--init", default=None,
@@ -409,7 +415,7 @@ def build_parser():
                    help="'exact' avoids the O(dt) moment bias the consistency "
                         "columns would otherwise pick up at large path counts")
     p.add_argument("--tune-iters", type=int, default=3000,
-                   help="gradient-descent budget for the variance-minimizing gain")
+                   help="BFGS iteration budget for the variance-minimizing gain")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_reproduce_example)
 

@@ -233,11 +233,8 @@ def _infinite_mean(sys, cost, y):
     return float(np.trace((sys.Sigma0 - sys.V / (2.0 * cost.alpha)) @ y))
 
 
-def _infinite_variance(sys, cost, fac, y):
-    """Raw variance from Y[Q; A_1]."""
-    alpha = cost.alpha
-    # X[Sigma0; A_2] - X[V; A_2] / (4 alpha) in one solve, by linearity
-    x2 = fac.solve(sys.Sigma0 - sys.V / (4.0 * alpha), shift=2.0 * alpha)
+def _infinite_variance(sys, x2, y):
+    """Raw variance from Y[Q; A_1] and X_2 = X[Sigma0 - V / (4 alpha); A_2]."""
     raw = (
         2.0 * np.trace((sys.Sigma0 @ y) @ (sys.Sigma0 @ y))
         - 2.0 * (sys.mu0 @ y @ sys.mu0) ** 2
@@ -246,23 +243,66 @@ def _infinite_variance(sys, cost, fac, y):
     return float(raw)
 
 
+def _infinite_solves(sys, cost, with_variance):
+    """``(factor, checks, Y[Q; A_1], X_2 or None)`` once the infinite-horizon checks pass.
+
+    X_2 = X[Sigma0; A_2] - X[V; A_2] / (4 alpha), in one solve by linearity.
+    """
+    fac = DriftFactor(sys.A)
+    alpha = cost.alpha
+    checks = _check_infinite(fac, alpha)
+    what = "infinite-horizon variance" if with_variance else "infinite-horizon mean"
+    _require(checks, what + " (cost diverges)")
+    y = fac.solve(cost.Q, shift=alpha, transposed=True)
+    if not with_variance:
+        return fac, checks, y, None
+    return fac, checks, y, fac.solve(sys.Sigma0 - sys.V / (4.0 * alpha), shift=2.0 * alpha)
+
+
+def _infinite_objective_gradient(sys, cost, objective):
+    """``(J, dJ/dA, dJ/dQ)`` for J the infinite-horizon mean or variance (``objective``).
+
+    Adjoint (Lagrange-multiplier) method, one adjoint solve on the same factor
+    per Lyapunov solve in J: with P_1 from A_1 P_1 + P_1 A_1^T + dJ/dY = 0 and,
+    for the variance, P_2 from A_2^T P_2 + P_2 A_2 + dJ/dX_2 = 0,
+    dJ/dA = 2 (Y P_1 + P_2 X_2) and dJ/dQ = P_1.  J itself comes from
+    :func:`_infinite_mean` / :func:`_infinite_variance` and
+    :func:`_finalize_variance` on the same Y and X_2, so it equals
+    :func:`expected_cost_infinite` / :func:`variance_cost_infinite` bit for bit.
+
+    Reference: W. S. Levine and M. Athans, "On the determination of the
+    optimal constant output feedback gains for linear multivariable
+    systems", IEEE Trans. Automat. Control 15(1), 1970.
+    """
+    with_variance = objective == "variance"
+    fac, _, y, x2 = _infinite_solves(sys, cost, with_variance)
+    alpha, s, mu0, v = cost.alpha, sys.Sigma0, sys.mu0, sys.V
+    mean = _infinite_mean(sys, cost, y)
+    if not with_variance:
+        p1 = fac.solve(s - v / (2.0 * alpha), shift=alpha)
+        return mean, 2.0 * y @ p1, p1
+    value = _finalize_variance(_infinite_variance(sys, x2, y), mean)
+    xyv = x2 @ y @ v
+    d_y = 4.0 * symmetrize(s @ y @ s - (mu0 @ y @ mu0) * np.outer(mu0, mu0) + xyv + xyv.T)
+    p1 = fac.solve(d_y, shift=alpha)
+    p2 = fac.solve(4.0 * symmetrize(y @ v @ y), shift=2.0 * alpha, transposed=True)
+    return value, 2.0 * (y @ p1 + p2 @ x2), p1
+
+
 # ---------------------------------------------------------------------------
 # one evaluation on one factor
 # ---------------------------------------------------------------------------
 
 def _evaluate(sys, cost, with_variance):
     """``(mean, raw variance or None, branch, checks)`` from one factor of ``sys.A``."""
-    fac = DriftFactor(sys.A)
-    alpha = cost.alpha
     if cost.is_infinite:
-        checks = _check_infinite(fac, alpha)
-        what = "infinite-horizon variance" if with_variance else "infinite-horizon mean"
-        _require(checks, what + " (cost diverges)")
-        y = fac.solve(cost.Q, shift=alpha, transposed=True)
+        _, checks, y, x2 = _infinite_solves(sys, cost, with_variance)
         mean = _infinite_mean(sys, cost, y)
-        raw = _infinite_variance(sys, cost, fac, y) if with_variance else None
+        raw = _infinite_variance(sys, x2, y) if with_variance else None
         return mean, raw, "infinite horizon", checks
 
+    fac = DriftFactor(sys.A)
+    alpha = cost.alpha
     zero_branch = _use_zero_alpha(alpha, cost.horizon)
     multiples = (0,) if zero_branch else (0, 1, -1, 2) if with_variance else (0, 1)
     checks = _check_sylvester(fac, multiples, alpha)

@@ -90,8 +90,8 @@ def threshold_study(n_paths=250_000, dt=0.01, horizon=20.0, threshold=DEFAULT_TH
                     tune_max_iter=3000, landscape_points=9):
     """Run the full study and return a structured report (a plain dict).
 
-    Synthesizes the mean-optimal gain, descends to a variance-minimizing
-    gain, simulates both closed loops at the given threshold, and samples the
+    Synthesizes the mean-optimal gain, tunes a variance-minimizing gain
+    from it, simulates both closed loops at the given threshold, and samples the
     variance objective along the segment between the two gains.
 
     The integration scheme of the original study is undocumented.  The
@@ -143,6 +143,8 @@ def threshold_study(n_paths=250_000, dt=0.01, horizon=20.0, threshold=DEFAULT_TH
         "tuner": {
             "iterations": tune.iterations,
             "converged": tune.converged,
+            "stop_reason": tune.stop_reason,
+            "gradient_norm": tune.gradient_norm,
             "objective_value": tune.objective_value,
         },
         "variance_landscape_on_segment": landscape,

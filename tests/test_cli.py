@@ -152,13 +152,25 @@ class TestSynthesize:
 
 
 class TestTune:
-    def test_variance_objective(self, benchmark_model, tmp_path):
+    def test_variance_objective(self, benchmark_model, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["tune", benchmark_model, "--objective", "variance",
                      "--max-iter", "60", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         values = [v for _, v in report["trace"]]
         assert all(b <= a for a, b in zip(values, values[1:]))
+        assert report["converged"] is True and report["stop_reason"] == "gradient"
+        assert 0.0 < report["gradient_norm"] < 1e-2          # the CLI's default --grad-tol
+        assert (f"stopped on gradient, gradient norm = {report['gradient_norm']:.10g}"
+                in capsys.readouterr().out)
+
+    def test_budget_stop_reported(self, benchmark_model, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["tune", benchmark_model, "--max-iter", "3", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["iterations"] == 3 and report["converged"] is False
+        assert report["stop_reason"] == "max_iter" and report["gradient_norm"] > 1e-2
+        assert "stopped on max_iter" in capsys.readouterr().out
 
     def test_mean_objective_stays_at_riccati_gain(self, benchmark_model, tmp_path):
         out = tmp_path / "report.json"
@@ -188,8 +200,12 @@ class TestReproduceExample:
         assert report["assumption"]["Sigma0"] == [[0.0, 0.0], [0.0, 0.0]]
         gain = np.ravel(report["mean_optimal"]["gain"])
         assert abs(gain[0] - 1.6) <= 0.05 and abs(gain[1] - 9.9) <= 0.05
+        tuner = report["tuner"]
+        assert tuner["converged"] is True and tuner["stop_reason"] == "gradient"
+        assert tuner["gradient_norm"] < 1e-2
         stdout = capsys.readouterr().out
         assert "assumption" in stdout
+        assert "stopped on gradient" in stdout
 
     def test_assumption_file_override(self, tmp_path):
         assumption = tmp_path / "assume.json"

@@ -16,7 +16,9 @@ from lqgcost import (
     minimize_variance,
     objective_value,
     optimal_gain,
+    variance_cost_infinite,
 )
+from lqgcost import tune
 from lqgcost.lqg import close_loop_full_state
 
 
@@ -35,6 +37,8 @@ def benchmark_plant():
 
 ZERO2 = np.zeros(2)
 ZERO22 = np.zeros((2, 2))
+#: The variance minimizer of the benchmark plant (Nelder-Mead reaches the same variance).
+MINIMIZER = np.array([[4.455, 30.459]])
 
 
 class TestEvaluateGain:
@@ -95,10 +99,12 @@ class TestDivergingCost:
             assert not isinstance(info.value, InfeasibleGainError)
             assert [c.name for c in info.value.conditions if not c.passed] == ["alpha < 0"]
 
-        def no_iteration(*args, **kwargs):
-            raise AssertionError("minimize_variance started iterating")
+        def no_gradient(*args, **kwargs):
+            original(*args, **kwargs)     # must raise before any adjoint solve
+            raise AssertionError("minimize_variance computed a gradient")
 
-        monkeypatch.setattr("lqgcost.tune.finite_difference_gradient", no_iteration)
+        original = tune._infinite_objective_gradient
+        monkeypatch.setattr(tune, "_infinite_objective_gradient", no_gradient)
         with pytest.raises(ConditionError) as info:
             minimize_variance(plant, [0.0], [[0.0]], TuneOptions(f0=f, max_iter=10))
         assert not isinstance(info.value, InfeasibleGainError)
@@ -116,11 +122,13 @@ class TestValidateOnce:
             original(self)
 
         monkeypatch.setattr(LtiSystem, "__post_init__", counting)
-        for max_iter in (20, 60):
+        # both budgets stop the search before it converges (21 iterations)
+        for max_iter in (5, 15):
             counts.append(0)
             result = minimize_variance(plant, ZERO2, ZERO22, TuneOptions(
                 f0=f0, objective="variance", grad_tol=1e-2, max_iter=max_iter))
             assert result.iterations == max_iter
+            assert result.stop_reason == "max_iter" and not result.converged
         assert counts[0] == counts[1] <= 2
         assert objective_value(plant, result.F, ZERO2, ZERO22, "variance") == result.objective_value
 
@@ -135,7 +143,55 @@ class TestTuneOptions:
             TuneOptions(f0=np.zeros((1, 2)), objective="median")
 
 
+def random_plant(n, m, rng):
+    """Seeded n-state, m-input plant with a stabilizing gain away from the mean optimum,
+    and a non-zero initial mean and second moment."""
+    g = rng.normal(size=(n, n))
+    plant = LqgPlant(A=rng.normal(size=(n, n)) / math.sqrt(n), B=rng.normal(size=(n, m)),
+                     C=np.eye(n), Q=g @ g.T / n + 0.1 * np.eye(n), R=np.eye(m),
+                     V=np.eye(n) + 0.1 * np.ones((n, n)), W=np.eye(n), alpha=-0.3)
+    f = optimal_gain(plant) + 0.1 * rng.normal(size=(m, n))
+    mu0 = rng.normal(size=n)
+    h = rng.normal(size=(n, n))
+    return plant, f, mu0, np.outer(mu0, mu0) + h @ h.T / n
+
+
+def adjoint_gradient(plant, f, mu0, sigma0, objective):
+    loop = close_loop_full_state(plant, f, mu0, sigma0)
+    value, grad = tune._value_and_gradient(plant, loop, f, objective)
+    route = expected_cost_infinite if objective == "mean" else variance_cost_infinite
+    assert value == route(*loop)
+    return value, grad
+
+
 class TestGradient:
+    @pytest.mark.parametrize("objective", ["mean", "variance"])
+    @pytest.mark.parametrize("case", ["riccati", "riccati x 1.3", "minimizer", "4x2 plant"])
+    def test_adjoint_matches_five_point(self, case, objective):
+        if case == "4x2 plant":
+            plant, f, mu0, sigma0 = random_plant(4, 2, np.random.default_rng(20240611))
+            assert f.shape == (2, 4) and np.abs(mu0).min() > 0
+        else:
+            plant, mu0, sigma0 = benchmark_plant(), ZERO2, ZERO22
+            f = {"riccati": optimal_gain(plant), "riccati x 1.3": 1.3 * optimal_gain(plant),
+                 "minimizer": MINIMIZER}[case]
+        value, grad = adjoint_gradient(plant, f, mu0, sigma0, objective)
+
+        def func(x):
+            return objective_value(plant, x, mu0, sigma0, objective)
+
+        fd = finite_difference_gradient(func, f, 1e-4, stencil=4)
+        # the floor covers the mean's zero gradient at the Riccati gain
+        floor = 1e-6 * abs(value) / (1.0 + np.abs(f).max())
+        assert_allclose(grad, fd, rtol=1e-6, atol=floor)
+
+    def test_infeasible_gain_has_no_gradient(self):
+        plant = benchmark_plant()
+        loop = close_loop_full_state(plant, optimal_gain(plant), ZERO2, ZERO22)
+        for objective in ("mean", "variance"):
+            assert tune._value_and_gradient(plant, loop, np.zeros((1, 2)), objective) == (
+                math.inf, None)
+
     def test_two_point_matches_four_point(self):
         plant = benchmark_plant()
         f0 = optimal_gain(plant) * 1.3
@@ -165,11 +221,49 @@ class TestMinimizeVariance:
         opts = TuneOptions(f0=f_opt, objective="variance", grad_tol=1e-2,
                            max_iter=3000)
         result = minimize_variance(plant, ZERO2, ZERO22, opts)
+        assert result.converged
         assert result.variance_at_F <= base.variance
         assert result.mean_at_F >= base.mean - 1e-9   # the Riccati gain is mean-optimal
         print(f"variance-minimizing gain {np.round(result.F, 3).tolist()} "
               f"(published rounding [4.4, 30.0]); variance "
               f"{result.variance_at_F:.1f} vs {base.variance:.1f} at the Riccati gain")
+
+    def test_study_gain_is_stationary(self, monkeypatch):
+        # threshold_study's settings
+        plant = benchmark_plant()
+        calls = []
+        original = tune._infinite_objective_gradient
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(tune, "_infinite_objective_gradient", counting)
+        opts = TuneOptions(f0=optimal_gain(plant), objective="variance", grad_tol=1e-2,
+                           step_tol=1e-10, max_iter=3000)
+        result = minimize_variance(plant, ZERO2, ZERO22, opts)
+        assert result.converged is True and result.stop_reason == "gradient"
+        assert result.gradient_norm < opts.grad_tol
+        assert len(calls) <= 100
+
+        def func(f):
+            return objective_value(plant, f, ZERO2, ZERO22, "variance")
+
+        grad = finite_difference_gradient(func, result.F, 1e-4, stencil=4)
+        assert np.linalg.norm(grad) < opts.grad_tol
+        assert result.variance_at_F <= 32393.94
+
+    def test_line_search_stop_below_rounding(self):
+        # a gradient tolerance below what rounding of the mean (about 150) resolves
+        plant = benchmark_plant()
+        f_opt = optimal_gain(plant)
+        opts = TuneOptions(f0=f_opt + np.array([[0.4, -0.6]]), objective="mean",
+                           grad_tol=1e-12, max_iter=500)
+        result = minimize_variance(plant, ZERO2, ZERO22, opts)
+        assert result.stop_reason == "line_search" and not result.converged
+        assert opts.grad_tol <= result.gradient_norm < 1e-6
+        assert result.iterations < opts.max_iter
+        assert np.abs(result.F - f_opt).max() < 1e-6
 
     def test_monotone_trace(self):
         plant = benchmark_plant()
