@@ -16,7 +16,6 @@ from .cost_expm import (
     cost_stats_expm,
 )
 from .cost_lyap import (
-    ConditionCheck,
     CostStats,
     cost_stats_lyapunov,
     expected_cost_finite,
@@ -28,6 +27,7 @@ from .cost_lyap import (
 from .demo import benchmark_plant, default_assumption, threshold_study
 from .exceptions import (
     AccuracyError,
+    ConditionCheck,
     ConditionError,
     DimensionError,
     InfeasibleGainError,

@@ -438,8 +438,7 @@ def main(argv=None):
         conditions = getattr(exc, "conditions", None)
         if conditions:
             for c in conditions:
-                name, passed = (c.name, c.passed) if hasattr(c, "name") else (c[0], c[1])
-                print(f"  condition {name}: {'PASS' if passed else 'FAIL'}", file=_sys.stderr)
+                print(f"  condition {c.name}: {'PASS' if c.passed else 'FAIL'}", file=_sys.stderr)
         return EXIT_CONDITION
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .exceptions import AccuracyError, ConditionError
-from .cost_lyap import ConditionCheck, CostStats, _finalize_variance, cost_stats_lyapunov
+from .exceptions import AccuracyError, ConditionCheck, ConditionError
+from .cost_lyap import CostStats, _finalize_variance, cost_stats_lyapunov
 from .systems import CostSpec, LtiSystem
 
 __all__ = [

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import AccuracyError, ConditionError, NumericalError
+from .exceptions import AccuracyError, ConditionCheck, ConditionError, NumericalError
 from .linalg import DriftFactor, mat_exp, symmetrize, van_loan_integral
 from .systems import CostSpec, LtiSystem
 
@@ -62,15 +62,6 @@ VARIANCE_CLAMP_RTOL = 1e-8
 #: for Y_T and Sigma_T.  Each factor of ten past it costs the result a digit
 #: on top of the Lyapunov solutions' own rounding.
 CANCELLATION_LIMIT = 1e6
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    """Outcome of one named validity predicate."""
-
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 @dataclass

@@ -7,6 +7,17 @@ requested quantity does not exist or cannot be computed reliably for the
 given data.
 """
 
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class ConditionCheck:
+    """Outcome of one named validity predicate."""
+
+    name: str
+    passed: bool
+    detail: str = ""
+
 
 class LqgCostError(Exception):
     """Base class for all library-specific errors."""
@@ -23,8 +34,8 @@ class ModelFormatError(LqgCostError, ValueError):
 class ConditionError(LqgCostError, ArithmeticError):
     """A mathematical precondition fails (spectrum, definiteness, horizon).
 
-    Carries the list of named predicates that were checked so callers can
-    report exactly which requirement failed.
+    Carries the list of :class:`ConditionCheck` predicates that were checked
+    so callers can report exactly which requirement failed.
     """
 
     def __init__(self, message, conditions=None):

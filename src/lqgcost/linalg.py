@@ -8,13 +8,14 @@ the real Schur form of one drift so that every shifted or transposed Lyapunov
 equation on it reuses a single factorization.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm, schur
 from scipy.linalg.lapack import dtrsyl
 
-from .exceptions import DimensionError, NumericalError, SingularLyapunovError
+from .exceptions import ConditionCheck, DimensionError, NumericalError, SingularLyapunovError
 
 __all__ = [
     "SpectrumReport",
@@ -89,6 +90,10 @@ class SpectrumReport:
     condition under which A X + X A^T + Q = 0 has no unique solution.
     ``is_stable`` is True when every eigenvalue has real part < -tol.
 
+    ``degenerate_pairs`` lists those pairs, i <= j, in row-major order.  It
+    and ``is_sylvester`` are computed on first access, so a caller that only
+    reads ``is_stable`` never builds the n x n pair matrix.
+
     Note the implication "stable => sylvester" is exact mathematics; with a
     finite tolerance a barely-stable matrix with large imaginary eigenvalue
     pairs can still be flagged non-sylvester, which is the desired behaviour
@@ -97,23 +102,24 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     is_stable: bool
-    is_sylvester: bool
     tolerance_used: float
-    degenerate_pairs: list = field(default_factory=list)
+
+    @cached_property
+    def degenerate_pairs(self):
+        lam, tol = self.eigenvalues, self.tolerance_used
+        mag = np.abs(lam)
+        bad = np.abs(lam[:, None] + lam) <= tol * (1.0 + mag[:, None] + mag)
+        return [tuple(p) for p in np.argwhere(np.triu(bad)).tolist()] if bad.any() else []
+
+    @property
+    def is_sylvester(self):
+        return not self.degenerate_pairs
 
 
 def _classify(lam, tol):
-    """SpectrumReport of the eigenvalues ``lam``; pairs (i, j), i <= j, in row-major order."""
-    mag = np.abs(lam)
-    bad = np.abs(lam[:, None] + lam) <= tol * (1.0 + mag[:, None] + mag)
-    pairs = [tuple(p) for p in np.argwhere(np.triu(bad)).tolist()] if bad.any() else []
-    return SpectrumReport(
-        eigenvalues=lam,
-        is_stable=bool((lam.real < -tol).all()),
-        is_sylvester=not pairs,
-        tolerance_used=tol,
-        degenerate_pairs=pairs,
-    )
+    """SpectrumReport of the eigenvalues ``lam``."""
+    return SpectrumReport(eigenvalues=lam, is_stable=bool((lam.real < -tol).all()),
+                          tolerance_used=tol)
 
 
 def classify_spectrum(a, tol=DEFAULT_SPECTRAL_TOL):
@@ -181,7 +187,7 @@ class DriftFactor:
             raise SingularLyapunovError(
                 f"lyapunov solve: no unique solution, eigenvalues lambda[{i}] = {lam[i]:.6g} "
                 f"and lambda[{j}] = {lam[j]:.6g} sum to (nearly) zero",
-                conditions=[("lyapunov solve", False)],
+                conditions=[ConditionCheck("lyapunov solve", False)],
             )
         u = self.u
         t_s = self.t + shift * np.eye(len(self.a))
@@ -191,7 +197,7 @@ class DriftFactor:
         if info != 0:
             raise SingularLyapunovError(
                 f"lyapunov solve: quasi-triangular Sylvester solve failed (info = {info})",
-                conditions=[("lyapunov solve", False)],
+                conditions=[ConditionCheck("lyapunov solve", False)],
             )
         x = u @ (z / scale) @ u.T
         if is_symmetric(w):

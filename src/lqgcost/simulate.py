@@ -14,11 +14,20 @@ Two time-stepping schemes are available:
     O(dt^2) bias.  Use this when tight agreement with the analytic values
     is needed at an affordable step count.
 
+Both schemes share one step loop.  A batch keeps its states as a
+(state, path) array, so a step is two small matrix products: the transition
+matrix times the states plus the noise factor times the step's normals.  The
+cost is evaluated in the eigenbasis of the symmetric weight,
+Q = U diag(lam) U^T, as x^T Q x = sum_i lam_i (u_i^T x)^2: one more product
+and a weighted sum of squares.  No factor of Q is needed, so indefinite and
+singular weights are sampled like any other.
+
 Determinism: paths are processed in fixed-size batches and every batch draws
 from its own counter-based random stream (Philox keyed by the seed, counter
-offset by the batch index).  Results are therefore bit-identical for a given
-(seed, n_paths, dt, T, scheme) no matter how many worker threads execute the
-batches.
+offset by the batch index).  Each step draws one (path, state) block of
+standard normals, initial state first.  Results are therefore bit-identical
+for a given (seed, n_paths, dt, T, scheme) no matter how many worker threads
+execute the batches.
 """
 
 import math
@@ -126,17 +135,23 @@ def _cost_weights(cfg, alpha):
     return w * np.exp(2.0 * alpha * t)
 
 
-def _run_batch(batch_index, count, sys, q, phi, noise_factor, init_factor, weights, seed):
+def _run_batch(batch_index, count, sys, lam, u_t, phi, noise_factor, init_factor, weights,
+               seed):
     rng = Generator(Philox(key=seed, counter=batch_index << 128))
     n = sys.dim
-    x = sys.mu0 + rng.standard_normal((count, n)) @ init_factor.T
-    costs = weights[0] * np.einsum("ij,jk,ik->i", x, q, x)
-    phi_t = phi.T
-    nf_t = noise_factor.T
-    for k in range(1, len(weights)):
-        x = x @ phi_t + rng.standard_normal((count, n)) @ nf_t
-        costs += weights[k] * np.einsum("ij,jk,ik->i", x, q, x)
-    return costs, x.T @ x
+    x = sys.mu0[:, None] + init_factor @ rng.standard_normal((count, n)).T
+    x_next = np.empty_like(x)
+    z = np.empty_like(x)    # scratch: the noise term, then the state in Q's eigenbasis
+    costs = np.zeros(count)
+    for k, w in enumerate(weights):
+        if k:
+            np.matmul(phi, x, out=x_next)
+            np.matmul(noise_factor, rng.standard_normal((count, n)).T, out=z)
+            x_next += z
+            x, x_next = x_next, x
+        np.matmul(u_t, x, out=z)
+        costs += w * (lam @ np.square(z, out=z))
+    return costs, x @ x.T
 
 
 def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
@@ -158,12 +173,13 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
     phi, noise_factor = _step_operators(sys, cfg)
     init_factor = psd_factor(sys.initial_covariance())
     weights = _cost_weights(cfg, cost.alpha)
+    lam, u = np.linalg.eigh(cost.Q)
 
     n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     sizes = [min(BATCH_SIZE, cfg.n_paths - b * BATCH_SIZE) for b in range(n_batches)]
 
     def task(b):
-        return _run_batch(b, sizes[b], sys, cost.Q, phi, noise_factor,
+        return _run_batch(b, sizes[b], sys, lam, u.T, phi, noise_factor,
                           init_factor, weights, cfg.seed)
 
     threads = cfg.resolved_threads()

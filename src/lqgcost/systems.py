@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConditionError, DimensionError
+from .exceptions import ConditionCheck, ConditionError, DimensionError
 from .linalg import _as_matrix, _as_square, symmetrize
 
 __all__ = ["LtiSystem", "CostSpec", "LqgPlant", "INFINITE_HORIZON"]
@@ -55,7 +55,8 @@ def _square_of_size(m, n, name):
 def _require_symmetric(m, name, tol=1e-8):
     scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
     if np.abs(m - m.T).max() > tol * scale:
-        raise ConditionError(f"{name} must be symmetric", conditions=[(f"{name} symmetric", False)])
+        raise ConditionError(f"{name} must be symmetric",
+                             conditions=[ConditionCheck(f"{name} symmetric", False)])
     return symmetrize(m)
 
 
@@ -65,7 +66,7 @@ def _require_psd(m, name, tol=PSD_TOL):
     if w[0] < -tol * scale:
         raise ConditionError(
             f"{name} must be positive semidefinite (min eigenvalue {w[0]:.3e})",
-            conditions=[(f"{name} >= 0", False)],
+            conditions=[ConditionCheck(f"{name} >= 0", False, f"min eigenvalue {w[0]:.3e}")],
         )
 
 
@@ -73,7 +74,7 @@ def _require_pd(m, name):
     w = np.linalg.eigvalsh(m)
     if w[0] <= PSD_TOL * max(abs(w[-1]), 1.0):
         raise ConditionError(f"{name} must be positive definite",
-                             conditions=[(f"{name} > 0", False)])
+                             conditions=[ConditionCheck(f"{name} > 0", False)])
 
 
 @dataclass

@@ -7,9 +7,13 @@ from scipy.linalg import solve_continuous_lyapunov
 
 import lqgcost.linalg
 from lqgcost import (
+    ConditionCheck,
+    ConditionError,
     CostSpec,
     DimensionError,
     DriftFactor,
+    LqgPlant,
+    LtiSystem,
     SingularLyapunovError,
     classify_spectrum,
     cost_stats_lyapunov,
@@ -95,6 +99,34 @@ class TestClassifySpectrum:
         assert len(expected) == 3
         assert rep.degenerate_pairs == expected
         assert not rep.is_sylvester
+
+
+PLANT = dict(A=[[1.0, 0.0], [0.05, 1.0]], B=[[1.0], [0.0]], C=np.eye(2), Q=np.eye(2),
+             R=np.eye(1), V=np.eye(2), W=0.01 * np.eye(2))
+
+
+@pytest.mark.parametrize("build, failed", [
+    pytest.param(lambda: LtiSystem(A=-np.eye(2), V=[[1.0, 0.5], [0.0, 1.0]], mu0=[0.0, 0.0],
+                                   Sigma0=np.eye(2)), "V symmetric", id="LtiSystem-V"),
+    pytest.param(lambda: LtiSystem(A=-np.eye(2), V=np.eye(2), mu0=[2.0, 0.0],
+                                   Sigma0=np.eye(2)), "Sigma0 - mu0 mu0^T >= 0",
+                 id="LtiSystem-Sigma0"),
+    pytest.param(lambda: CostSpec(Q=[[1.0, 2.0], [0.0, 1.0]]), "Q symmetric", id="CostSpec-Q"),
+    pytest.param(lambda: LqgPlant(**{**PLANT, "Q": np.diag([1.0, -1.0])}), "Q >= 0",
+                 id="LqgPlant-Q"),
+    pytest.param(lambda: LqgPlant(**{**PLANT, "W": np.zeros((2, 2))}), "W > 0",
+                 id="LqgPlant-W"),
+    pytest.param(lambda: solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2)), "lyapunov solve",
+                 id="solve_lyapunov"),
+    pytest.param(lambda: DriftFactor(-np.eye(2)).solve(np.eye(2), shift=1.0),
+                 "lyapunov solve", id="DriftFactor.solve"),
+])
+def test_condition_errors_carry_condition_checks(build, failed):
+    with pytest.raises(ConditionError) as info:
+        build()
+    conditions = info.value.conditions
+    assert all(isinstance(c, ConditionCheck) for c in conditions)
+    assert [c.name for c in conditions if not c.passed] == [failed]
 
 
 class TestSolveLyapunov:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_continuous_are
 
 from lqgcost import (
+    ConditionCheck,
     ConditionError,
     CostSpec,
     LqgPlant,
@@ -183,7 +184,7 @@ class TestKalmanGain:
         parts[name] = matrix
         with pytest.raises(ConditionError) as info:
             LqgPlant(**parts)
-        assert info.value.conditions == [(f"{name} > 0", False)]
+        assert info.value.conditions == [ConditionCheck(f"{name} > 0", False)]
 
 
 class TestCloseLoopFullState:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from numpy.testing import assert_allclose
 
 from lqgcost import (
     CostSpec,
@@ -9,17 +11,50 @@ from lqgcost import (
     SimConfig,
     exceedance_probability,
     expected_cost_finite,
+    psd_factor,
     second_moment,
     simulate_costs,
     variance_cost_finite,
 )
-from conftest import scalar_cost, scalar_system
+from lqgcost.simulate import BATCH_SIZE, _cost_weights, _step_operators
+from conftest import random_spd, random_system, scalar_cost, scalar_system
 
 
 def reference_case():
     sys = scalar_system(a=-1.0, v=2.0, mu0=0.0, sigma0=1.0)
     cost = scalar_cost(alpha=-0.5, horizon=4.0)
     return sys, cost
+
+
+def path_major_costs(sys, cost, cfg):
+    """Reference step loop: states as (path, state) rows, cost x^T Q x by einsum.
+
+    Same step operators, weights, batches and random streams as
+    :func:`simulate_costs`; returns every path's cost and the final second
+    moment.
+    """
+    phi, noise_factor = _step_operators(sys, cfg)
+    init_factor = psd_factor(sys.initial_covariance())
+    weights = _cost_weights(cfg, cost.alpha)
+    q, n = cost.Q, sys.dim
+    costs, second = [], np.zeros((n, n))
+    for b, start in enumerate(range(0, cfg.n_paths, BATCH_SIZE)):
+        count = min(BATCH_SIZE, cfg.n_paths - start)
+        rng = Generator(Philox(key=cfg.seed, counter=b << 128))
+        x = sys.mu0 + rng.standard_normal((count, n)) @ init_factor.T
+        c = weights[0] * np.einsum("ij,jk,ik->i", x, q, x)
+        for k in range(1, len(weights)):
+            x = x @ phi.T + rng.standard_normal((count, n)) @ noise_factor.T
+            c += weights[k] * np.einsum("ij,jk,ik->i", x, q, x)
+        costs.append(c)
+        second += x.T @ x
+    return np.concatenate(costs), second / cfg.n_paths
+
+
+def two_state_system():
+    mu0 = np.array([1.0, -0.5])
+    return LtiSystem(A=[[-1.0, 0.8], [-0.3, -2.0]], V=[[1.0, 0.2], [0.2, 0.5]], mu0=mu0,
+                     Sigma0=np.eye(2) + np.outer(mu0, mu0))
 
 
 class TestSimConfig:
@@ -125,6 +160,33 @@ class TestSimulateCosts:
     def test_non_psd_initial_condition_rejected(self):
         with pytest.raises(Exception):
             LtiSystem(A=[[-1.0]], V=[[1.0]], mu0=[2.0], Sigma0=[[1.0]])
+
+
+class TestStepMatchesPathMajorLoop:
+    """The simulator's step against :func:`path_major_costs` on the same streams."""
+
+    @staticmethod
+    def cases(rng):
+        sys4 = random_system(4, rng)
+        yield "4 states, non-zero mu0, two batches", sys4, \
+            CostSpec(Q=random_spd(4, rng), alpha=-0.2, horizon=0.5), BATCH_SIZE + 1000
+        yield "rank-deficient Q", two_state_system(), \
+            CostSpec(Q=np.diag([1.0, 0.0]), alpha=0.1, horizon=0.5), 3000
+        yield "indefinite Q", two_state_system(), \
+            CostSpec(Q=np.diag([1.0, -0.5]), alpha=-0.3, horizon=0.5), 3000
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_matches_reference_to_rounding(self, rng, scheme):
+        for label, sys, cost, paths in self.cases(rng):
+            cfg = SimConfig(dt=0.05, T=0.5, n_paths=paths, seed=31, scheme=scheme)
+            costs, second = path_major_costs(sys, cost, cfg)
+            cfg.threshold = float(np.median(costs))
+            out = simulate_costs(sys, cost, cfg)
+            assert out.mean == pytest.approx(costs.mean(), rel=1e-12), label
+            assert out.variance == pytest.approx(costs.var(ddof=1), rel=1e-12), label
+            assert_allclose(out.second_moment_final, second, rtol=1e-12,
+                            atol=1e-12 * np.abs(second).max(), err_msg=label)
+            assert out.exceed_count == np.count_nonzero(costs > cfg.threshold), label
 
 
 class TestExceedance:
