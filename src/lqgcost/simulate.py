@@ -14,20 +14,26 @@ Two time-stepping schemes are available:
     O(dt^2) bias.  Use this when tight agreement with the analytic values
     is needed at an affordable step count.
 
-Both schemes share one step loop.  A batch keeps its states as a
-(state, path) array, so a step is two small matrix products: the transition
-matrix times the states plus the noise factor times the step's normals.  The
-cost is evaluated in the eigenbasis of the symmetric weight,
-Q = U diag(lam) U^T, as x^T Q x = sum_i lam_i (u_i^T x)^2: one more product
-and a weighted sum of squares.  No factor of Q is needed, so indefinite and
-singular weights are sampled like any other.
+Both schemes share one step loop, run in the eigenbasis of the symmetric
+weight Q = U diag(lam) U^T.  A batch keeps z = U^T x as a (state, path)
+array stacked on top of the step's standard normals xi, so a step is one
+product, z' = [U^T Phi U | U^T L] [z; xi], with Phi the transition matrix and
+L the noise factor.  The normals are drawn straight into their rows of the
+stacked buffer.  The cost x^T Q x = sum_i lam_i z_i^2 is accumulated as
+sum_k w_k z_k^2 per coordinate, and lam is applied once at the end: a step is
+one draw, one product and three elementwise operations.  No factor of Q is
+needed, so indefinite and singular weights are sampled like any other.  The
+final second moment is formed from x = U z.
 
-Determinism: paths are processed in fixed-size batches and every batch draws
-from its own counter-based random stream (Philox keyed by the seed, counter
-offset by the batch index).  Each step draws one (path, state) block of
-standard normals, initial state first.  Results are therefore bit-identical
-for a given (seed, n_paths, dt, T, scheme) no matter how many worker threads
-execute the batches.
+Determinism: paths are processed in fixed-size batches, and batch b draws
+from its own stream, SFC64 seeded by ``SeedSequence(seed, spawn_key=(b,))``
+(the same as ``SeedSequence(seed).spawn(n)[b]``), so a stream depends only on
+the seed and the batch index.  The batch first draws an (n, count) block for
+the initial state, then one (n, count) block per step, coordinate-major.
+Results are therefore bit-identical for a given (seed, n_paths, dt, T,
+scheme) no matter how many worker threads execute the batches.  These streams
+replaced per-batch Philox keys, so a given seed now yields different (but
+statistically equivalent) samples than releases that used Philox.
 """
 
 import math
@@ -37,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .linalg import mat_exp, psd_factor
 from .moments import noise_gramian_finite
@@ -135,23 +141,46 @@ def _cost_weights(cfg, alpha):
     return w * np.exp(2.0 * alpha * t)
 
 
-def _run_batch(batch_index, count, sys, lam, u_t, phi, noise_factor, init_factor, weights,
-               seed):
-    rng = Generator(Philox(key=seed, counter=batch_index << 128))
-    n = sys.dim
-    x = sys.mu0[:, None] + init_factor @ rng.standard_normal((count, n)).T
-    x_next = np.empty_like(x)
-    z = np.empty_like(x)    # scratch: the noise term, then the state in Q's eigenbasis
-    costs = np.zeros(count)
+def _batch_stream(seed, batch_index):
+    """Random stream of one batch; it depends only on the seed and the batch index."""
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(batch_index,))))
+
+
+def _run_batch(batch_index, count, seed, z_mean0, z_init, state_op, noise_op, lam, u,
+               weights):
+    """Costs of ``count`` paths and the sum of x x^T over them at the horizon.
+
+    The state is z = U^T x; ``z_mean0`` and ``z_init`` are U^T mu0 and U^T
+    times the factor of the initial covariance, ``state_op`` and ``noise_op``
+    are U^T Phi U and U^T L.
+    """
+    rng = _batch_stream(seed, batch_index)
+    n = lam.size
+    # One allocation of four (n, count) blocks: a state, the step's normals
+    # (then scratch for the squares), the next state and sum_k w_k z_k^2.  A
+    # step reads two adjacent blocks, [z; xi] or [xi; z], and writes the
+    # third, so the state alternates between the outer two and is never
+    # copied.
+    buf = np.empty((4 * n, count))
+    xi, acc = buf[n:2 * n], buf[3 * n:]
+    acc.fill(0.0)
+    down = (np.hstack((state_op, noise_op)), buf[:2 * n], buf[2 * n:3 * n])
+    up = (np.hstack((noise_op, state_op)), buf[n:3 * n], buf[:n])
+    z = buf[:n]
+    rng.standard_normal(out=xi)
+    np.matmul(z_init, xi, out=z)
+    z += z_mean0[:, None]
     for k, w in enumerate(weights):
         if k:
-            np.matmul(phi, x, out=x_next)
-            np.matmul(noise_factor, rng.standard_normal((count, n)).T, out=z)
-            x_next += z
-            x, x_next = x_next, x
-        np.matmul(u_t, x, out=z)
-        costs += w * (lam @ np.square(z, out=z))
-    return costs, x @ x.T
+            op, window, z = down if k % 2 else up
+            rng.standard_normal(out=xi)
+            np.matmul(op, window, out=z)
+        np.square(z, out=xi)
+        xi *= w
+        acc += xi
+    costs = lam @ acc
+    np.matmul(u, z, out=xi)
+    return costs, xi @ xi.T
 
 
 def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
@@ -174,13 +203,15 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
     init_factor = psd_factor(sys.initial_covariance())
     weights = _cost_weights(cfg, cost.alpha)
     lam, u = np.linalg.eigh(cost.Q)
+    state_op, noise_op = u.T @ phi @ u, u.T @ noise_factor
+    z_mean0, z_init = u.T @ sys.mu0, u.T @ init_factor
 
     n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     sizes = [min(BATCH_SIZE, cfg.n_paths - b * BATCH_SIZE) for b in range(n_batches)]
 
     def task(b):
-        return _run_batch(b, sizes[b], sys, lam, u.T, phi, noise_factor,
-                          init_factor, weights, cfg.seed)
+        return _run_batch(b, sizes[b], cfg.seed, z_mean0, z_init, state_op, noise_op, lam, u,
+                          weights)
 
     threads = cfg.resolved_threads()
     if threads > 1 and n_batches > 1:

@@ -284,24 +284,55 @@ class TestCloseLoopOutputFeedback:
         g = np.random.default_rng(99)
         lv = np.linalg.cholesky(plant.V)
         lw = math.sqrt(0.01)
-        x = np.zeros((n, 2))
-        xh = np.zeros((n, 2))
+        dv_factor, dw_scale = lv * math.sqrt(dt), lw * math.sqrt(dt)
+        # states as (state, path) columns in preallocated buffers; the normals
+        # are drawn as (path, channel) blocks and used through their transposes
+        x, x_next, xh, xh_next, dy, bu, tmp = (np.zeros((2, n)) for _ in range(7))
+        u = np.empty((1, n))
+        xi_v, xi_w = np.empty((n, 2)), np.empty((n, 2))
         costs = np.zeros(n)
         w = np.full(steps + 1, dt)
         w[0] *= 0.5
         w[-1] *= 0.5
         for kk in range(steps + 1):
-            u = -(xh @ f.T)
-            damp = math.exp(2.0 * plant.alpha * kk * dt)
-            costs += w[kk] * damp * (np.einsum("ij,ij->i", x @ plant.Q, x) + u[:, 0] ** 2)
+            np.matmul(-f, xh, out=u)
+            np.multiply(b, u, out=bu)
+            # x^T Q x + u^2, weighted, summed into tmp[0]
+            np.matmul(plant.Q, x, out=tmp)
+            tmp *= x
+            tmp[0] += tmp[1]
+            u *= u
+            tmp[0] += u[0]
+            tmp[0] *= w[kk] * math.exp(2.0 * plant.alpha * kk * dt)
+            costs += tmp[0]
             if kk == steps:
                 break
-            dv = g.standard_normal((n, 2)) @ lv.T * math.sqrt(dt)
-            dw = g.standard_normal((n, 2)) * (lw * math.sqrt(dt))
-            dy = (x @ c.T) * dt + dw
-            x_next = x + (x @ a.T + u @ b.T) * dt + dv
-            xh = xh + (xh @ a.T + u @ b.T) * dt + (dy - (xh @ c.T) * dt) @ k.T
-            x = x_next
+            g.standard_normal(out=xi_v)
+            g.standard_normal(out=xi_w)
+            # x' = x + (A x + B u) dt + dv, with dv = lv xi_v sqrt(dt)
+            np.matmul(a, x, out=x_next)
+            x_next += bu
+            x_next *= dt
+            x_next += x
+            np.matmul(dv_factor, xi_v.T, out=tmp)
+            x_next += tmp
+            # dy = C x dt + dw, with dw = lw xi_w sqrt(dt)
+            np.matmul(c, x, out=dy)
+            dy *= dt
+            np.multiply(xi_w.T, dw_scale, out=tmp)
+            dy += tmp
+            # xh' = xh + (A xh + B u) dt + K (dy - C xh dt)
+            np.matmul(c, xh, out=tmp)
+            tmp *= dt
+            dy -= tmp
+            np.matmul(k, dy, out=xh_next)
+            np.matmul(a, xh, out=tmp)
+            tmp += bu
+            tmp *= dt
+            xh_next += tmp
+            xh_next += xh
+            x, x_next = x_next, x
+            xh, xh_next = xh_next, xh
         stderr = costs.std(ddof=1) / math.sqrt(n)
         # allowance for the oracle's own O(dt) discretization bias
         assert abs(costs.mean() - mean) < 4.0 * stderr + 0.015 * mean

@@ -1,12 +1,14 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 from numpy.testing import assert_allclose
 
 from lqgcost import (
     CostSpec,
+    EmpiricalCostStats,
     LtiSystem,
     SimConfig,
     exceedance_probability,
@@ -16,7 +18,7 @@ from lqgcost import (
     simulate_costs,
     variance_cost_finite,
 )
-from lqgcost.simulate import BATCH_SIZE, _cost_weights, _step_operators
+from lqgcost.simulate import BATCH_SIZE, _batch_stream, _cost_weights, _step_operators
 from conftest import random_spd, random_system, scalar_cost, scalar_system
 
 
@@ -29,9 +31,11 @@ def reference_case():
 def path_major_costs(sys, cost, cfg):
     """Reference step loop: states as (path, state) rows, cost x^T Q x by einsum.
 
-    Same step operators, weights, batches and random streams as
-    :func:`simulate_costs`; returns every path's cost and the final second
-    moment.
+    Same step operators, weights and batches as :func:`simulate_costs`, and
+    its random streams written out: batch b draws from SFC64 seeded by
+    ``SeedSequence(seed, spawn_key=(b,))``, first an (n, count) block for the
+    initial state, then one (n, count) block per step, coordinate-major.
+    Returns every path's cost and the final second moment.
     """
     phi, noise_factor = _step_operators(sys, cfg)
     init_factor = psd_factor(sys.initial_covariance())
@@ -40,11 +44,11 @@ def path_major_costs(sys, cost, cfg):
     costs, second = [], np.zeros((n, n))
     for b, start in enumerate(range(0, cfg.n_paths, BATCH_SIZE)):
         count = min(BATCH_SIZE, cfg.n_paths - start)
-        rng = Generator(Philox(key=cfg.seed, counter=b << 128))
-        x = sys.mu0 + rng.standard_normal((count, n)) @ init_factor.T
+        rng = Generator(SFC64(SeedSequence(cfg.seed, spawn_key=(b,))))
+        x = sys.mu0 + rng.standard_normal((n, count)).T @ init_factor.T
         c = weights[0] * np.einsum("ij,jk,ik->i", x, q, x)
         for k in range(1, len(weights)):
-            x = x @ phi.T + rng.standard_normal((count, n)) @ noise_factor.T
+            x = x @ phi.T + rng.standard_normal((n, count)).T @ noise_factor.T
             c += weights[k] * np.einsum("ij,jk,ik->i", x, q, x)
         costs.append(c)
         second += x.T @ x
@@ -187,6 +191,30 @@ class TestStepMatchesPathMajorLoop:
             assert_allclose(out.second_moment_final, second, rtol=1e-12,
                             atol=1e-12 * np.abs(second).max(), err_msg=label)
             assert out.exceed_count == np.count_nonzero(costs > cfg.threshold), label
+
+
+class TestBatchStreams:
+    def test_keyed_by_seed_and_batch_index(self):
+        # additive keying such as SFC64(seed + batch) would give batch 1 of
+        # seed s the stream of batch 0 of seed s + 1
+        def draws(seed, batch):
+            return _batch_stream(seed, batch).standard_normal(64)
+
+        s = 31
+        assert not np.array_equal(draws(s, 1), draws(s, 0))
+        assert not np.array_equal(draws(s, 1), draws(s + 1, 0))
+
+    def test_partial_last_batch_identical_at_any_thread_count(self):
+        sys = two_state_system()
+        cost = CostSpec(Q=np.diag([1.0, 0.5]), alpha=-0.2, horizon=0.5)
+        runs = [simulate_costs(sys, cost, SimConfig(dt=0.05, T=0.5, n_paths=2 * BATCH_SIZE + 500,
+                                                    seed=17, threshold=1.0, scheme="exact",
+                                                    threads=threads))
+                for threads in (1, 2, 3)]
+        for out in runs[1:]:
+            for field in fields(EmpiricalCostStats):
+                assert np.array_equal(getattr(out, field.name), getattr(runs[0], field.name)), \
+                    field.name
 
 
 class TestExceedance:
