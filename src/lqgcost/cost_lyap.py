@@ -12,6 +12,9 @@ Every drift A_k shares the Schur basis of A, so one evaluation factors
 ``sys.A`` once (:class:`lqgcost.linalg.DriftFactor`) and solves each X and Y
 above by one quasi-triangular back-substitution on that factor; the
 solvability and stability conditions read its eigenvalues plus k*alpha.
+The same holds for the exponentials: e^{A_k T} = e^{k alpha T} e^{A T}, so a
+finite-horizon evaluation takes one n x n exponential of ``sys.A``, plus the
+Van Loan block of the cross term in the variance.
 
 Validity requirements (checked, and reported in ``conditions_checked``):
 
@@ -187,14 +190,13 @@ def _finite_variance(sys, cost, fac, xv, y, e0):
         )
         return float(raw)
 
-    a_p = _shift(a, 1, alpha)
-    a_m = _shift(a, -1, alpha)
-    e_p = mat_exp(a_p, t)
+    # e^{(A +- alpha I) T} = e^{+-alpha T} e^{A T}
+    e_p = math.exp(alpha * t) * e0
     y_p_t = _transposed_finite(y, e_p, "Y_T of A+1a")
     y_m = fac.solve(q, shift=-alpha, transposed=True)
-    y_m_t = _transposed_finite(y_m, mat_exp(a_m, t), "Y_T of A-1a")
+    y_m_t = _transposed_finite(y_m, math.exp(-alpha * t) * e0, "Y_T of A-1a")
     x2d = fac.solve(delta, shift=2.0 * alpha)
-    cross = van_loan_integral(_shift(a, 3, alpha), x2d @ e_p.T @ q, a_p, t)
+    cross = van_loan_integral(_shift(a, 3, alpha), x2d @ e_p.T @ q, _shift(a, 1, alpha), t)
     g4 = math.exp(4.0 * alpha * t)
     mid = xv @ ((g4 * y_m_t - y_p_t) / (4.0 * alpha)) + 2.0 * x2d @ y_p_t - 2.0 * cross
     raw = (

@@ -10,6 +10,7 @@ equation on it reuses a single factorization.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm, schur
@@ -147,6 +148,15 @@ def _schur_eigenvalues(t):
     return lam
 
 
+class _Shifted(NamedTuple):
+    """What every use of A + s I needs, built once per shift s."""
+
+    report: SpectrumReport
+    t_s: np.ndarray          # T + s I
+    a_s: np.ndarray          # A + s I
+    a_s_norm: float          # ||A + s I||_F
+
+
 class DriftFactor:
     """Real Schur form A = U T U^T of a drift, shared by all its shifted Lyapunov solves.
 
@@ -155,6 +165,11 @@ class DriftFactor:
     ``(A + s I)^T Y + Y (A + s I) + W = 0`` costs one quasi-triangular
     Sylvester solve (LAPACK ``dtrsyl``) and four n x n products; the
     eigenvalues are read off the diagonal blocks of T.
+
+    Each shift's :class:`SpectrumReport` (degenerate pairs included),
+    T + s I, A + s I and ||A + s I||_F are built the first time
+    :meth:`spectrum` or :meth:`solve` asks for that shift and reused after,
+    so checking a shift and then solving on it classifies it once.
     """
 
     def __init__(self, a):
@@ -164,10 +179,22 @@ class DriftFactor:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(f"Schur factorization failed for {self.a.shape} matrix: {exc}")
         self.eigenvalues = _schur_eigenvalues(self.t)
+        self._shifted = {}
+
+    def _at(self, shift, tol):
+        key = (shift, tol)
+        data = self._shifted.get(key)
+        if data is None:
+            shift_eye = shift * np.eye(len(self.a))
+            a_s = self.a + shift_eye
+            data = self._shifted[key] = _Shifted(
+                _classify(self.eigenvalues + shift, tol), self.t + shift_eye, a_s,
+                np.linalg.norm(a_s))
+        return data
 
     def spectrum(self, shift=0.0, tol=DEFAULT_SPECTRAL_TOL):
         """SpectrumReport of A + shift * I."""
-        return _classify(self.eigenvalues + shift, tol)
+        return self._at(shift, tol).report
 
     def solve(self, w, shift=0.0, transposed=False, tol=DEFAULT_SPECTRAL_TOL,
               rtol=DEFAULT_RESIDUAL_RTOL):
@@ -180,7 +207,7 @@ class DriftFactor:
         if w.shape != self.a.shape:
             raise DimensionError(
                 f"A and Q must have equal shapes, got {self.a.shape} and {w.shape}")
-        report = self.spectrum(shift, tol)
+        report, t_s, a_s, a_s_norm = self._at(shift, tol)
         if not report.is_sylvester:
             i, j = report.degenerate_pairs[0]
             lam = report.eigenvalues
@@ -190,7 +217,6 @@ class DriftFactor:
                 conditions=[ConditionCheck("lyapunov solve", False)],
             )
         u = self.u
-        t_s = self.t + shift * np.eye(len(self.a))
         z, scale, info = dtrsyl(t_s, t_s, -(u.T @ w @ u),
                                 trana="T" if transposed else "N",
                                 tranb="N" if transposed else "T")
@@ -200,13 +226,16 @@ class DriftFactor:
                 conditions=[ConditionCheck("lyapunov solve", False)],
             )
         x = u @ (z / scale) @ u.T
-        if is_symmetric(w):
-            x = symmetrize(x)
-        a_s = self.a + shift * np.eye(len(self.a))
         if transposed:
             a_s = a_s.T
-        residual = np.linalg.norm(a_s @ x + x @ a_s.T + w)
-        bound = np.linalg.norm(a_s) * np.linalg.norm(x) + np.linalg.norm(w)
+        if is_symmetric(w):
+            # X is exactly symmetric, so X a_s^T = (a_s X)^T
+            x = symmetrize(x)
+            r = a_s @ x
+            residual = np.linalg.norm(r + r.T + w)
+        else:
+            residual = np.linalg.norm(a_s @ x + x @ a_s.T + w)
+        bound = a_s_norm * np.linalg.norm(x) + np.linalg.norm(w)
         if residual > rtol * max(bound, 1e-300):
             raise NumericalError(
                 f"lyapunov solution residual {residual:.3e} exceeds {rtol:.1e} * {bound:.3e}; "

@@ -5,11 +5,11 @@ gradient with respect to the gain are evaluated in closed form for each
 candidate gain: the Lyapunov-route statistics of a loop closed and validated
 once, with only its drift A - B F and weight Q + F^T R F swapped in, and one
 adjoint Lyapunov solve per forward solve for the gradient (Levine & Athans,
-1970).  A BFGS search with a halving Armijo line search runs on top of it
-(Nocedal & Wright, Numerical Optimization, 2nd ed., Alg. 6.1).  A gain that
-fails only the route's "A+1a stable" check (at DEFAULT_SPECTRAL_TOL) is
-infinitely bad, which confines the search to the stabilizing set without any
-constraint machinery.
+1970).  A BFGS search with an interpolating Armijo backtracking line search
+runs on top of it (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+Alg. 6.1 and Sec. 3.5).  A gain that fails only the route's "A+1a stable"
+check (at DEFAULT_SPECTRAL_TOL) is infinitely bad, which confines the search
+to the stabilizing set without any constraint machinery.
 """
 
 import math
@@ -150,10 +150,14 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
     Starts from ``opts.f0`` (which must stabilize the shifted loop) with a
     first step of length 1 along the normalized negative gradient, then
     scales the inverse-Hessian approximation to (s^T y / y^T y) I and updates
-    it by BFGS, skipping pairs with s^T y <= 0.  Each step halves from 1 until
-    the Armijo condition holds (c_1 = ``ARMIJO_C1``), rejecting destabilizing
-    candidates, and the search gives up once a rejected trial step is shorter
-    than ``opts.step_tol``.  Gradients are exact (adjoint Lyapunov solves), so
+    it by BFGS, skipping pairs with s^T y <= 0.  Each step backtracks from 1
+    until the Armijo condition holds (c_1 = ``ARMIJO_C1``): a rejected trial
+    with a finite value is followed by the minimiser of the quadratic through
+    the value and slope at ``F`` and the trial's value, clamped to
+    [0.1, 0.5] times the trial step (Nocedal & Wright, eq. 3.58; Dennis &
+    Schnabel 1983, Alg. A6.3.1); a destabilizing trial (value +inf) halves.
+    The search gives up once a rejected trial step is shorter than
+    ``opts.step_tol``.  Gradients are exact (adjoint Lyapunov solves), so
     ``converged=True`` means the gradient norm at ``F`` is below
     ``opts.grad_tol``.
     """
@@ -188,7 +192,12 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
             accepted = new_value <= value + ARMIJO_C1 * step * slope    # never for +inf
             if accepted or np.linalg.norm(s) < opts.step_tol:
                 break
-            step *= 0.5
+            if math.isfinite(new_value):
+                # minimiser of the quadratic through value, slope and new_value
+                trial = -slope * step * step / (2.0 * (new_value - value - slope * step))
+                step = min(max(trial, 0.1 * step), 0.5 * step)
+            else:
+                step *= 0.5
         if not accepted:
             stop_reason = "line_search"
             break

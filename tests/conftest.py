@@ -146,8 +146,10 @@ def mean_by_quadrature(sys, cost, rtol=1e-10):
 def cost_moments_by_quadrature(sys, cost, n_grid=320):
     """(mean, variance) of the finite-horizon cost by 2-d trapezoid quadrature.
 
-    Builds E[x(t1)^T Q x(t1) x(t2)^T Q x(t2)] pointwise from the Gaussian
-    quartic expectation and the exact state moments, then integrates.
+    Builds E[x(t1)^T Q x(t1) x(t2)^T Q x(t2)] from the Gaussian quartic
+    expectation and the exact state moments, one row of t2 >= t1 at a time,
+    then integrates.  On a fixed set of grid pairs the row's value is checked
+    against :func:`lqgcost.joint_quartic_expectation`.
     """
     t_end = cost.horizon
     q = cost.Q
@@ -155,30 +157,37 @@ def cost_moments_by_quadrature(sys, cost, n_grid=320):
     w = np.full(n_grid + 1, t_end / n_grid)
     w[0] *= 0.5
     w[-1] *= 0.5
-    mus, sigmas, trans = _moments_on_grid(sys, ts)
-    dampings = np.exp(2.0 * cost.alpha * ts)
+    mus, sigmas, trans = map(np.array, _moments_on_grid(sys, ts))
+    wd = w * np.exp(2.0 * cost.alpha * ts)
+    tr_sq = np.einsum("kab,ba->k", sigmas, q)          # tr(S(t) Q)
+    mqm = np.einsum("ka,ab,kb->k", mus, q, mus)        # mu(t)^T Q mu(t)
 
-    mean = sum(wi * di * np.trace(si @ q)
-               for wi, di, si in zip(w, dampings, sigmas))
+    mean = wd @ tr_sq
 
-    # x(t2) = Phi(t2-t1) x(t1) + independent noise for t1 <= t2, hence
-    # Sigma(t1, t2) = Sigma(t1) Phi(t2-t1)^T with Phi(t2-t1) = trans[j-i]
+    spot = {(0, 0), (0, 1), (0, n_grid), (n_grid // 3, n_grid // 3),
+            (n_grid // 3, 2 * n_grid // 3), (n_grid - 1, n_grid), (n_grid, n_grid)}
     total = 0.0
     for i in range(n_grid + 1):
-        mu1, s1 = mus[i], sigmas[i]
-        k11 = s1 - np.outer(mu1, mu1)
-        for j in range(i, n_grid + 1):
-            mu2, s2 = mus[j], sigmas[j]
-            cross = s1 @ trans[j - i].T
+        # x(t2) = Phi(t2-t1) x(t1) + independent noise for t1 <= t2, hence the
+        # cross second moment E[x(t1) x(t2)^T] = Sigma(t1) Phi(t2-t1)^T, with
+        # Phi(t2-t1) = trans[j-i] for t2 = ts[j]
+        cross = sigmas[i] @ trans[:n_grid + 1 - i].transpose(0, 2, 1)
+        # E[x^T Q x y^T Q y] = tr(S_xx Q) tr(S_yy Q) + 2 tr(S_yx Q S_xy Q)
+        #                      - 2 mu_x^T Q mu_x mu_y^T Q mu_y
+        quartic = (tr_sq[i] * tr_sq[i:]
+                   + 2.0 * np.einsum("kab,kab->k", q @ cross, cross @ q)
+                   - 2.0 * mqm[i] * mqm[i:])
+        for j in sorted(j for k, j in spot if k == i):
             jg = JointGaussian(
-                mu_x=mu1, mu_y=mu2,
-                K_xx=k11,
-                K_xy=cross - np.outer(mu1, mu2),
-                K_yy=s2 - np.outer(mu2, mu2),
+                mu_x=mus[i], mu_y=mus[j],
+                K_xx=sigmas[i] - np.outer(mus[i], mus[i]),
+                K_xy=cross[j - i] - np.outer(mus[i], mus[j]),
+                K_yy=sigmas[j] - np.outer(mus[j], mus[j]),
             )
-            term = w[i] * w[j] * dampings[i] * dampings[j] * \
-                joint_quartic_expectation(jg, q, q)
-            total += term if i == j else 2.0 * term
+            np.testing.assert_allclose(quartic[j - i], joint_quartic_expectation(jg, q, q),
+                                       rtol=1e-12)
+        row = wd[i] * wd[i:] * quartic
+        total += row[0] + 2.0 * row[1:].sum()
     return mean, total - mean ** 2
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_continuous_lyapunov
 
+import lqgcost.cost_lyap
 import lqgcost.linalg
 from lqgcost import (
     ConditionCheck,
@@ -14,6 +15,7 @@ from lqgcost import (
     DriftFactor,
     LqgPlant,
     LtiSystem,
+    NumericalError,
     SingularLyapunovError,
     classify_spectrum,
     cost_stats_lyapunov,
@@ -273,6 +275,33 @@ class TestDriftFactor:
         with pytest.raises(DimensionError):
             DriftFactor(-np.eye(2)).solve(np.eye(3))
 
+    def test_degenerate_shift_raises_after_spectrum_read(self):
+        fac = DriftFactor([[-1.0, 2.0], [-2.0, -1.0]])     # eigenvalues -1 +- 2i
+        assert not fac.spectrum(1.0 + 1e-13).is_sylvester
+        for transposed in (False, True):
+            with pytest.raises(SingularLyapunovError, match="sum to"):
+                fac.solve(np.eye(2), shift=1.0 + 1e-13, transposed=transposed)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_residual_check(self, symmetric, transposed, rng, monkeypatch):
+        a, _ = _drift_with_complex_pairs(4, 0.3, rng)
+        w = random_spd(4, rng) if symmetric else rng.normal(size=(4, 4))
+        real = lqgcost.linalg.dtrsyl
+        noise = rng.normal(size=(4, 4))
+
+        def perturbed(rel):
+            def solve(t_a, t_b, c, **kw):
+                z, scale, info = real(t_a, t_b, c, **kw)
+                return z + rel * np.abs(z).max() * noise, scale, info
+            return solve
+
+        monkeypatch.setattr(lqgcost.linalg, "dtrsyl", perturbed(1e-13))
+        DriftFactor(a).solve(w, shift=0.3, transposed=transposed)
+        monkeypatch.setattr(lqgcost.linalg, "dtrsyl", perturbed(1e-6))
+        with pytest.raises(NumericalError, match="residual"):
+            DriftFactor(a).solve(w, shift=0.3, transposed=transposed)
+
 
 class TestOneFactorPerEvaluation:
     @pytest.fixture
@@ -297,6 +326,39 @@ class TestOneFactorPerEvaluation:
         variance = variance_cost_infinite if cost.is_infinite else variance_cost_finite
         variance(sys, cost)
         assert len(schur_calls) == 2
+
+    @pytest.mark.parametrize("alpha,horizon,shifts", [(0.3, 1.2, 4), (-0.4, 1.2, 4),
+                                                      (0.0, 1.2, 1), (-0.4, math.inf, 2)])
+    def test_one_classification_per_shift(self, alpha, horizon, shifts, rng, monkeypatch):
+        # A, A+1a, A-1a and A+2a on the general branch; A on the alpha = 0 branch;
+        # A+1a and A+2a at the infinite horizon
+        sys = random_system(3, rng, alpha_shifts=(-0.4, 0.3, -0.3, 0.4, -0.8, 0.6, 0.9))
+        cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=horizon)
+        calls = []
+        real = lqgcost.linalg._classify
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lqgcost.linalg, "_classify", counting)
+        cost_stats_lyapunov(sys, cost)
+        assert len(calls) == shifts
+
+    @pytest.mark.parametrize("alpha", [0.3, -0.4])
+    def test_one_exponential_on_general_branch(self, alpha, rng, monkeypatch):
+        sys = random_system(3, rng, alpha_shifts=(-0.4, 0.3, -0.3, 0.4, -0.8, 0.6, 0.9))
+        cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=1.2)
+        calls = []
+        real = lqgcost.cost_lyap.mat_exp
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lqgcost.cost_lyap, "mat_exp", counting)
+        stats = cost_stats_lyapunov(sys, cost)
+        assert len(calls) == 1 and stats.branch == "finite horizon, general-alpha branch"
 
     @pytest.mark.parametrize("alpha,horizon", [(0.25, 1.5), (0.0, 0.8), (-0.4, math.inf)])
     def test_variance_functions_match_combined_exactly(self, alpha, horizon, rng):

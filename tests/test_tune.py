@@ -18,7 +18,7 @@ from lqgcost import (
     optimal_gain,
     variance_cost_infinite,
 )
-from lqgcost import tune
+from lqgcost import linalg, tune
 from lqgcost.lqg import close_loop_full_state
 
 
@@ -122,7 +122,7 @@ class TestValidateOnce:
             original(self)
 
         monkeypatch.setattr(LtiSystem, "__post_init__", counting)
-        # both budgets stop the search before it converges (21 iterations)
+        # both budgets stop the search before it converges (17 iterations)
         for max_iter in (5, 15):
             counts.append(0)
             result = minimize_variance(plant, ZERO2, ZERO22, TuneOptions(
@@ -252,6 +252,78 @@ class TestMinimizeVariance:
         grad = finite_difference_gradient(func, result.F, 1e-4, stencil=4)
         assert np.linalg.norm(grad) < opts.grad_tol
         assert result.variance_at_F <= 32393.94
+
+    def test_study_tune_evaluation_count(self, monkeypatch):
+        # threshold_study's settings; interpolating backtracking takes the first
+        # step from 1 to its accepted length in fewer trials than halving
+        plant = benchmark_plant()
+        calls = []
+        original = tune._value_and_gradient
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(tune, "_value_and_gradient", counting)
+        opts = TuneOptions(f0=optimal_gain(plant), objective="variance", grad_tol=1e-2,
+                           step_tol=1e-10, max_iter=3000)
+        result = minimize_variance(plant, ZERO2, ZERO22, opts)
+        assert result.stop_reason == "gradient"
+        assert len(calls) <= 20
+        assert result.variance_at_F <= 32393.930379289493
+
+    def _first_line_search(self, monkeypatch, infeasible_first_trial):
+        """(value, slope, [(trial step length, trial value)]) of the first line search on
+        the benchmark plant, optionally with the first trial reported infeasible."""
+        plant = benchmark_plant()
+        f0 = optimal_gain(plant)
+        seen = []
+        original = tune._value_and_gradient
+
+        def recording(plant_, loop, f, objective):
+            out = original(plant_, loop, f, objective)
+            if len(seen) == 1 and infeasible_first_trial:
+                out = (math.inf, None)
+            seen.append((float(np.linalg.norm(f - f0)), out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(tune, "_value_and_gradient", recording)
+        minimize_variance(plant, ZERO2, ZERO22, TuneOptions(
+            f0=f0, objective="variance", grad_tol=1e-2, max_iter=1))
+        _, value, grad = seen[0]
+        return value, -float(np.linalg.norm(grad)), [(d, v) for d, v, _ in seen[1:]]
+
+    def test_finite_rejected_trial_interpolates(self, monkeypatch):
+        value, slope, trials = self._first_line_search(monkeypatch, False)
+        (step, new_value), (next_step, _) = trials[0], trials[1]
+        assert step == pytest.approx(1.0, rel=1e-12) and new_value > value
+        quadratic_min = -slope * step ** 2 / (2.0 * (new_value - value - slope * step))
+        expected = min(max(quadratic_min, 0.1 * step), 0.5 * step)
+        assert expected != 0.5 * step
+        assert next_step == pytest.approx(expected, rel=1e-12)
+
+    def test_infeasible_trial_halves(self, monkeypatch):
+        _, _, trials = self._first_line_search(monkeypatch, True)
+        assert trials[0] == (pytest.approx(1.0, rel=1e-12), math.inf)
+        assert trials[1][0] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("objective,shifts", [("variance", 2), ("mean", 1)])
+    def test_one_classification_per_shift(self, objective, shifts, monkeypatch):
+        # A+1a, and A+2a for the variance, each classified once by the forward
+        # and adjoint solves together
+        plant = benchmark_plant()
+        f = optimal_gain(plant)
+        loop = close_loop_full_state(plant, f, ZERO2, ZERO22)
+        calls = []
+        real = linalg._classify
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "_classify", counting)
+        tune._value_and_gradient(plant, loop, f, objective)
+        assert len(calls) == shifts
 
     def test_line_search_stop_below_rounding(self):
         # a gradient tolerance below what rounding of the mean (about 150) resolves
