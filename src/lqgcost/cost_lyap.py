@@ -16,6 +16,12 @@ The same holds for the exponentials: e^{A_k T} = e^{k alpha T} e^{A T}, so a
 finite-horizon evaluation takes one n x n exponential of ``sys.A``, plus the
 Van Loan block of the cross term in the variance.
 
+At the infinite horizon the whole evaluation stays in the Schur basis
+(:class:`_InfiniteEvaluation`): Q, V, Sigma0 and mu0 are mapped in once, the
+solves skip :meth:`DriftFactor.solve`'s validation and mappings, and the
+traces are read there; the tuner's gradient maps only dJ/dA and dJ/dQ back
+out.  The finite horizon calls the validated :meth:`DriftFactor.solve`.
+
 Validity requirements (checked, and reported in ``conditions_checked``):
 
 ==================  =========================================
@@ -37,6 +43,7 @@ general expressions divide by alpha.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -221,65 +228,82 @@ def _require_infinite_horizon(cost):
 # infinite horizon
 # ---------------------------------------------------------------------------
 
-def _infinite_mean(sys, cost, y):
-    """Mean from Y[Q; A_1]."""
-    return float(np.trace((sys.Sigma0 - sys.V / (2.0 * cost.alpha)) @ y))
+class _InfiniteEvaluation:
+    """One infinite-horizon evaluation, in the real Schur basis of ``sys.A``.
 
+    With A = U T U^T every shifted drift is U (T + s I) U^T, so
+    Y[Q; A_1] = U Y~ U^T where Y~ solves the same equation on T + alpha I
+    with Q~ = U^T Q U, and likewise for X_2.  Q, V, Sigma0 and mu0 are mapped
+    into the basis once (``q``, ``v``, ``s``, ``mu0``), the solves run on the
+    factor's Schur-coordinate core (:meth:`DriftFactor._solve_schur`), and
+    every trace is read in the basis, where it has the same value.  ``y`` is
+    Y~, ``x2`` is X_2~ = (X[Sigma0; A_2] - X[V; A_2] / (4 alpha))~, one solve
+    by linearity, made the first time ``raw_variance`` asks for it.
 
-def _infinite_variance(sys, x2, y):
-    """Raw variance from Y[Q; A_1] and X_2 = X[Sigma0 - V / (4 alpha); A_2]."""
-    raw = (
-        2.0 * np.trace((sys.Sigma0 @ y) @ (sys.Sigma0 @ y))
-        - 2.0 * (sys.mu0 @ y @ sys.mu0) ** 2
-        + 4.0 * np.trace(x2 @ y @ sys.V @ y)
-    )
-    return float(raw)
-
-
-def _infinite_solves(sys, cost, with_variance):
-    """``(factor, checks, Y[Q; A_1], X_2 or None)`` once the infinite-horizon checks pass.
-
-    X_2 = X[Sigma0; A_2] - X[V; A_2] / (4 alpha), in one solve by linearity.
+    Building it runs the infinite-horizon checks (``checks``) and raises
+    :class:`ConditionError` when one fails.
     """
-    fac = DriftFactor(sys.A)
-    alpha = cost.alpha
-    checks = _check_infinite(fac, alpha)
-    what = "infinite-horizon variance" if with_variance else "infinite-horizon mean"
-    _require(checks, what + " (cost diverges)")
-    y = fac.solve(cost.Q, shift=alpha, transposed=True)
-    if not with_variance:
-        return fac, checks, y, None
-    return fac, checks, y, fac.solve(sys.Sigma0 - sys.V / (4.0 * alpha), shift=2.0 * alpha)
+
+    def __init__(self, sys, cost, with_variance):
+        self.fac = fac = DriftFactor(sys.A)
+        self.alpha = alpha = cost.alpha
+        self.checks = _check_infinite(fac, alpha)
+        what = "infinite-horizon variance" if with_variance else "infinite-horizon mean"
+        _require(self.checks, what + " (cost diverges)")
+        u = fac.u
+        self.q, self.s, self.v = (u.T @ m @ u for m in (cost.Q, sys.Sigma0, sys.V))
+        self.mu0 = sys.mu0 @ u
+        self.y = fac._solve_schur(self.q, shift=alpha, transposed=True)
+        self.mean = float(np.trace((self.s - self.v / (2.0 * alpha)) @ self.y))
+
+    @cached_property
+    def x2(self):
+        alpha = self.alpha
+        return self.fac._solve_schur(self.s - self.v / (4.0 * alpha), shift=2.0 * alpha)
+
+    @cached_property
+    def raw_variance(self):
+        s, y, mu0 = self.s, self.y, self.mu0
+        return float(
+            2.0 * np.trace((s @ y) @ (s @ y))
+            - 2.0 * (mu0 @ y @ mu0) ** 2
+            + 4.0 * np.trace(self.x2 @ y @ self.v @ y)
+        )
+
+    @property
+    def variance(self):
+        return _finalize_variance(self.raw_variance, self.mean)
 
 
 def _infinite_objective_gradient(sys, cost, objective):
-    """``(J, dJ/dA, dJ/dQ)`` for J the infinite-horizon mean or variance (``objective``).
+    """``(J, dJ/dA, dJ/dQ, evaluation)`` for J the infinite-horizon mean or
+    variance (``objective``), with ``evaluation`` the :class:`_InfiniteEvaluation`
+    they come from.
 
     Adjoint (Lagrange-multiplier) method, one adjoint solve on the same factor
     per Lyapunov solve in J: with P_1 from A_1 P_1 + P_1 A_1^T + dJ/dY = 0 and,
     for the variance, P_2 from A_2^T P_2 + P_2 A_2 + dJ/dX_2 = 0,
-    dJ/dA = 2 (Y P_1 + P_2 X_2) and dJ/dQ = P_1.  J itself comes from
-    :func:`_infinite_mean` / :func:`_infinite_variance` and
-    :func:`_finalize_variance` on the same Y and X_2, so it equals
-    :func:`expected_cost_infinite` / :func:`variance_cost_infinite` bit for bit.
+    dJ/dA = 2 (Y P_1 + P_2 X_2) and dJ/dQ = P_1.  Everything runs in the Schur
+    basis; only dJ/dA and dJ/dQ are mapped back out.  J is the evaluation's
+    ``mean`` or ``variance``, so it equals :func:`expected_cost_infinite` /
+    :func:`variance_cost_infinite` bit for bit.
 
     Reference: W. S. Levine and M. Athans, "On the determination of the
     optimal constant output feedback gains for linear multivariable
     systems", IEEE Trans. Automat. Control 15(1), 1970.
     """
-    with_variance = objective == "variance"
-    fac, _, y, x2 = _infinite_solves(sys, cost, with_variance)
-    alpha, s, mu0, v = cost.alpha, sys.Sigma0, sys.mu0, sys.V
-    mean = _infinite_mean(sys, cost, y)
-    if not with_variance:
-        p1 = fac.solve(s - v / (2.0 * alpha), shift=alpha)
-        return mean, 2.0 * y @ p1, p1
-    value = _finalize_variance(_infinite_variance(sys, x2, y), mean)
+    ev = _InfiniteEvaluation(sys, cost, objective == "variance")
+    fac, alpha, s, v, y = ev.fac, ev.alpha, ev.s, ev.v, ev.y
+    u = fac.u
+    if objective != "variance":
+        p1 = fac._solve_schur(s - v / (2.0 * alpha), shift=alpha)
+        return ev.mean, u @ (2.0 * y @ p1) @ u.T, u @ p1 @ u.T, ev
+    x2, mu0 = ev.x2, ev.mu0
     xyv = x2 @ y @ v
     d_y = 4.0 * symmetrize(s @ y @ s - (mu0 @ y @ mu0) * np.outer(mu0, mu0) + xyv + xyv.T)
-    p1 = fac.solve(d_y, shift=alpha)
-    p2 = fac.solve(4.0 * symmetrize(y @ v @ y), shift=2.0 * alpha, transposed=True)
-    return value, 2.0 * (y @ p1 + p2 @ x2), p1
+    p1 = fac._solve_schur(d_y, shift=alpha)
+    p2 = fac._solve_schur(4.0 * symmetrize(y @ v @ y), shift=2.0 * alpha, transposed=True)
+    return ev.variance, u @ (2.0 * (y @ p1 + p2 @ x2)) @ u.T, u @ p1 @ u.T, ev
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +313,8 @@ def _infinite_objective_gradient(sys, cost, objective):
 def _evaluate(sys, cost, with_variance):
     """``(mean, raw variance or None, branch, checks)`` from one factor of ``sys.A``."""
     if cost.is_infinite:
-        _, checks, y, x2 = _infinite_solves(sys, cost, with_variance)
-        mean = _infinite_mean(sys, cost, y)
-        raw = _infinite_variance(sys, x2, y) if with_variance else None
-        return mean, raw, "infinite horizon", checks
+        ev = _InfiniteEvaluation(sys, cost, with_variance)
+        return ev.mean, ev.raw_variance if with_variance else None, "infinite horizon", ev.checks
 
     fac = DriftFactor(sys.A)
     alpha = cost.alpha
@@ -344,19 +366,17 @@ def variance_cost_infinite_unreduced(sys: LtiSystem, cost: CostSpec):
     Exposed for the equivalence test between the two evaluations.
     """
     _require_infinite_horizon(cost)
-    fac = DriftFactor(sys.A)
-    alpha = cost.alpha
-    _require(_check_infinite(fac, alpha), "infinite-horizon variance (cost diverges)")
-    xv = fac.solve(sys.V)
-    delta = symmetrize(sys.Sigma0 - xv)
-    y = fac.solve(cost.Q, shift=alpha, transposed=True)
-    x2d = fac.solve(delta, shift=2.0 * alpha)
+    ev = _InfiniteEvaluation(sys, cost, with_variance=True)
+    fac, alpha, y = ev.fac, ev.alpha, ev.y
+    xv = fac._solve_schur(ev.v)
+    delta = symmetrize(ev.s - xv)
+    x2d = fac._solve_schur(delta, shift=2.0 * alpha)
     raw = (
         2.0 * np.trace((delta @ y) @ (delta @ y))
-        - 2.0 * (sys.mu0 @ y @ sys.mu0) ** 2
-        + 4.0 * np.trace(y @ xv @ cost.Q @ (2.0 * x2d - xv / (4.0 * alpha)))
+        - 2.0 * (ev.mu0 @ y @ ev.mu0) ** 2
+        + 4.0 * np.trace(y @ xv @ ev.q @ (2.0 * x2d - xv / (4.0 * alpha)))
     )
-    return _finalize_variance(float(raw), _infinite_mean(sys, cost, y))
+    return _finalize_variance(float(raw), ev.mean)
 
 
 # ---------------------------------------------------------------------------

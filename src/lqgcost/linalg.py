@@ -8,6 +8,7 @@ the real Schur form of one drift so that every shifted or transposed Lyapunov
 equation on it reuses a single factorization.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -63,6 +64,11 @@ def is_symmetric(a, rtol=1e-10, atol=1e-12):
         np.all(np.abs(a - a.T) <= atol + rtol * np.abs(a.T)))
 
 
+def _fro(m):
+    """Frobenius norm of a real matrix (``np.linalg.norm(m)`` without its dispatch)."""
+    return math.sqrt(np.vdot(m, m))
+
+
 def symmetrize(a):
     """Return the symmetric part (a + a^T) / 2."""
     return 0.5 * (a + a.T)
@@ -92,8 +98,9 @@ class SpectrumReport:
     ``is_stable`` is True when every eigenvalue has real part < -tol.
 
     ``degenerate_pairs`` lists those pairs, i <= j, in row-major order.  It
-    and ``is_sylvester`` are computed on first access, so a caller that only
-    reads ``is_stable`` never builds the n x n pair matrix.
+    is computed on first access, so a caller that only reads ``is_stable``
+    never builds the n x n pair matrix; nor does ``is_sylvester`` on a stable
+    spectrum whose margin alone rules every pair out.
 
     Note the implication "stable => sylvester" is exact mathematics; with a
     finite tolerance a barely-stable matrix with large imaginary eigenvalue
@@ -112,8 +119,13 @@ class SpectrumReport:
         bad = np.abs(lam[:, None] + lam) <= tol * (1.0 + mag[:, None] + mag)
         return [tuple(p) for p in np.argwhere(np.triu(bad)).tolist()] if bad.any() else []
 
-    @property
+    @cached_property
     def is_sylvester(self):
+        lam, tol = self.eigenvalues, self.tolerance_used
+        # every pair of a stable spectrum has |lam_i + lam_j| >= 2 min |Re lam|,
+        # and its threshold is at most tol * (1 + 2 max |lam|)
+        if self.is_stable and -2.0 * lam.real.max() > tol * (1.0 + 2.0 * np.abs(lam).max()):
+            return True
         return not self.degenerate_pairs
 
 
@@ -153,8 +165,7 @@ class _Shifted(NamedTuple):
 
     report: SpectrumReport
     t_s: np.ndarray          # T + s I
-    a_s: np.ndarray          # A + s I
-    a_s_norm: float          # ||A + s I||_F
+    t_s_norm: float          # ||T + s I||_F = ||A + s I||_F
 
 
 class DriftFactor:
@@ -162,14 +173,26 @@ class DriftFactor:
 
     ``A + s I = U (T + s I) U^T`` for every shift s, so each equation
     ``(A + s I) X + X (A + s I)^T + W = 0`` and its transpose
-    ``(A + s I)^T Y + Y (A + s I) + W = 0`` costs one quasi-triangular
-    Sylvester solve (LAPACK ``dtrsyl``) and four n x n products; the
+    ``(A + s I)^T Y + Y (A + s I) + W = 0`` is, in the basis U, one
+    quasi-triangular Sylvester solve (LAPACK ``dtrsyl``) on T + s I; the
     eigenvalues are read off the diagonal blocks of T.
 
+    The factor is tested once, when it is built: ||A - U T U^T||_F must not
+    exceed ``DEFAULT_RESIDUAL_RTOL * ||A||_F``.  After that every solve is
+    checked in Schur coordinates, where U being orthogonal leaves the
+    Frobenius norms, and so the residual test, as they are in A's basis.
+
+    :meth:`solve` is the validated boundary: it checks W, maps it into the
+    basis (U^T W U), solves there and maps X back out (U Z U^T).  Callers
+    that keep their whole computation in the basis -- the infinite-horizon
+    evaluations of :mod:`lqgcost.cost_lyap` -- map their inputs in once and
+    call :meth:`_solve_schur` directly, which skips W's validation and the
+    two mappings but keeps the Sylvester refusal and the residual test.
+
     Each shift's :class:`SpectrumReport` (degenerate pairs included),
-    T + s I, A + s I and ||A + s I||_F are built the first time
-    :meth:`spectrum` or :meth:`solve` asks for that shift and reused after,
-    so checking a shift and then solving on it classifies it once.
+    T + s I and ||T + s I||_F are built the first time :meth:`spectrum`,
+    :meth:`solve` or :meth:`_solve_schur` asks for that shift and reused
+    after, so checking a shift and then solving on it classifies it once.
     """
 
     def __init__(self, a):
@@ -178,6 +201,13 @@ class DriftFactor:
             self.t, self.u = schur(self.a, output="real", check_finite=False)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(f"Schur factorization failed for {self.a.shape} matrix: {exc}")
+        residual = _fro(self.a - self.u @ self.t @ self.u.T)
+        bound = _fro(self.a)
+        if residual > DEFAULT_RESIDUAL_RTOL * bound:
+            raise NumericalError(
+                f"Schur factor residual {residual:.3e} exceeds "
+                f"{DEFAULT_RESIDUAL_RTOL:.1e} * {bound:.3e}"
+            )
         self.eigenvalues = _schur_eigenvalues(self.t)
         self._shifted = {}
 
@@ -185,16 +215,58 @@ class DriftFactor:
         key = (shift, tol)
         data = self._shifted.get(key)
         if data is None:
-            shift_eye = shift * np.eye(len(self.a))
-            a_s = self.a + shift_eye
+            t_s = self.t + shift * np.eye(len(self.t))
             data = self._shifted[key] = _Shifted(
-                _classify(self.eigenvalues + shift, tol), self.t + shift_eye, a_s,
-                np.linalg.norm(a_s))
+                _classify(self.eigenvalues + shift, tol), t_s, _fro(t_s))
         return data
 
     def spectrum(self, shift=0.0, tol=DEFAULT_SPECTRAL_TOL):
         """SpectrumReport of A + shift * I."""
         return self._at(shift, tol).report
+
+    def _solve_schur(self, w, shift=0.0, transposed=False, symmetric=True,
+                     tol=DEFAULT_SPECTRAL_TOL, rtol=DEFAULT_RESIDUAL_RTOL):
+        """Solve T_s Z + Z T_s^T + W = 0, or with ``transposed``
+        T_s^T Z + Z T_s + W = 0, for T_s = T + ``shift`` I and a W already in
+        the Schur basis; W is not validated.  A ``symmetric`` W has a
+        symmetric Z, returned as the symmetric part of the computed one.
+
+        Refuses a shift whose eigenvalues pair up to (nearly) zero, and a Z
+        with ||residual||_F > rtol * (||T_s||_F ||Z||_F + ||W||_F).
+        """
+        report, t_s, t_s_norm = self._at(shift, tol)
+        if not report.is_sylvester:
+            i, j = report.degenerate_pairs[0]
+            lam = report.eigenvalues
+            raise SingularLyapunovError(
+                f"lyapunov solve: no unique solution, eigenvalues lambda[{i}] = {lam[i]:.6g} "
+                f"and lambda[{j}] = {lam[j]:.6g} sum to (nearly) zero",
+                conditions=[ConditionCheck("lyapunov solve", False)],
+            )
+        z, scale, info = dtrsyl(t_s, t_s, -w, trana="T" if transposed else "N",
+                                tranb="N" if transposed else "T")
+        if info != 0:
+            raise SingularLyapunovError(
+                f"lyapunov solve: quasi-triangular Sylvester solve failed (info = {info})",
+                conditions=[ConditionCheck("lyapunov solve", False)],
+            )
+        z = z / scale
+        if transposed:
+            t_s = t_s.T
+        if symmetric:
+            # Z is exactly symmetric, so Z T_s^T = (T_s Z)^T
+            z = symmetrize(z)
+            r = t_s @ z
+            residual = _fro(r + r.T + w)
+        else:
+            residual = _fro(t_s @ z + z @ t_s.T + w)
+        bound = t_s_norm * _fro(z) + _fro(w)
+        if residual > rtol * max(bound, 1e-300):
+            raise NumericalError(
+                f"lyapunov solution residual {residual:.3e} exceeds {rtol:.1e} * {bound:.3e}; "
+                "the equation is too ill-conditioned for the dense solver"
+            )
+        return z
 
     def solve(self, w, shift=0.0, transposed=False, tol=DEFAULT_SPECTRAL_TOL,
               rtol=DEFAULT_RESIDUAL_RTOL):
@@ -207,41 +279,12 @@ class DriftFactor:
         if w.shape != self.a.shape:
             raise DimensionError(
                 f"A and Q must have equal shapes, got {self.a.shape} and {w.shape}")
-        report, t_s, a_s, a_s_norm = self._at(shift, tol)
-        if not report.is_sylvester:
-            i, j = report.degenerate_pairs[0]
-            lam = report.eigenvalues
-            raise SingularLyapunovError(
-                f"lyapunov solve: no unique solution, eigenvalues lambda[{i}] = {lam[i]:.6g} "
-                f"and lambda[{j}] = {lam[j]:.6g} sum to (nearly) zero",
-                conditions=[ConditionCheck("lyapunov solve", False)],
-            )
         u = self.u
-        z, scale, info = dtrsyl(t_s, t_s, -(u.T @ w @ u),
-                                trana="T" if transposed else "N",
-                                tranb="N" if transposed else "T")
-        if info != 0:
-            raise SingularLyapunovError(
-                f"lyapunov solve: quasi-triangular Sylvester solve failed (info = {info})",
-                conditions=[ConditionCheck("lyapunov solve", False)],
-            )
-        x = u @ (z / scale) @ u.T
-        if transposed:
-            a_s = a_s.T
-        if is_symmetric(w):
-            # X is exactly symmetric, so X a_s^T = (a_s X)^T
-            x = symmetrize(x)
-            r = a_s @ x
-            residual = np.linalg.norm(r + r.T + w)
-        else:
-            residual = np.linalg.norm(a_s @ x + x @ a_s.T + w)
-        bound = a_s_norm * np.linalg.norm(x) + np.linalg.norm(w)
-        if residual > rtol * max(bound, 1e-300):
-            raise NumericalError(
-                f"lyapunov solution residual {residual:.3e} exceeds {rtol:.1e} * {bound:.3e}; "
-                "the equation is too ill-conditioned for the dense solver"
-            )
-        return x
+        z = self._solve_schur(u.T @ w @ u, shift, transposed, symmetric=False, tol=tol, rtol=rtol)
+        x = u @ z @ u.T
+        # the solution of a symmetric equation is symmetric; here its symmetric
+        # part is taken in A's basis
+        return symmetrize(x) if is_symmetric(w) else x
 
 
 def solve_lyapunov(a, q, tol=DEFAULT_SPECTRAL_TOL, rtol=DEFAULT_RESIDUAL_RTOL):
@@ -255,7 +298,8 @@ def solve_lyapunov(a, q, tol=DEFAULT_SPECTRAL_TOL, rtol=DEFAULT_RESIDUAL_RTOL):
         Relative spectral tolerance for the unique-solvability check.
     rtol : float
         Relative residual tolerance; the solution must satisfy
-        ``||A X + X A^T + Q||_F <= rtol * (||A||_F ||X||_F + ||Q||_F)``.
+        ``||A X + X A^T + Q||_F <= rtol * (||A||_F ||X||_F + ||Q||_F)``,
+        tested in the Schur basis (see Notes).
 
     Returns
     -------
@@ -269,14 +313,17 @@ def solve_lyapunov(a, q, tol=DEFAULT_SPECTRAL_TOL, rtol=DEFAULT_RESIDUAL_RTOL):
     SingularLyapunovError
         If some eigenvalue pair of ``a`` sums to zero (no unique solution).
     NumericalError
-        If the solution fails the residual test.
+        If the Schur factor or the solution fails its residual test.
 
     Notes
     -----
     Bartels-Stewart: the real Schur form A = U T U^T turns the equation into
     T Z + Z T^T = -U^T Q U with X = U Z U^T, solved by back-substitution over
     the quasi-triangular T (LAPACK ``dtrsyl``).  O(n^3) in time and O(n^2)
-    in memory.  The Schur factor depends only on A, and A + s I has the
+    in memory.  The residual tested is that of Z on T: U is orthogonal, so
+    its norms equal those of X on A once the factor itself has passed
+    ||A - U T U^T||_F <= DEFAULT_RESIDUAL_RTOL * ||A||_F.  The Schur factor
+    depends only on A, and A + s I has the
     factor U (T + s I) U^T, so callers that need several shifts or the
     transposed equation of one drift should factor it once with
     :class:`DriftFactor` and call :meth:`DriftFactor.solve`.

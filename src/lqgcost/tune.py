@@ -9,7 +9,10 @@ adjoint Lyapunov solve per forward solve for the gradient (Levine & Athans,
 runs on top of it (Nocedal & Wright, Numerical Optimization, 2nd ed.,
 Alg. 6.1 and Sec. 3.5).  A gain that fails only the route's "A+1a stable"
 check (at DEFAULT_SPECTRAL_TOL) is infinitely bad, which confines the search
-to the stabilizing set without any constraint machinery.
+to the stabilizing set without any constraint machinery.  The mean and
+variance reported at the final gain come from the last accepted evaluation
+(for the mean objective plus the one variance solve its evaluations skip), so
+the final gain is not factored again.
 """
 
 import math
@@ -64,7 +67,9 @@ class TuneResult:
     ``iterations`` counts accepted steps; ``stop_reason`` is "gradient"
     (``gradient_norm``, the norm of the gradient at ``F``, fell below
     ``grad_tol``; then ``converged``), "max_iter" or "line_search" (a
-    rejected trial step was shorter than ``step_tol``).
+    rejected trial step was shorter than ``step_tol``).  ``mean_at_F`` and
+    ``variance_at_F`` come from the search's evaluation at ``F`` and equal
+    :func:`evaluate_gain` there bit for bit.
     """
 
     F: np.ndarray
@@ -133,15 +138,16 @@ def finite_difference_gradient(func, f, fd_step, stencil=2):
 
 
 def _value_and_gradient(plant, loop, f, objective):
-    """Objective at gain ``f`` of a validated ``loop`` of ``plant`` and its gradient
-    with respect to ``f``; ``(inf, None)`` for an infeasible gain."""
+    """Objective at gain ``f`` of a validated ``loop`` of ``plant``, its gradient
+    with respect to ``f`` and the evaluation they come from (its ``mean`` and
+    ``variance``); ``(inf, None, None)`` for an infeasible gain."""
     try:
-        value, d_a, d_q = _evaluate(_infinite_objective_gradient,
-                                    *_regain_full_state(plant, *loop, f), objective)
+        value, d_a, d_q, evaluation = _evaluate(_infinite_objective_gradient,
+                                                *_regain_full_state(plant, *loop, f), objective)
     except InfeasibleGainError:
-        return math.inf, None
+        return math.inf, None, None
     # chain rule through A - B F and Q + F^T R F
-    return value, -plant.B.T @ d_a + 2.0 * plant.R @ f @ d_q
+    return value, -plant.B.T @ d_a + 2.0 * plant.R @ f @ d_q, evaluation
 
 
 def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneResult:
@@ -159,7 +165,9 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
     The search gives up once a rejected trial step is shorter than
     ``opts.step_tol``.  Gradients are exact (adjoint Lyapunov solves), so
     ``converged=True`` means the gradient norm at ``F`` is below
-    ``opts.grad_tol``.
+    ``opts.grad_tol``.  The mean and variance at ``F`` are read from the
+    last accepted evaluation; for the mean objective that takes one more
+    Lyapunov solve (X_2) on its factor.
     """
     loop = close_loop_full_state(plant, opts.f0, mu0, sigma0)
 
@@ -167,7 +175,7 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
         return _value_and_gradient(plant, loop, f, opts.objective)
 
     f = opts.f0.copy()
-    value, grad = evaluate(f)
+    value, grad, evaluation = evaluate(f)
     if grad is None:
         raise InfeasibleGainError("initial gain f0 does not stabilize the shifted closed loop")
 
@@ -188,7 +196,7 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
         step = 1.0
         while True:
             s = step * direction
-            new_value, new_grad = evaluate(f + s.reshape(f.shape))
+            new_value, new_grad, new_evaluation = evaluate(f + s.reshape(f.shape))
             accepted = new_value <= value + ARMIJO_C1 * step * slope    # never for +inf
             if accepted or np.linalg.norm(s) < opts.step_tol:
                 break
@@ -211,16 +219,15 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
             h = (h - rho * (np.outer(hy, s) + np.outer(s, hy))
                  + (rho * rho * (y @ hy) + rho) * np.outer(s, s))
         f = f + s.reshape(f.shape)
-        value, grad = new_value, new_grad
+        value, grad, evaluation = new_value, new_grad, new_evaluation
         iterations += 1
         trace.append((iterations, value))
 
-    stats = _evaluate(cost_stats_lyapunov, *_regain_full_state(plant, *loop, f))
     return TuneResult(
         F=f,
         objective_value=value,
-        mean_at_F=stats.mean,
-        variance_at_F=stats.variance,
+        mean_at_F=evaluation.mean,
+        variance_at_F=evaluation.variance,
         iterations=iterations,
         converged=stop_reason == "gradient",
         stop_reason=stop_reason,

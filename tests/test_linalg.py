@@ -7,6 +7,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 import lqgcost.cost_lyap
 import lqgcost.linalg
+from lqgcost import tune
 from lqgcost import (
     ConditionCheck,
     ConditionError,
@@ -21,6 +22,7 @@ from lqgcost import (
     cost_stats_lyapunov,
     lyap_finite,
     mat_exp,
+    optimal_gain,
     psd_factor,
     solve_lyapunov,
     solve_lyapunov_transposed,
@@ -28,6 +30,7 @@ from lqgcost import (
     variance_cost_finite,
     variance_cost_infinite,
 )
+from lqgcost.lqg import close_loop_full_state
 from conftest import (
     finite_integral_by_quadrature,
     lyapunov_by_quadrature,
@@ -86,6 +89,26 @@ class TestClassifySpectrum:
         for _ in range(50):
             rep = classify_spectrum(random_stable(3, rng))
             assert not rep.is_stable or rep.is_sylvester
+
+    def test_sylvester_agrees_with_pair_list(self, rng):
+        # stable spectra with small margins and large imaginary parts, where
+        # the margin alone can or cannot rule every pair out
+        tol = 1e-9
+        lams = [np.array([-1e-8 + 1e3j, -1e-8 - 1e3j]),       # stable, not sylvester
+                np.array([-2e-6 + 1e3j, -2e-6 - 1e3j, -0.5]),  # just past the margin bound
+                np.array([-1.0, -2.0])]
+        for _ in range(200):
+            re = -np.exp(rng.uniform(-22.0, 1.0, size=3))
+            im = np.exp(rng.uniform(-3.0, 8.0))
+            lams.append(np.array([re[0] + 1j * im, re[0] - 1j * im, re[1], re[2]]))
+        shortcut = 0
+        for lam in lams:
+            rep = lqgcost.linalg._classify(lam, tol)
+            sylvester = rep.is_sylvester
+            shortcut += "degenerate_pairs" not in rep.__dict__
+            assert sylvester == (not rep.degenerate_pairs)
+        assert 0 < shortcut < len(lams)
+        assert not lqgcost.linalg._classify(lams[0], tol).is_sylvester
 
     def test_degenerate_pairs_in_pair_loop_order(self, rng):
         # mirrored eigenvalues +-1, +-2 and a conjugate pair on the imaginary
@@ -301,6 +324,60 @@ class TestDriftFactor:
         monkeypatch.setattr(lqgcost.linalg, "dtrsyl", perturbed(1e-6))
         with pytest.raises(NumericalError, match="residual"):
             DriftFactor(a).solve(w, shift=0.3, transposed=transposed)
+
+
+class TestSchurCoordinates:
+    """The factor test and the residual test of the Schur-coordinate core."""
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_perturbed_factor_refused(self, n, rng, monkeypatch):
+        a, _ = _drift_with_complex_pairs(n, 0.3, rng)
+        real = lqgcost.linalg.schur
+        noise = rng.normal(size=(n, n))
+
+        def perturbed(rel):
+            def factor(m, **kw):
+                t, u = real(m, **kw)
+                return t + rel * np.abs(t).max() * noise, u
+            return factor
+
+        monkeypatch.setattr(lqgcost.linalg, "schur", perturbed(1e-13))
+        DriftFactor(a)
+        monkeypatch.setattr(lqgcost.linalg, "schur", perturbed(1e-6))
+        with pytest.raises(NumericalError, match="Schur factor residual"):
+            DriftFactor(a)
+
+    @pytest.mark.parametrize("call", ["cost_stats_lyapunov", "tune mean", "tune variance"])
+    def test_infinite_horizon_residual_check(self, call, rng, monkeypatch):
+        # the infinite-horizon route and the tuner solve in Schur coordinates
+        # only; a perturbed triangular solve must still be refused there
+        if call == "cost_stats_lyapunov":
+            sys = random_system(4, rng, alpha_shifts=(-0.4, -0.8))
+            cost = CostSpec(Q=random_spd(4, rng), alpha=-0.4)
+
+            def run():
+                return cost_stats_lyapunov(sys, cost)
+        else:
+            plant = LqgPlant(**PLANT, alpha=-0.8)
+            f = optimal_gain(plant)
+            loop = close_loop_full_state(plant, f, [1.0, -0.5], 2.0 * np.eye(2))
+
+            def run():
+                return tune._value_and_gradient(plant, loop, f, call.split()[1])
+        real = lqgcost.linalg.dtrsyl
+
+        def perturbed(rel):
+            def solve(t_a, t_b, c, **kw):
+                z, scale, info = real(t_a, t_b, c, **kw)
+                noise = np.random.default_rng(7).normal(size=z.shape)
+                return z + rel * np.abs(z).max() * noise, scale, info
+            return solve
+
+        monkeypatch.setattr(lqgcost.linalg, "dtrsyl", perturbed(1e-13))
+        run()
+        monkeypatch.setattr(lqgcost.linalg, "dtrsyl", perturbed(1e-6))
+        with pytest.raises(NumericalError, match="residual"):
+            run()
 
 
 class TestOneFactorPerEvaluation:

@@ -158,7 +158,7 @@ def random_plant(n, m, rng):
 
 def adjoint_gradient(plant, f, mu0, sigma0, objective):
     loop = close_loop_full_state(plant, f, mu0, sigma0)
-    value, grad = tune._value_and_gradient(plant, loop, f, objective)
+    value, grad, _ = tune._value_and_gradient(plant, loop, f, objective)
     route = expected_cost_infinite if objective == "mean" else variance_cost_infinite
     assert value == route(*loop)
     return value, grad
@@ -190,7 +190,7 @@ class TestGradient:
         loop = close_loop_full_state(plant, optimal_gain(plant), ZERO2, ZERO22)
         for objective in ("mean", "variance"):
             assert tune._value_and_gradient(plant, loop, np.zeros((1, 2)), objective) == (
-                math.inf, None)
+                math.inf, None, None)
 
     def test_two_point_matches_four_point(self):
         plant = benchmark_plant()
@@ -272,6 +272,48 @@ class TestMinimizeVariance:
         assert len(calls) <= 20
         assert result.variance_at_F <= 32393.930379289493
 
+    def test_study_tune_one_factor_per_evaluation(self, monkeypatch):
+        # threshold_study's settings; the statistics at F come from the last
+        # accepted evaluation, so the final gain is not factored again
+        plant = benchmark_plant()
+        opts = TuneOptions(f0=optimal_gain(plant), objective="variance", grad_tol=1e-2,
+                           step_tol=1e-10, max_iter=3000)
+        counts = {"schur": 0, "evaluations": 0}
+        real_schur, real_evaluation = linalg.schur, tune._value_and_gradient
+
+        def counting_schur(*args, **kwargs):
+            counts["schur"] += 1
+            return real_schur(*args, **kwargs)
+
+        def counting_evaluation(*args):
+            counts["evaluations"] += 1
+            return real_evaluation(*args)
+
+        monkeypatch.setattr(linalg, "schur", counting_schur)
+        monkeypatch.setattr(tune, "_value_and_gradient", counting_evaluation)
+        result = minimize_variance(plant, ZERO2, ZERO22, opts)
+        assert result.stop_reason == "gradient" and result.iterations == 17
+        assert counts == {"schur": 20, "evaluations": 20}
+
+    @pytest.mark.parametrize("objective,offset,grad_tol,max_iter,stop", [
+        ("variance", [0.0, 0.0], 1e-2, 3000, "gradient"),
+        ("variance", [0.0, 0.0], 1e-2, 3, "max_iter"),
+        ("mean", [0.4, -0.6], 1e-5, 4000, "gradient"),
+        ("mean", [0.4, -0.6], 1e-12, 500, "line_search"),
+    ])
+    def test_final_statistics_equal_evaluate_gain(self, objective, offset, grad_tol, max_iter,
+                                                  stop):
+        # on a "line_search" stop the last evaluation is a rejected trial; the
+        # statistics must still be those of the accepted F
+        plant, mu0, sigma0 = benchmark_plant(), np.array([0.3, -0.2]), 0.5 * np.eye(2)
+        opts = TuneOptions(f0=optimal_gain(plant) + np.array([offset]), objective=objective,
+                           grad_tol=grad_tol, max_iter=max_iter)
+        result = minimize_variance(plant, mu0, sigma0, opts)
+        assert result.stop_reason == stop
+        stats = evaluate_gain(plant, result.F, mu0, sigma0)
+        assert (result.mean_at_F, result.variance_at_F) == (stats.mean, stats.variance)
+        assert result.objective_value == getattr(stats, objective)
+
     def _first_line_search(self, monkeypatch, infeasible_first_trial):
         """(value, slope, [(trial step length, trial value)]) of the first line search on
         the benchmark plant, optionally with the first trial reported infeasible."""
@@ -283,7 +325,7 @@ class TestMinimizeVariance:
         def recording(plant_, loop, f, objective):
             out = original(plant_, loop, f, objective)
             if len(seen) == 1 and infeasible_first_trial:
-                out = (math.inf, None)
+                out = (math.inf, None, None)
             seen.append((float(np.linalg.norm(f - f0)), out[0], out[1]))
             return out
 
