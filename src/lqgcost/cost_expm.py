@@ -18,7 +18,8 @@ With E = e^{C T} partitioned into n x n blocks E_ij:
 No spectral conditions on A or alpha are needed, which is the point of this
 route: it covers drifts whose Lyapunov equations are singular.  The price is
 accuracy decay for large T * (spectral range), hence the crossover policy in
-:func:`auto_cost_stats`.
+:func:`auto_cost_stats`.  A variance that decay pushes below zero raises
+:class:`AccuracyError`, as an exponent past ``EXPM_GROWTH_LIMIT`` does.
 """
 
 import warnings
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .exceptions import AccuracyError, ConditionCheck, ConditionError
+from .exceptions import AccuracyError, ConditionCheck, ConditionError, NumericalError
 from .cost_lyap import CostStats, _finalize_variance, cost_stats_lyapunov
 from .systems import CostSpec, LtiSystem
 
@@ -141,6 +142,14 @@ def _stats_from_blocks(sys, cost, blocks):
         2.0 * np.trace(m @ m - 2.0 * blocks.C44.T @ (blocks.C14 @ sigma0 + blocks.C15))
         - 2.0 * (mu0 @ blocks.C44.T @ blocks.C12 @ mu0) ** 2
     )
+    try:
+        variance = _finalize_variance(raw, mean)
+    except NumericalError as exc:
+        raise AccuracyError(
+            f"block exponential lost the variance: it came out {raw:.6e} < 0 beyond the "
+            f"rounding allowance at T * max|Re eig| = {blocks.growth:.3g} -- use the "
+            "Lyapunov method"
+        ) from exc
     checks = [
         ConditionCheck("finite horizon", True, f"T = {cost.horizon:g}"),
         ConditionCheck("exponent range", True,
@@ -148,7 +157,7 @@ def _stats_from_blocks(sys, cost, blocks):
     ]
     return CostStats(
         mean=mean,
-        variance=_finalize_variance(raw, mean),
+        variance=variance,
         method="expm",
         conditions_checked=checks,
         branch="finite horizon, block exponential",

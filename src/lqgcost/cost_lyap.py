@@ -8,19 +8,17 @@ Notation used throughout:
 * ``Y_T``      : the finite-horizon version integral_0^T e^{A_k^T t} W e^{A_k t} dt,
                obtained from Y via the exact identity Y_T = Y - e^{A_k^T T} Y e^{A_k T}.
 
-Every drift A_k shares the Schur basis of A, so one evaluation factors
-``sys.A`` once (:class:`lqgcost.linalg.DriftFactor`) and solves each X and Y
-above by one quasi-triangular back-substitution on that factor; the
-solvability and stability conditions read its eigenvalues plus k*alpha.
-The same holds for the exponentials: e^{A_k T} = e^{k alpha T} e^{A T}, so a
-finite-horizon evaluation takes one n x n exponential of ``sys.A``, plus the
-Van Loan block of the cross term in the variance.
-
-At the infinite horizon the whole evaluation stays in the Schur basis
-(:class:`_InfiniteEvaluation`): Q, V, Sigma0 and mu0 are mapped in once, the
-solves skip :meth:`DriftFactor.solve`'s validation and mappings, and the
-traces are read there; the tuner's gradient maps only dJ/dA and dJ/dQ back
-out.  The finite horizon calls the validated :meth:`DriftFactor.solve`.
+Every drift A_k shares the real Schur basis of A: with A = U R U^T,
+A_k = U (R + k alpha I) U^T.  One evaluation (:class:`_Evaluation`), at
+either horizon, factors ``sys.A`` once (:class:`lqgcost.linalg.DriftFactor`),
+maps Q, V, Sigma0 and mu0 into that basis once and stays there: each X and Y
+above is one quasi-triangular back-substitution on R + k alpha I, each
+exponential e^{A_k T} = e^{k alpha T} e^{A T} comes from the one n x n
+exponential of R, the Van Loan block of the variance's cross term is taken on
+R + k alpha I, and every trace is read in the basis, where it has the same
+value.  The solvability and stability conditions read the eigenvalues of R
+plus k*alpha.  Only the tuner's gradient maps anything back out (dJ/dA and
+dJ/dQ).
 
 Validity requirements (checked, and reported in ``conditions_checked``):
 
@@ -90,46 +88,43 @@ class CostStats:
         return math.sqrt(self.variance)
 
 
-def _shift(a, k, alpha):
-    return a + (k * alpha) * np.eye(a.shape[0])
-
-
 def _use_zero_alpha(alpha, horizon):
     return abs(alpha) * max(1.0, horizon) < ALPHA_BRANCH_TOL
 
 
-def _check_sylvester(fac, multiples, alpha):
-    """Classify A + k*alpha*I for each k from the factor's eigenvalues."""
-    checks = []
-    for k in multiples:
-        name = "A sylvester" if k == 0 else f"A{k:+g}a sylvester"
-        rep = fac.spectrum(k * alpha)
-        detail = "" if rep.is_sylvester else (
-            "eigenvalue pair sums to zero: " + ", ".join(
-                f"({rep.eigenvalues[i]:.4g}, {rep.eigenvalues[j]:.4g})"
-                for i, j in rep.degenerate_pairs[:2]
+def _conditions(fac, cost, zero, with_variance):
+    """The route's validity checks on A + k*alpha*I, read from the factor's
+    eigenvalues; :class:`ConditionError` when one fails."""
+    alpha = cost.alpha
+    what = "variance" if with_variance else "mean"
+    if cost.is_infinite:
+        rep = fac.spectrum(alpha)
+        checks = [
+            ConditionCheck("alpha < 0", alpha < 0.0, f"alpha = {alpha:g}"),
+            ConditionCheck("A+1a stable", rep.is_stable,
+                           f"max Re eig = {rep.eigenvalues.real.max():.4g}"),
+        ]
+        what = f"infinite-horizon {what} (cost diverges)"
+    else:
+        checks = []
+        for k in (0,) if zero else (0, 1, -1, 2) if with_variance else (0, 1):
+            name = "A sylvester" if k == 0 else f"A{k:+g}a sylvester"
+            rep = fac.spectrum(k * alpha)
+            detail = "" if rep.is_sylvester else (
+                "eigenvalue pair sums to zero: " + ", ".join(
+                    f"({rep.eigenvalues[i]:.4g}, {rep.eigenvalues[j]:.4g})"
+                    for i, j in rep.degenerate_pairs[:2]
+                )
             )
-        )
-        checks.append(ConditionCheck(name, rep.is_sylvester, detail))
-    return checks
-
-
-def _check_infinite(fac, alpha):
-    rep = fac.spectrum(alpha)
-    return [
-        ConditionCheck("alpha < 0", alpha < 0.0, f"alpha = {alpha:g}"),
-        ConditionCheck("A+1a stable", rep.is_stable,
-                       f"max Re eig = {rep.eigenvalues.real.max():.4g}"),
-    ]
-
-
-def _require(checks, what):
+            checks.append(ConditionCheck(name, rep.is_sylvester, detail))
+        what = f"finite-horizon {what}"
     failed = [c.name for c in checks if not c.passed]
     if failed:
         raise ConditionError(
             f"{what} is not computable by the Lyapunov method: failed {', '.join(failed)}",
             conditions=checks,
         )
+    return checks
 
 
 def _finalize_variance(raw, mean):
@@ -161,100 +156,62 @@ def _transposed_finite(y_inf, e_t, name):
     return _difference(y_inf, e_t.T @ y_inf @ e_t, name)
 
 
-# ---------------------------------------------------------------------------
-# finite horizon
-# ---------------------------------------------------------------------------
-
-def _finite_mean(sys, cost, xv, y, e0):
-    """Mean from X[V; A], Y[Q; A_1] (Y[Q; A] on the zero branch) and e^{A T}."""
-    alpha, t = cost.alpha, cost.horizon
-    # Sigma_T = e^{A T} (Sigma0 - X) e^{A^T T} + X, written as a difference
-    sig_t = _difference(e0 @ (sys.Sigma0 - xv) @ e0.T, -xv, "Sigma_T")
-    if _use_zero_alpha(alpha, t):
-        return float(np.trace((sys.Sigma0 - sig_t + t * sys.V) @ y))
-    g = math.exp(2.0 * alpha * t)
-    return float(np.trace((sys.Sigma0 - g * sig_t + (g - 1.0) / (2.0 * alpha) * sys.V) @ y))
-
-
-def _finite_variance(sys, cost, fac, xv, y, e0):
-    """Raw variance; ``xv``, ``y`` and ``e0`` as for :func:`_finite_mean`."""
-    a, q, mu0 = sys.A, cost.Q, sys.mu0
-    alpha, t = cost.alpha, cost.horizon
-    delta = symmetrize(sys.Sigma0 - xv)
-
-    if _use_zero_alpha(alpha, t):
-        y0_t = _transposed_finite(y, e0, "Y_T of A")
-        # analytic alpha -> 0 limit of (e^{4aT} Y_-1,T - Y_1,T) / (4a):
-        # T * Y - integral_0^T e^{A^T t} Y e^{A t} dt
-        y_of_y = fac.solve(y, transposed=True)
-        limit_term = t * y - _transposed_finite(y_of_y, e0, "Y_T of A, weight Y")
-        xd = fac.solve(delta)
-        cross = van_loan_integral(a, xd @ e0.T @ q, a, t)
-        raw = (
-            2.0 * np.trace((delta @ y0_t) @ (delta @ y0_t))
-            - 2.0 * (mu0 @ y0_t @ mu0) ** 2
-            + 4.0 * np.trace(xv @ q @ (xv @ limit_term + 2.0 * xd @ y0_t - 2.0 * cross))
-        )
-        return float(raw)
-
-    # e^{(A +- alpha I) T} = e^{+-alpha T} e^{A T}
-    e_p = math.exp(alpha * t) * e0
-    y_p_t = _transposed_finite(y, e_p, "Y_T of A+1a")
-    y_m = fac.solve(q, shift=-alpha, transposed=True)
-    y_m_t = _transposed_finite(y_m, math.exp(-alpha * t) * e0, "Y_T of A-1a")
-    x2d = fac.solve(delta, shift=2.0 * alpha)
-    cross = van_loan_integral(_shift(a, 3, alpha), x2d @ e_p.T @ q, _shift(a, 1, alpha), t)
-    g4 = math.exp(4.0 * alpha * t)
-    mid = xv @ ((g4 * y_m_t - y_p_t) / (4.0 * alpha)) + 2.0 * x2d @ y_p_t - 2.0 * cross
-    raw = (
-        2.0 * np.trace((delta @ y_p_t) @ (delta @ y_p_t))
-        - 2.0 * (mu0 @ y_p_t @ mu0) ** 2
-        + 4.0 * np.trace(xv @ q @ mid)
-    )
-    return float(raw)
-
-
-def _require_finite_horizon(cost):
-    if cost.is_infinite:
-        raise ValueError("cost.horizon must be finite for the finite-horizon operations")
-
-
-def _require_infinite_horizon(cost):
-    if not cost.is_infinite:
-        raise ValueError("cost.horizon must be infinite for the infinite-horizon operations")
+def _require_horizon(cost, infinite):
+    if cost.is_infinite != infinite:
+        kind = "infinite" if infinite else "finite"
+        raise ValueError(f"cost.horizon must be {kind} for the {kind}-horizon operations")
 
 
 # ---------------------------------------------------------------------------
-# infinite horizon
+# one evaluation on one factor
 # ---------------------------------------------------------------------------
 
-class _InfiniteEvaluation:
-    """One infinite-horizon evaluation, in the real Schur basis of ``sys.A``.
+class _Evaluation:
+    """One evaluation of the route, in the real Schur basis of ``sys.A``.
 
-    With A = U T U^T every shifted drift is U (T + s I) U^T, so
-    Y[Q; A_1] = U Y~ U^T where Y~ solves the same equation on T + alpha I
-    with Q~ = U^T Q U, and likewise for X_2.  Q, V, Sigma0 and mu0 are mapped
-    into the basis once (``q``, ``v``, ``s``, ``mu0``), the solves run on the
-    factor's Schur-coordinate core (:meth:`DriftFactor._solve_schur`), and
-    every trace is read in the basis, where it has the same value.  ``y`` is
-    Y~, ``x2`` is X_2~ = (X[Sigma0; A_2] - X[V; A_2] / (4 alpha))~, one solve
-    by linearity, made the first time ``raw_variance`` asks for it.
+    With A = U R U^T every shifted drift is U (R + s I) U^T, so
+    Y[Q; A_1] = U Y~ U^T where Y~ solves the same equation on R + alpha I
+    with Q~ = U^T Q U, and likewise for every X, Y and e^{A_k T}.  Q, V,
+    Sigma0 and mu0 are mapped into the basis once (``q``, ``v``, ``s``,
+    ``mu0``), the solves run on the factor's Schur-coordinate core
+    (:meth:`DriftFactor._solve_schur`), the exponentials are taken on R + s I,
+    and every trace is read in the basis, where it has the same value.
 
-    Building it runs the infinite-horizon checks (``checks``) and raises
-    :class:`ConditionError` when one fails.
+    ``y`` is Y~[Q; A_1], or Y~[Q; A] on the alpha = 0 branch.  At a finite
+    horizon ``xv`` is X~[V; A] and ``e0`` is e^{R T}.  At the infinite
+    horizon ``x2`` is X_2~ = (X[Sigma0; A_2] - X[V; A_2] / (4 alpha))~, one
+    solve by linearity, made the first time ``raw_variance`` asks for it.
+
+    Building it runs the route's checks (``checks``), raises
+    :class:`ConditionError` when one fails, and computes ``mean``;
+    ``raw_variance`` is computed on first use.
     """
 
     def __init__(self, sys, cost, with_variance):
         self.fac = fac = DriftFactor(sys.A)
-        self.alpha = alpha = cost.alpha
-        self.checks = _check_infinite(fac, alpha)
-        what = "infinite-horizon variance" if with_variance else "infinite-horizon mean"
-        _require(self.checks, what + " (cost diverges)")
+        self.alpha, self.horizon = alpha, horizon = cost.alpha, cost.horizon
+        self.zero = zero = not cost.is_infinite and _use_zero_alpha(alpha, horizon)
+        self.checks = _conditions(fac, cost, zero, with_variance)
+        self.branch = ("infinite horizon" if cost.is_infinite
+                       else "finite horizon, alpha=0 branch" if zero
+                       else "finite horizon, general-alpha branch")
         u = fac.u
         self.q, self.s, self.v = (u.T @ m @ u for m in (cost.Q, sys.Sigma0, sys.V))
         self.mu0 = sys.mu0 @ u
-        self.y = fac._solve_schur(self.q, shift=alpha, transposed=True)
-        self.mean = float(np.trace((self.s - self.v / (2.0 * alpha)) @ self.y))
+        self.y = fac._solve_schur(self.q, shift=0.0 if zero else alpha, transposed=True)
+        if cost.is_infinite:
+            self.mean = float(np.trace((self.s - self.v / (2.0 * alpha)) @ self.y))
+            return
+        self.xv = xv = fac._solve_schur(self.v)
+        self.e0 = e0 = mat_exp(fac.t, horizon)
+        # Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A], written as a difference
+        sig_t = _difference(e0 @ (self.s - xv) @ e0.T, -xv, "Sigma_T")
+        if zero:
+            self.mean = float(np.trace((self.s - sig_t + horizon * self.v) @ self.y))
+        else:
+            g = math.exp(2.0 * alpha * horizon)
+            self.mean = float(np.trace(
+                (self.s - g * sig_t + (g - 1.0) / (2.0 * alpha) * self.v) @ self.y))
 
     @cached_property
     def x2(self):
@@ -264,10 +221,38 @@ class _InfiniteEvaluation:
     @cached_property
     def raw_variance(self):
         s, y, mu0 = self.s, self.y, self.mu0
+        if math.isinf(self.horizon):
+            return float(
+                2.0 * np.trace((s @ y) @ (s @ y))
+                - 2.0 * (mu0 @ y @ mu0) ** 2
+                + 4.0 * np.trace(self.x2 @ y @ self.v @ y)
+            )
+        fac, q, alpha, t, e0, xv = self.fac, self.q, self.alpha, self.horizon, self.e0, self.xv
+        delta = symmetrize(s - xv)
+        if self.zero:
+            y_t = _transposed_finite(y, e0, "Y_T of A")
+            # analytic alpha -> 0 limit of (e^{4aT} Y_-1,T - Y_1,T) / (4a):
+            # T * Y - integral_0^T e^{A^T t} Y e^{A t} dt
+            y_of_y = fac._solve_schur(y, transposed=True)
+            weighted = t * y - _transposed_finite(y_of_y, e0, "Y_T of A, weight Y")
+            x2d = fac._solve_schur(delta)
+            e_p, r_1, r_3 = e0, fac.t, fac.t
+        else:
+            # e^{(A +- alpha I) T} = e^{+-alpha T} e^{A T}
+            e_p = math.exp(alpha * t) * e0
+            y_t = _transposed_finite(y, e_p, "Y_T of A+1a")
+            y_m = fac._solve_schur(q, shift=-alpha, transposed=True)
+            y_m_t = _transposed_finite(y_m, math.exp(-alpha * t) * e0, "Y_T of A-1a")
+            weighted = (math.exp(4.0 * alpha * t) * y_m_t - y_t) / (4.0 * alpha)
+            x2d = fac._solve_schur(delta, shift=2.0 * alpha)
+            eye = np.eye(len(q))
+            r_1, r_3 = fac.t + alpha * eye, fac.t + 3.0 * alpha * eye
+        cross = van_loan_integral(r_3, x2d @ e_p.T @ q, r_1, t)
+        mid = xv @ weighted + 2.0 * x2d @ y_t - 2.0 * cross
         return float(
-            2.0 * np.trace((s @ y) @ (s @ y))
-            - 2.0 * (mu0 @ y @ mu0) ** 2
-            + 4.0 * np.trace(self.x2 @ y @ self.v @ y)
+            2.0 * np.trace((delta @ y_t) @ (delta @ y_t))
+            - 2.0 * (mu0 @ y_t @ mu0) ** 2
+            + 4.0 * np.trace(xv @ q @ mid)
         )
 
     @property
@@ -277,7 +262,7 @@ class _InfiniteEvaluation:
 
 def _infinite_objective_gradient(sys, cost, objective):
     """``(J, dJ/dA, dJ/dQ, evaluation)`` for J the infinite-horizon mean or
-    variance (``objective``), with ``evaluation`` the :class:`_InfiniteEvaluation`
+    variance (``objective``), with ``evaluation`` the :class:`_Evaluation`
     they come from.
 
     Adjoint (Lagrange-multiplier) method, one adjoint solve on the same factor
@@ -292,7 +277,7 @@ def _infinite_objective_gradient(sys, cost, objective):
     optimal constant output feedback gains for linear multivariable
     systems", IEEE Trans. Automat. Control 15(1), 1970.
     """
-    ev = _InfiniteEvaluation(sys, cost, objective == "variance")
+    ev = _Evaluation(sys, cost, objective == "variance")
     fac, alpha, s, v, y = ev.fac, ev.alpha, ev.s, ev.v, ev.y
     u = fac.u
     if objective != "variance":
@@ -306,55 +291,28 @@ def _infinite_objective_gradient(sys, cost, objective):
     return ev.variance, u @ (2.0 * (y @ p1 + p2 @ x2)) @ u.T, u @ p1 @ u.T, ev
 
 
-# ---------------------------------------------------------------------------
-# one evaluation on one factor
-# ---------------------------------------------------------------------------
-
-def _evaluate(sys, cost, with_variance):
-    """``(mean, raw variance or None, branch, checks)`` from one factor of ``sys.A``."""
-    if cost.is_infinite:
-        ev = _InfiniteEvaluation(sys, cost, with_variance)
-        return ev.mean, ev.raw_variance if with_variance else None, "infinite horizon", ev.checks
-
-    fac = DriftFactor(sys.A)
-    alpha = cost.alpha
-    zero_branch = _use_zero_alpha(alpha, cost.horizon)
-    multiples = (0,) if zero_branch else (0, 1, -1, 2) if with_variance else (0, 1)
-    checks = _check_sylvester(fac, multiples, alpha)
-    _require(checks, "finite-horizon variance" if with_variance else "finite-horizon mean")
-    xv = fac.solve(sys.V)
-    y = fac.solve(cost.Q, shift=0.0 if zero_branch else alpha, transposed=True)
-    e0 = mat_exp(sys.A, cost.horizon)
-    mean = _finite_mean(sys, cost, xv, y, e0)
-    raw = _finite_variance(sys, cost, fac, xv, y, e0) if with_variance else None
-    branch = "finite horizon, " + ("alpha=0 branch" if zero_branch else "general-alpha branch")
-    return mean, raw, branch, checks
-
-
 def expected_cost_finite(sys: LtiSystem, cost: CostSpec):
     """E of the finite-horizon cost integral (requires a finite ``cost.horizon``)."""
-    _require_finite_horizon(cost)
-    return _evaluate(sys, cost, with_variance=False)[0]
+    _require_horizon(cost, infinite=False)
+    return _Evaluation(sys, cost, with_variance=False).mean
 
 
 def variance_cost_finite(sys: LtiSystem, cost: CostSpec):
     """Var of the finite-horizon cost integral, clamped at zero against rounding."""
-    _require_finite_horizon(cost)
-    mean, raw, _, _ = _evaluate(sys, cost, with_variance=True)
-    return _finalize_variance(raw, mean)
+    _require_horizon(cost, infinite=False)
+    return _Evaluation(sys, cost, with_variance=True).variance
 
 
 def expected_cost_infinite(sys: LtiSystem, cost: CostSpec):
     """E of the infinite-horizon cost; requires alpha < 0 and stable shifted drift."""
-    _require_infinite_horizon(cost)
-    return _evaluate(sys, cost, with_variance=False)[0]
+    _require_horizon(cost, infinite=True)
+    return _Evaluation(sys, cost, with_variance=False).mean
 
 
 def variance_cost_infinite(sys: LtiSystem, cost: CostSpec):
     """Var of the infinite-horizon cost; requires alpha < 0 and stable shifted drift."""
-    _require_infinite_horizon(cost)
-    mean, raw, _, _ = _evaluate(sys, cost, with_variance=True)
-    return _finalize_variance(raw, mean)
+    _require_horizon(cost, infinite=True)
+    return _Evaluation(sys, cost, with_variance=True).variance
 
 
 def variance_cost_infinite_unreduced(sys: LtiSystem, cost: CostSpec):
@@ -365,8 +323,8 @@ def variance_cost_infinite_unreduced(sys: LtiSystem, cost: CostSpec):
     additionally needs the unshifted noise Lyapunov equation to be solvable.
     Exposed for the equivalence test between the two evaluations.
     """
-    _require_infinite_horizon(cost)
-    ev = _InfiniteEvaluation(sys, cost, with_variance=True)
+    _require_horizon(cost, infinite=True)
+    ev = _Evaluation(sys, cost, with_variance=True)
     fac, alpha, y = ev.fac, ev.alpha, ev.y
     xv = fac._solve_schur(ev.v)
     delta = symmetrize(ev.s - xv)
@@ -379,18 +337,14 @@ def variance_cost_infinite_unreduced(sys: LtiSystem, cost: CostSpec):
     return _finalize_variance(float(raw), ev.mean)
 
 
-# ---------------------------------------------------------------------------
-# combined
-# ---------------------------------------------------------------------------
-
 def cost_stats_lyapunov(sys: LtiSystem, cost: CostSpec):
     """Mean and variance through the Lyapunov route, with condition provenance."""
-    mean, raw, branch, checks = _evaluate(sys, cost, with_variance=True)
+    ev = _Evaluation(sys, cost, with_variance=True)
     return CostStats(
-        mean=mean,
-        variance=_finalize_variance(raw, mean),
+        mean=ev.mean,
+        variance=ev.variance,
         method="lyapunov",
-        conditions_checked=checks,
-        branch=branch,
-        raw_variance=raw,
+        conditions_checked=ev.checks,
+        branch=ev.branch,
+        raw_variance=ev.raw_variance,
     )

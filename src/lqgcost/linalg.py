@@ -182,12 +182,14 @@ class DriftFactor:
     checked in Schur coordinates, where U being orthogonal leaves the
     Frobenius norms, and so the residual test, as they are in A's basis.
 
-    :meth:`solve` is the validated boundary: it checks W, maps it into the
-    basis (U^T W U), solves there and maps X back out (U Z U^T).  Callers
-    that keep their whole computation in the basis -- the infinite-horizon
-    evaluations of :mod:`lqgcost.cost_lyap` -- map their inputs in once and
-    call :meth:`_solve_schur` directly, which skips W's validation and the
-    two mappings but keeps the Sylvester refusal and the residual test.
+    :meth:`solve` is the validated boundary of :func:`solve_lyapunov` and
+    :func:`solve_lyapunov_transposed`: it checks W, maps it into the basis
+    (U^T W U), solves there and maps X back out (U Z U^T).  Callers that keep
+    their whole computation in the basis -- every evaluation of
+    :mod:`lqgcost.cost_lyap`, at a finite or the infinite horizon, and the
+    tuner's gradient -- map their inputs in once and call :meth:`_solve_schur`
+    directly, which skips W's validation and the two mappings but keeps the
+    Sylvester refusal and the residual test.
 
     Each shift's :class:`SpectrumReport` (degenerate pairs included),
     T + s I and ||T + s I||_F are built the first time :meth:`spectrum`,

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +23,8 @@ from lqgcost import (
 )
 import lqgcost.cost_expm
 from conftest import random_spd, random_system, scalar_cost, scalar_system
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TestBuildBlockMatrix:
@@ -157,6 +165,56 @@ class TestGrowthExponent:
             stats = auto_cost_stats(sys, cost)
         assert len(growth_calls) == 1
         assert "= 30 <=" in stats.conditions_checked[1].detail
+
+
+def _variance_lost_by_expm():
+    """n = 40, alpha = -0.3, T = 2 (growth 29.3), where the Lyapunov route's
+    variance is 3.392e7.  The draw of
+    ``_route_case(40, (), (-0.3, 0.2), np.random.default_rng(1))`` in
+    ``perfbench/workloads.py``, with the same rejection shifts."""
+    rng = np.random.default_rng(1)
+    shifts = sorted({k * alpha for alpha in (-0.3, 0.2) for k in range(-2, 4)})
+    sys = random_system(40, rng, alpha_shifts=shifts)
+    return sys, CostSpec(Q=random_spd(40, rng), alpha=-0.3, horizon=2.0)
+
+
+LOST_VARIANCE_CHILD = """
+import json
+import lqgcost.cost_expm as ce
+from lqgcost import AccuracyError, cost_stats_lyapunov
+from test_cost_expm import _variance_lost_by_expm
+
+system, cost = _variance_lost_by_expm()
+try:
+    ce.cost_stats_expm(system, cost)
+    expm = "returned"
+except AccuracyError as exc:
+    expm = "AccuracyError: " + str(exc)
+lyap = cost_stats_lyapunov(system, cost)
+auto = {}
+for switch in (20.0, 50.0):      # Lyapunov route first, exponential route first
+    ce.AUTO_GROWTH_SWITCH = switch
+    stats = ce.auto_cost_stats(system, cost)
+    auto[switch] = [stats.method, (stats.mean, stats.variance) == (lyap.mean, lyap.variance)]
+print(json.dumps({"expm": expm, "lyapunov": lyap.variance, "auto": list(auto.values())}))
+"""
+
+
+def test_expm_lost_variance_is_accuracy_error():
+    # The exponential route's raw variance here is rounding noise whose sign
+    # depends on how BLAS splits the 200 x 200 products: about -6.4e8 on one
+    # OpenBLAS thread, +3.2e8 on two.  The child process pins one thread, so
+    # the route takes its negative-variance path.
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]),
+               **{name: "1" for name in BLAS_THREADS})
+    done = subprocess.run([sys.executable, "-c", LOST_VARIANCE_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    out = json.loads(done.stdout)
+    assert out["expm"].startswith("AccuracyError: block exponential lost the variance")
+    assert out["lyapunov"] == pytest.approx(3.392e7, rel=1e-3)
+    assert out["auto"] == [["lyapunov", True], ["lyapunov", True]]
 
 
 class TestAutoCostStats:

@@ -251,6 +251,15 @@ class TestCancellationGuard:
         assert auto.method == "expm"
         assert (auto.mean, auto.variance) == (expm.mean, expm.variance)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.3])
+    def test_state_covariance_identity_raises(self, alpha):
+        # X[V; A] = 5e6 while Sigma_T over T = 1 is about 2
+        sys = LtiSystem(A=[[-1e-7]], V=[[1.0]], mu0=[0.0], Sigma0=[[1.0]])
+        cost = CostSpec(Q=[[1.0]], alpha=alpha, horizon=1.0)
+        with pytest.raises(AccuracyError, match="Sigma_T"):
+            expected_cost_finite(sys, cost)
+        assert auto_cost_stats(sys, cost).method == "expm"
+
     def test_auto_falls_back_to_expm_beyond_switch(self):
         # A - alpha I has the eigenvalue -1e-7: Y[Q; A_-1] is about 5e6 while
         # its integral over T = 1 is about 1; growth 30 makes auto try Lyapunov first

@@ -364,20 +364,33 @@ class TestSchurCoordinates:
 
             def run():
                 return tune._value_and_gradient(plant, loop, f, call.split()[1])
-        real = lqgcost.linalg.dtrsyl
+        _assert_perturbed_solve_refused(run, monkeypatch)
 
-        def perturbed(rel):
-            def solve(t_a, t_b, c, **kw):
-                z, scale, info = real(t_a, t_b, c, **kw)
-                noise = np.random.default_rng(7).normal(size=z.shape)
-                return z + rel * np.abs(z).max() * noise, scale, info
-            return solve
+    @pytest.mark.parametrize("alpha", [0.3, 0.0])
+    def test_finite_horizon_residual_check(self, alpha, rng, monkeypatch):
+        # both finite branches solve in Schur coordinates only too
+        sys = random_system(4, rng, alpha_shifts=(-0.3, 0.3, 0.6))
+        cost = CostSpec(Q=random_spd(4, rng), alpha=alpha, horizon=1.2)
+        _assert_perturbed_solve_refused(lambda: cost_stats_lyapunov(sys, cost), monkeypatch)
 
-        monkeypatch.setattr(lqgcost.linalg, "dtrsyl", perturbed(1e-13))
+
+def _assert_perturbed_solve_refused(run, monkeypatch):
+    """``run()`` passes with ``dtrsyl`` perturbed by 1e-13 and raises its
+    residual error with ``dtrsyl`` perturbed by 1e-6."""
+    real = lqgcost.linalg.dtrsyl
+
+    def perturbed(rel):
+        def solve(t_a, t_b, c, **kw):
+            z, scale, info = real(t_a, t_b, c, **kw)
+            noise = np.random.default_rng(7).normal(size=z.shape)
+            return z + rel * np.abs(z).max() * noise, scale, info
+        return solve
+
+    monkeypatch.setattr(lqgcost.linalg, "dtrsyl", perturbed(1e-13))
+    run()
+    monkeypatch.setattr(lqgcost.linalg, "dtrsyl", perturbed(1e-6))
+    with pytest.raises(NumericalError, match="residual"):
         run()
-        monkeypatch.setattr(lqgcost.linalg, "dtrsyl", perturbed(1e-6))
-        with pytest.raises(NumericalError, match="residual"):
-            run()
 
 
 class TestOneFactorPerEvaluation:
@@ -393,16 +406,30 @@ class TestOneFactorPerEvaluation:
         monkeypatch.setattr(lqgcost.linalg, "schur", counting)
         return calls
 
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+        real = DriftFactor.solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(DriftFactor, "solve", counting)
+        return calls
+
     @pytest.mark.parametrize("alpha,horizon", [(0.3, 1.2), (-0.4, 1.2), (0.0, 1.2),
                                                (-0.4, math.inf)])
-    def test_one_schur_per_evaluation(self, alpha, horizon, rng, schur_calls):
+    def test_one_schur_per_evaluation(self, alpha, horizon, rng, schur_calls, solve_calls):
+        # one path at both horizons: every solve runs in Schur coordinates, none
+        # through the validated DriftFactor.solve
         sys = random_system(3, rng, alpha_shifts=(-0.4, 0.3, -0.3, 0.4, -0.8, 0.6, 0.9))
         cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=horizon)
         cost_stats_lyapunov(sys, cost)
-        assert len(schur_calls) == 1
+        assert (len(schur_calls), len(solve_calls)) == (1, 0)
         variance = variance_cost_infinite if cost.is_infinite else variance_cost_finite
         variance(sys, cost)
-        assert len(schur_calls) == 2
+        assert (len(schur_calls), len(solve_calls)) == (2, 0)
 
     @pytest.mark.parametrize("alpha,horizon,shifts", [(0.3, 1.2, 4), (-0.4, 1.2, 4),
                                                       (0.0, 1.2, 1), (-0.4, math.inf, 2)])
