@@ -17,21 +17,22 @@ The feedback acts on the physical state only through u = -F xhat, so the
 (1,1) block is the open-loop drift; the closed-loop spectrum is the union
 of eig(A - BF) and eig(A - KC), as the separation principle demands.
 
-The algebraic Riccati equations are solved by Newton's method, where each
-step is one Lyapunov solve through :mod:`lqgcost.linalg`; the iteration is
-started from a stabilizing gain constructed by the eigenvalue-shift
-(Bass) trick, which is itself one more Lyapunov solve.  Every stability
-test reads ``classify_spectrum(m).is_stable`` (Re lambda < -DEFAULT_SPECTRAL_TOL).
+Each algebraic Riccati equation is solved from one ordered real Schur form
+of its Hamiltonian matrix (Laub's method), refined by one Newton step, a
+single Lyapunov solve through :mod:`lqgcost.linalg` (Kleinman).  Its one
+stability test reads ``classify_spectrum(m).is_stable`` (Re lambda <
+-DEFAULT_SPECTRAL_TOL) on the closed loop A - B R^{-1} B^T X, which for the
+two gains is A + alpha I - B F and A - K C.
 """
 
 import copy
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
-from .exceptions import DimensionError, SynthesisError
-from .linalg import _as_matrix, classify_spectrum, symmetrize
-from .linalg import solve_lyapunov, solve_lyapunov_transposed
+from .exceptions import ConditionError, DimensionError, NumericalError, SynthesisError
+from .linalg import _as_matrix, _as_square, classify_spectrum, solve_lyapunov_transposed, symmetrize
 from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "close_loop_output_feedback",
 ]
 
-RICCATI_STEP_TOL = 1e-12
-RICCATI_MAX_ITER = 100
 RICCATI_RESIDUAL_RTOL = 1e-10
 
 
@@ -57,88 +56,62 @@ class GainPair:
     K: np.ndarray = None
 
 
-def _stabilizing_init(a, b):
-    """Initial gain F0 with A - B F0 stable, by the eigenvalue-shift construction.
+def solve_riccati(a, b, q, r):
+    """Stabilizing solution of A^T X + X A + Q - X G X = 0, G = B R^{-1} B^T.
 
-    Shift beta makes A + beta I anti-stable; the Lyapunov solution P of
-    (A + beta I) P + P (A + beta I)^T = 2 B B^T is then positive definite for
-    a controllable pair, and F0 = B^T P^{-1} stabilizes A
-    (since (A - B F0) P + P (A - B F0)^T = -2 beta P < 0).
+    Laub's method: the real Schur form of the Hamiltonian [[A, -G], [-Q, -A^T]],
+    ordered so that its n left-half-plane eigenvalues lead, spans the stable
+    invariant subspace [U_11; U_21], and X = U_21 U_11^{-1} (A. J. Laub, IEEE
+    Trans. Automat. Control 24(6), 1979).  One Newton step from it, the
+    Lyapunov solve (A - B F)^T X' + X' (A - B F) + Q + F^T R F = 0 with
+    F = R^{-1} B^T X, restores the digits the subspace loses to rounding
+    (D. L. Kleinman, IEEE Trans. Automat. Control 13(1), 1968).
+
+    Raises :class:`DimensionError` naming a mis-shaped argument, and
+    :class:`SynthesisError` when not exactly n eigenvalues lie in the left
+    half-plane, U_11 is singular, the Newton step fails, the residual exceeds
+    ``RICCATI_RESIDUAL_RTOL`` relative, or A - G X is not stable.
     """
-    if classify_spectrum(a).is_stable:
-        return np.zeros((b.shape[1], a.shape[0]))
-    beta = 1.0 + np.linalg.norm(a, 2)
-    shifted = a + beta * np.eye(a.shape[0])
-    p = solve_lyapunov(shifted, -2.0 * b @ b.T)
-    try:
-        f0 = np.linalg.solve(p.T, b).T
-    except np.linalg.LinAlgError:
-        raise SynthesisError(
-            "cannot construct a stabilizing initial gain: the pair (A, B) "
-            "appears uncontrollable along an unstable mode"
-        )
-    if not classify_spectrum(a - b @ f0).is_stable:
-        raise SynthesisError(
-            "stabilizing-gain construction failed; (A, B) is likely not stabilizable"
-        )
-    return f0
-
-
-def solve_riccati(a, b, q, r, max_iter=RICCATI_MAX_ITER, step_tol=RICCATI_STEP_TOL):
-    """Stabilizing solution of A^T X + X A + Q - X B R^{-1} B^T X = 0.
-
-    Newton iteration: given the k-th gain F_k, solve the Lyapunov equation
-
-        (A - B F_k)^T X + X (A - B F_k) + Q + F_k^T R F_k = 0
-
-    and update F_{k+1} = R^{-1} B^T X.  Quadratically convergent from a
-    stabilizing start; monotone in the PSD order.
-
-    Raises :class:`SynthesisError` when no stabilizing start exists or the
-    iteration fails to push the residual below the acceptance tolerance.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    q = symmetrize(np.asarray(q, dtype=float))
-    r = symmetrize(np.asarray(r, dtype=float))
-    if b.ndim != 2 or b.shape[0] != a.shape[0]:
-        raise DimensionError(f"B must be {a.shape[0]}xm, got {b.shape}")
-    f = _stabilizing_init(a, b)
-    x = None
-    history = []
-    for _ in range(max_iter):
-        acl = a - b @ f
-        x_new = solve_lyapunov_transposed(acl, q + f.T @ r @ f)
-        x_new = symmetrize(x_new)
-        f = np.linalg.solve(r, b.T @ x_new)
-        if x is not None:
-            step = np.linalg.norm(x_new - x) / max(1.0, np.linalg.norm(x_new))
-            history.append(step)
-            if step < step_tol:
-                x = x_new
-                break
-        x = x_new
+    a = _as_square(a, "A")
+    b = _as_matrix(b, "B")
+    q = symmetrize(_as_square(q, "Q"))
+    r = symmetrize(_as_square(r, "R"))
+    n, m = len(a), b.shape[1]
+    for name, arr, shape in (("B", b, (n, m)), ("Q", q, (n, n)), ("R", r, (m, m))):
+        if arr.shape != shape:
+            raise DimensionError(f"{name} must be {shape[0]}x{shape[1]}, got {arr.shape}")
     gain_term = b @ np.linalg.solve(r, b.T)
+    _, u, stable_dim = schur(np.block([[a, -gain_term], [-q, -a.T]]),
+                             output="real", sort="lhp")
+    if stable_dim != n:
+        raise SynthesisError(
+            f"the Hamiltonian has {stable_dim} eigenvalues in the left half-plane, not {n}: "
+            "(A, B) is not stabilizable or (A, Q) has a mode on the imaginary axis")
+    try:
+        x = np.linalg.solve(u[:n, :n].T, u[n:, :n].T)   # (U_21 U_11^{-1})^T
+    except np.linalg.LinAlgError:
+        raise SynthesisError("the stable invariant subspace of the Hamiltonian is not a graph")
+    f = np.linalg.solve(r, b.T @ symmetrize(x))
+    try:
+        x = symmetrize(solve_lyapunov_transposed(a - b @ f, q + f.T @ r @ f))
+    except (ConditionError, NumericalError) as exc:
+        raise SynthesisError(f"Newton step from the Schur solution failed: {exc}") from exc
     residual = np.linalg.norm(a.T @ x + x @ a + q - x @ gain_term @ x)
     scale = 1.0 + np.linalg.norm(x) ** 2 * np.linalg.norm(gain_term)
     if residual > RICCATI_RESIDUAL_RTOL * scale:
         raise SynthesisError(
-            f"Riccati iteration did not converge: residual {residual:.3e} "
-            f"(tolerance {RICCATI_RESIDUAL_RTOL * scale:.3e}); "
-            f"step history {['%.2e' % s for s in history[-5:]]}"
+            f"Riccati residual {residual:.3e} exceeds the tolerance "
+            f"{RICCATI_RESIDUAL_RTOL * scale:.3e}"
         )
     if not classify_spectrum(a - gain_term @ x).is_stable:
-        raise SynthesisError("Riccati iteration converged to a non-stabilizing solution")
+        raise SynthesisError("the Riccati solution does not stabilize A - B R^{-1} B^T X")
     return x
 
 
 def optimal_gain(plant: LqgPlant):
     """Mean-cost-optimal state feedback gain F = R^{-1} B^T X on the shifted drift."""
     x = solve_riccati(plant.shifted_drift(), plant.B, plant.Q, plant.R)
-    f = np.linalg.solve(plant.R, plant.B.T @ x)
-    if not classify_spectrum(plant.shifted_drift() - plant.B @ f).is_stable:
-        raise SynthesisError("optimal gain does not stabilize the shifted drift")
-    return f
+    return np.linalg.solve(plant.R, plant.B.T @ x)
 
 
 def kalman_gain(plant: LqgPlant):
@@ -149,10 +122,7 @@ def kalman_gain(plant: LqgPlant):
     regardless of the cost exponent.
     """
     e = solve_riccati(plant.A.T, plant.C.T, plant.V, plant.W)
-    k = np.linalg.solve(plant.W, plant.C @ e).T
-    if not classify_spectrum(plant.A - k @ plant.C).is_stable:
-        raise SynthesisError("observer gain does not stabilize the error dynamics")
-    return k
+    return np.linalg.solve(plant.W, plant.C @ e).T
 
 
 def synthesize_gains(plant: LqgPlant, full_state=False):

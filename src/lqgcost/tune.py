@@ -7,12 +7,13 @@ once, with only its drift A - B F and weight Q + F^T R F swapped in, and one
 adjoint Lyapunov solve per forward solve for the gradient (Levine & Athans,
 1970).  A BFGS search with an interpolating Armijo backtracking line search
 runs on top of it (Nocedal & Wright, Numerical Optimization, 2nd ed.,
-Alg. 6.1 and Sec. 3.5).  A gain that fails only the route's "A+1a stable"
-check (at DEFAULT_SPECTRAL_TOL) is infinitely bad, which confines the search
-to the stabilizing set without any constraint machinery.  The mean and
-variance reported at the final gain come from the last accepted evaluation
-(for the mean objective plus the one variance solve its evaluations skip), so
-the final gain is not factored again.
+Alg. 6.1 and Sec. 3.5), which takes a step whose value ties within rounding
+on its exact slope (Hager & Zhang, SIAM J. Optim. 16(1), 2005).  A gain that
+fails only the route's "A+1a stable" check (at DEFAULT_SPECTRAL_TOL) is
+infinitely bad, which confines the search to the stabilizing set without any
+constraint machinery.  The mean and variance reported at the final gain come
+from the last accepted evaluation (for the mean objective plus the one
+variance solve its evaluations skip), so the final gain is not factored again.
 """
 
 import math
@@ -58,6 +59,10 @@ class TuneOptions:
 
 #: Armijo sufficient-decrease constant of the line search.
 ARMIJO_C1 = 1e-4
+#: Relative band within which a trial's value ties the current one.  Where the
+#: Armijo target rounds to the value, ARMIJO_C1 * step * |slope| is below
+#: eps * |value|, so the decrease to expect is below about this band.
+_TIE_RTOL = np.finfo(float).eps / ARMIJO_C1
 
 
 @dataclass
@@ -162,6 +167,11 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
     the value and slope at ``F`` and the trial's value, clamped to
     [0.1, 0.5] times the trial step (Nocedal & Wright, eq. 3.58; Dennis &
     Schnabel 1983, Alg. A6.3.1); a destabilizing trial (value +inf) halves.
+    An Armijo target that rounds to the current value accepts nothing; a
+    trial whose value ties it (``_TIE_RTOL``) is accepted when its slope s
+    meets the approximate Wolfe conditions 0.9 s_0 <= s <= -0.8 s_0 (s_0 the
+    slope at ``F``) and its gradient norm is at most half the one at ``F``,
+    so the trace may rise by rounding but a search at that floor ends.
     The search gives up once a rejected trial step is shorter than
     ``opts.step_tol``.  Gradients are exact (adjoint Lyapunov solves), so
     ``converged=True`` means the gradient norm at ``F`` is below
@@ -197,7 +207,13 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
         while True:
             s = step * direction
             new_value, new_grad, new_evaluation = evaluate(f + s.reshape(f.shape))
-            accepted = new_value <= value + ARMIJO_C1 * step * slope    # never for +inf
+            target = value + ARMIJO_C1 * step * slope
+            accepted = target < value and new_value <= target    # never for +inf
+            if not accepted and abs(new_value - value) <= _TIE_RTOL * abs(value):
+                # approximate Wolfe with delta = 0.1, sigma = 0.9, on the exact slope
+                new_slope = new_grad.ravel() @ direction
+                accepted = (0.9 * slope <= new_slope <= -0.8 * slope
+                            and np.linalg.norm(new_grad) <= 0.5 * gnorm)
             if accepted or np.linalg.norm(s) < opts.step_tol:
                 break
             if math.isfinite(new_value):

@@ -17,6 +17,7 @@ from scipy.linalg import expm
 from lqgcost import (
     CostSpec,
     JointGaussian,
+    LqgPlant,
     LtiSystem,
     joint_quartic_expectation,
 )
@@ -79,6 +80,19 @@ def random_system(n, rng, alpha_shifts=(), margin=0.3, spread=1.0, zero_mean=Fal
     mu0 = np.zeros(n) if zero_mean else rng.normal(size=n)
     sigma0 = random_spd(n, rng) + np.outer(mu0, mu0)
     return LtiSystem(A=a, V=v, mu0=mu0, Sigma0=sigma0)
+
+
+def recipe_plant(n, rng, m=3, p=4):
+    """Random n-state plant drawn from ``rng``: A ~ N(0, 1/n), then B, C, G_Q,
+    G_V ~ N(0, 1); Q = G_Q G_Q^T/n + 0.1 I, V likewise, R = I, W = 0.1 I and
+    alpha = -0.2.  Its Riccati equations grow ill-conditioned with n."""
+    a = rng.normal(size=(n, n)) / math.sqrt(n)
+    b = rng.normal(size=(n, m))
+    c = rng.normal(size=(p, n))
+    g_q = rng.normal(size=(n, n))
+    g_v = rng.normal(size=(n, n))
+    return LqgPlant(A=a, B=b, C=c, Q=g_q @ g_q.T / n + 0.1 * np.eye(n), R=np.eye(m),
+                    V=g_v @ g_v.T / n + 0.1 * np.eye(n), W=0.1 * np.eye(p), alpha=-0.2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+from scipy.linalg import solve_continuous_are
 
 from lqgcost.cli import main
 from lqgcost import CostSpec, LqgPlant, LtiSystem, save_plant_model, save_system_model
-from conftest import scalar_cost, scalar_system
+from conftest import recipe_plant, scalar_cost, scalar_system
 
 
 @pytest.fixture
@@ -149,6 +151,20 @@ class TestSynthesize:
 
     def test_wrong_kind_exits_1(self, scalar_model):
         assert main(["synthesize", scalar_model]) == 1
+
+    def test_ill_conditioned_40_state_plant(self, tmp_path):
+        # a plant whose Riccati equations an eigenvalue-shift-started Newton
+        # iteration could not solve ("(A, B) is likely not stabilizable")
+        plant = recipe_plant(40, np.random.default_rng(0))
+        model, out = tmp_path / "plant.json", tmp_path / "report.json"
+        save_plant_model(model, plant, np.zeros(40), np.zeros((40, 40)))
+        assert main(["synthesize", str(model), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        x = solve_continuous_are(plant.shifted_drift(), plant.B, plant.Q, plant.R)
+        e = solve_continuous_are(plant.A.T, plant.C.T, plant.V, plant.W)
+        for gain, expected in ((report["F"], plant.B.T @ x),
+                               (report["K"], np.linalg.solve(plant.W, plant.C @ e).T)):
+            assert_allclose(gain, expected, rtol=0, atol=1e-8 * np.abs(expected).max())
 
 
 class TestTune:

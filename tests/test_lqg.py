@@ -9,6 +9,7 @@ from lqgcost import (
     ConditionCheck,
     ConditionError,
     CostSpec,
+    DimensionError,
     LqgPlant,
     SimConfig,
     SynthesisError,
@@ -24,7 +25,8 @@ from lqgcost import (
     solve_riccati,
     synthesize_gains,
 )
-from conftest import random_spd, random_stable
+from lqgcost import linalg, lqg
+from conftest import random_spd, random_stable, recipe_plant
 
 
 def benchmark_plant():
@@ -84,6 +86,48 @@ class TestSolveRiccati:
             solve_riccati(np.array([[1.0]]), np.zeros((1, 1)),
                           np.array([[1.0]]), np.array([[1.0]]))
 
+    def test_hamiltonian_imaginary_axis_raises(self):
+        # no input and an undamped oscillator: every Hamiltonian eigenvalue is +-i
+        with pytest.raises(SynthesisError):
+            solve_riccati(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 1)),
+                          np.eye(2), np.eye(1))
+
+    @pytest.mark.parametrize("name, index, bad", [
+        ("A", 0, np.ones((2, 3))),
+        ("B", 1, np.ones((3, 1))),
+        ("B", 1, np.ones(2)),
+        ("Q", 2, np.eye(3)),
+        ("Q", 2, np.ones((2, 3))),
+        ("R", 3, np.eye(2)),
+    ])
+    def test_misshaped_argument_named(self, name, index, bad):
+        args = [np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(1)]
+        args[index] = bad
+        with pytest.raises(DimensionError, match=f"^{name} must be"):
+            solve_riccati(*args)
+
+    def test_one_schur_one_solve_one_check(self, monkeypatch):
+        # one Hamiltonian factor, one drift factor (the Newton step's) and one
+        # stability check per gain; no eigenvalue-shift start
+        counts = {"hamiltonian": 0, "drift": 0, "check": 0}
+
+        def counting(key, real):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(lqg, "schur", counting("hamiltonian", lqg.schur))
+        monkeypatch.setattr(linalg, "schur", counting("drift", linalg.schur))
+        monkeypatch.setattr(lqg, "classify_spectrum",
+                            counting("check", lqg.classify_spectrum))
+        for gain in (optimal_gain, kalman_gain):
+            for key in counts:
+                counts[key] = 0
+            gain(benchmark_plant())
+            assert counts["hamiltonian"] == 1 and counts["drift"] <= 1
+            assert counts["check"] == 1
+
 
 class TestOptimalGain:
     def test_benchmark_matches_published_rounding(self):
@@ -109,23 +153,28 @@ class TestOptimalGain:
             optimal_gain(plant)
 
     def test_ill_conditioned_newton_start(self):
-        # the second draw of this 20-state recipe has a stabilizing start gain
-        # of norm about 2e6, whose Lyapunov solves must stay accurate for the
-        # Newton iteration to reach the stabilizing solution
+        # the second draw of this 20-state recipe is ill-conditioned: its
+        # eigenvalue-shift (Bass) stabilizing gain has norm about 2e6
         rng = np.random.default_rng(11)
-        n, m, p = 20, 3, 4
-        for _ in range(2):
-            a = rng.normal(size=(n, n)) / math.sqrt(n)
-            b = rng.normal(size=(n, m))
-            c = rng.normal(size=(p, n))
-            g_q = rng.normal(size=(n, n))
-            g_v = rng.normal(size=(n, n))
-        plant = LqgPlant(A=a, B=b, C=c, Q=g_q @ g_q.T / n + 0.1 * np.eye(n), R=np.eye(m),
-                         V=g_v @ g_v.T / n + 0.1 * np.eye(n), W=0.1 * np.eye(p), alpha=-0.2)
+        recipe_plant(20, rng)
+        plant = recipe_plant(20, rng)
         x = solve_continuous_are(plant.shifted_drift(), plant.B, plant.Q, plant.R)
         expected = plant.B.T @ x
         assert_allclose(optimal_gain(plant), expected, rtol=1e-9,
                         atol=1e-9 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_recipe_plants_match_scipy(self, n):
+        # a Newton iteration from the eigenvalue-shift (Bass) start fails on
+        # 87 (n = 30) and 100 (n = 40) of seeds 0-99 of this recipe
+        for seed in range(5):
+            plant = recipe_plant(n, np.random.default_rng(seed))
+            x = solve_continuous_are(plant.shifted_drift(), plant.B, plant.Q, plant.R)
+            e = solve_continuous_are(plant.A.T, plant.C.T, plant.V, plant.W)
+            for gain, expected in ((optimal_gain(plant), plant.B.T @ x),
+                                   (kalman_gain(plant), np.linalg.solve(plant.W, plant.C @ e).T)):
+                assert_allclose(gain, expected, rtol=0,
+                                atol=1e-8 * max(1.0, np.abs(expected).max()))
 
     def test_first_order_optimality(self):
         # the Riccati gain is a stationary point of the mean cost
