@@ -24,19 +24,22 @@ a = report["assumption"]
 print(f"assumption: V = {a['V']}, mu0 = {a['mu0']}, Sigma0 = {a['Sigma0']}")
 print(f"threshold: J > {report['config']['threshold']:g}\n")
 
-print(f"{'gain':<24s} {'E[J]':>9s} {'sd[J]':>9s} {'p(J>thr)':>10s} {'count':>6s}")
+# E[J] and sd[J] are the analytic values over the simulated horizon T = 20,
+# the interval the exceedance counts come from
+print(f"{'gain':<24s} {'E[J] T=20':>9s} {'sd[J] T=20':>10s} {'p(J>thr)':>10s} {'count':>6s}")
 for label in ("mean_optimal", "variance_minimizing"):
     row = report[label]
     gain = ", ".join(f"{g:.3f}" for g in np.ravel(row["gain"]))
     print(f"[{gain}]".ljust(24)
-          + f" {row['analytic']['mean']:>9.2f} {row['analytic']['std']:>9.2f}"
+          + f" {row['analytic']['mean']:>9.2f} {row['analytic']['std']:>10.2f}"
           + f" {row['empirical']['exceed_prob']:>10.4%}"
           + f" {row['empirical']['exceed_count']:>6d}")
 
 print(f"\nvariance-minimizing gain violates the budget less often: "
       f"{report['direction_holds']}")
 
-print("\nvariance along the segment between the two gains:")
+print("\ninfinite-horizon variance (the tuner's objective) along the segment "
+      "between the two gains:")
 for pt in report["variance_landscape_on_segment"]:
     bar = "#" * int(60 * (pt["variance"] / report["variance_landscape_on_segment"][0]["variance"]))
     print(f"  t = {pt['t']:.2f}  var = {pt['variance']:>9.1f}  {bar}")

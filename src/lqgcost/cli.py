@@ -29,7 +29,6 @@ from .demo import default_assumption, threshold_study
 from .exceptions import (
     AccuracyError,
     ConditionError,
-    LqgCostError,
     ModelFormatError,
     NumericalError,
 )
@@ -40,7 +39,7 @@ from .models import (
     load_model,
     save_system_model,
 )
-from .simulate import SimConfig, simulate_costs
+from .simulate import SimConfig, simulation_report
 from .systems import CostSpec, INFINITE_HORIZON
 from .tune import TuneOptions, minimize_variance
 
@@ -148,62 +147,36 @@ def cmd_simulate(args):
         horizon = cost.horizon
     cfg = SimConfig(dt=args.dt, T=horizon, n_paths=args.paths, seed=args.seed,
                     threshold=args.threshold, scheme=args.scheme)
-    empirical = simulate_costs(system, cost, cfg)
+    result = simulation_report(system, cost, cfg)
+    empirical, analytic, agreement = result["empirical"], result["analytic"], result["agreement"]
 
     effective_t = cfg.n_steps * cfg.dt
-    analytic = None
-    analytic_error = None
-    agreement = None
-    try:
-        finite_cost = CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=effective_t)
-        stats = auto_cost_stats(system, finite_cost)
-        analytic = {"mean": stats.mean, "variance": stats.variance,
-                    "method": stats.method, "horizon": effective_t}
-        mean_z = abs(empirical.mean - stats.mean) / empirical.mean_stderr
-        var_z = abs(empirical.variance - stats.variance) / empirical.variance_stderr
-        agreement = {
-            "mean_z": mean_z,
-            "variance_z": var_z,
-            "within_4_stderr": bool(mean_z <= 4.0 and var_z <= 4.0),
-        }
-    except LqgCostError as exc:
-        analytic_error = str(exc)
-
     print(f"simulate {args.model}")
     print(f"  scheme = {cfg.scheme}, paths = {cfg.n_paths}, dt = {_fmt(cfg.dt)}, "
           f"T = {_fmt(effective_t)}, seed = {cfg.seed}")
-    print(f"  empirical mean     = {_fmt(empirical.mean)}  (stderr {_fmt(empirical.mean_stderr)})")
-    print(f"  empirical variance = {_fmt(empirical.variance)}  (stderr {_fmt(empirical.variance_stderr)})")
-    if empirical.exceed_prob is not None:
-        print(f"  exceedance p(J > {_fmt(cfg.threshold)}) = {_fmt(empirical.exceed_prob)}"
-              f"  ({empirical.exceed_count}/{empirical.n_paths})")
-    if analytic is not None:
-        flag = "PASS" if agreement["within_4_stderr"] else "FAIL"
+    for name in ("mean", "variance"):
+        print(f"  empirical {name:<8s} = {_fmt(empirical[name])}"
+              f"  (stderr {_fmt(empirical[name + '_stderr'])})")
+    if empirical["exceed_prob"] is not None:
+        print(f"  exceedance p(J > {_fmt(cfg.threshold)}) = {_fmt(empirical['exceed_prob'])}"
+              f"  ({empirical['exceed_count']}/{empirical['n_paths']})")
+    if analytic is None:
+        print(f"  analytic comparison unavailable: {result['analytic_error']}")
+    else:
         print(f"  analytic mean/variance = {_fmt(analytic['mean'])} / {_fmt(analytic['variance'])}"
               f"  (method {analytic['method']})")
-        print(f"  agreement |z| mean = {_fmt(agreement['mean_z'])}, "
-              f"variance = {_fmt(agreement['variance_z'])}  -> {flag}")
-    else:
-        print(f"  analytic comparison unavailable: {analytic_error}")
+        if agreement is None:
+            print("  agreement cannot be assessed with fewer than 2 paths")
+        else:
+            flag = "PASS" if agreement["within_4_stderr"] else "FAIL"
+            print(f"  agreement |z| mean = {_fmt(agreement['mean_z'])}, "
+                  f"variance = {_fmt(agreement['variance_z'])}  -> {flag}")
 
     report = {
         "command": "simulate",
-        "config": {"dt": cfg.dt, "T": effective_t, "n_paths": cfg.n_paths,
-                   "seed": cfg.seed, "scheme": cfg.scheme,
-                   "threshold": cfg.threshold},
-        "empirical": {
-            "mean": empirical.mean,
-            "variance": empirical.variance,
-            "mean_stderr": empirical.mean_stderr,
-            "variance_stderr": empirical.variance_stderr,
-            "n_paths": empirical.n_paths,
-            "exceed_prob": empirical.exceed_prob,
-            "exceed_count": empirical.exceed_count,
-            "exceed_stderr": empirical.exceed_stderr,
-        },
-        "analytic": analytic,
-        "analytic_error": analytic_error,
-        "agreement": agreement,
+        "config": {"dt": cfg.dt, "T": effective_t, "n_paths": cfg.n_paths, "seed": cfg.seed,
+                   "scheme": cfg.scheme, "threshold": cfg.threshold},
+        **result,
     }
     _write_out(args, report)
     return EXIT_OK
@@ -315,10 +288,7 @@ def _load_assumption(path):
     if not isinstance(raw, dict) or set(raw) - allowed:
         raise ModelFormatError(f"{path}: assumption file allows only fields {sorted(allowed)}")
     base = default_assumption()
-    out = {}
-    for key in allowed:
-        out[key] = np.asarray(raw.get(key, base[key]), dtype=float)
-    return out
+    return {key: np.asarray(raw.get(key, base[key]), dtype=float) for key in allowed}
 
 
 def cmd_reproduce_example(args):
@@ -334,17 +304,21 @@ def cmd_reproduce_example(args):
     print(f"  assumption: V = {a['V']}, mu0 = {a['mu0']}, Sigma0 = {a['Sigma0']}")
     print(f"  config: paths = {args.paths}, T = {_fmt(args.T)}, dt = {_fmt(args.dt)}, "
           f"threshold = {_fmt(args.threshold)}, seed = {args.seed}")
-    header = (f"  {'gain':<28s} {'E[J]':>10s} {'sd[J]':>10s} "
-              f"{'p(J>thr)':>10s} {'count':>8s} {'consistent':>10s}")
-    print(header)
+    t_label = f"T={_fmt(args.T)}"
+    print(f"  {'gain':<28s} {'E[J] ' + t_label:>10s} {'sd[J] ' + t_label:>10s} "
+          f"{'p(J>thr)':>10s} {'count':>8s} {'consistent':>10s}")
     for label in ("mean_optimal", "variance_minimizing"):
         row = report[label]
         gain = ", ".join(f"{g:.4f}" for g in np.ravel(row["gain"]))
-        ok = "yes" if row["consistency"]["within_4_stderr"] else "NO"
+        agreement = row["agreement"]
+        ok = "n/a" if agreement is None else "yes" if agreement["within_4_stderr"] else "NO"
         print(f"  {('[' + gain + ']'):<28s} {row['analytic']['mean']:>10.4f} "
               f"{row['analytic']['std']:>10.4f} "
               f"{row['empirical']['exceed_prob']:>10.5%} "
               f"{row['empirical']['exceed_count']:>8d} {ok:>10s}")
+    print(f"  tuner's objective Var[J] at T=inf: "
+          f"{report['mean_optimal']['objective']['variance']:.4f} (mean-optimal), "
+          f"{report['variance_minimizing']['objective']['variance']:.4f} (variance-minimizing)")
     tuner = report["tuner"]
     print(f"  tuner: {tuner['iterations']} iterations, stopped on {tuner['stop_reason']}, "
           f"gradient norm = {_fmt(tuner['gradient_norm'])}")

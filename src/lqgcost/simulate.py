@@ -31,9 +31,7 @@ from its own stream, SFC64 seeded by ``SeedSequence(seed, spawn_key=(b,))``
 the seed and the batch index.  The batch first draws an (n, count) block for
 the initial state, then one (n, count) block per step, coordinate-major.
 Results are therefore bit-identical for a given (seed, n_paths, dt, T,
-scheme) no matter how many worker threads execute the batches.  These streams
-replaced per-batch Philox keys, so a given seed now yields different (but
-statistically equivalent) samples than releases that used Philox.
+scheme) no matter how many worker threads execute the batches.
 """
 
 import math
@@ -45,16 +43,26 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
+from .cost_expm import auto_cost_stats
+from .exceptions import LqgCostError
 from .linalg import mat_exp, psd_factor
 from .moments import noise_gramian_finite
 from .systems import CostSpec, LtiSystem
 
-__all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "exceedance_probability"]
+__all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "exceedance_probability",
+           "simulation_report"]
 
 #: Paths per random stream; fixed so that results never depend on threading.
 BATCH_SIZE = 16384
 
 THREADS_ENV_VAR = "LQGCOST_THREADS"
+
+
+def _whole_number(name, value, least):
+    """``value`` as an int; ValueError unless it is a whole number >= ``least``."""
+    if int(value) != value or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -75,20 +83,16 @@ class SimConfig:
     threads: int = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
-        if int(self.n_paths) != self.n_paths or self.n_paths < 1:
-            raise ValueError(f"n_paths must be a positive integer, got {self.n_paths}")
-        self.n_paths = int(self.n_paths)
-        self.seed = int(self.seed)
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
+        self.n_paths = _whole_number("n_paths", self.n_paths, 1)
+        self.seed = _whole_number("seed", self.seed, 0)
         if self.scheme not in ("euler", "exact"):
             raise ValueError(f"scheme must be 'euler' or 'exact', got {self.scheme!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if self.threads is not None:
+            self.threads = _whole_number("threads", self.threads, 1)
 
     @property
     def n_steps(self):
@@ -96,7 +100,7 @@ class SimConfig:
 
     def resolved_threads(self):
         if self.threads is not None:
-            return int(self.threads)
+            return self.threads
         env = os.environ.get(THREADS_ENV_VAR, "")
         try:
             return max(1, int(env))
@@ -265,3 +269,37 @@ def exceedance_probability(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
     if cfg.threshold is None:
         raise ValueError("cfg.threshold must be set for exceedance estimation")
     return simulate_costs(sys, cost, cfg)
+
+
+def _z_score(gap, stderr):
+    """|gap| in standard errors; a zero standard error admits only a zero gap."""
+    if stderr == 0.0:
+        return 0.0 if gap == 0.0 else math.inf
+    return abs(gap) / stderr
+
+
+def simulation_report(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
+    """Simulate ``cfg`` and judge ``auto_cost_stats`` at the simulated horizon against it.
+
+    Returns ``empirical`` (the estimates but the final second moment),
+    ``analytic`` (None, with ``analytic_error``, when no route applies) and
+    ``agreement`` (|z| of mean and variance and whether both are at most 4;
+    None without an analytic value or with fewer than two paths).
+    """
+    empirical = simulate_costs(sys, cost, cfg)
+    horizon = cfg.n_steps * cfg.dt
+    analytic = analytic_error = agreement = None
+    try:
+        stats = auto_cost_stats(sys, CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=horizon))
+    except LqgCostError as exc:
+        analytic_error = str(exc)
+    else:
+        analytic = {"mean": stats.mean, "variance": stats.variance, "std": stats.std,
+                    "method": stats.method, "horizon": horizon}
+        if empirical.n_paths > 1:
+            mean_z = _z_score(empirical.mean - stats.mean, empirical.mean_stderr)
+            variance_z = _z_score(empirical.variance - stats.variance, empirical.variance_stderr)
+            agreement = {"mean_z": mean_z, "variance_z": variance_z,
+                         "within_4_stderr": bool(mean_z <= 4.0 and variance_z <= 4.0)}
+    return {"empirical": {k: v for k, v in vars(empirical).items() if k != "second_moment_final"},
+            "analytic": analytic, "analytic_error": analytic_error, "agreement": agreement}

@@ -250,8 +250,8 @@ def test_threshold_experiment():
                              threshold=1500.0, seed=20160501)
     for label in ("mean_optimal", "variance_minimizing"):
         row = report[label]
-        assert row["consistency"]["within_4_stderr"], (
-            f"{label}: analytic/empirical disagreement {row['consistency']}")
+        assert row["agreement"]["within_4_stderr"], (
+            f"{label}: analytic/empirical disagreement {row['agreement']}")
     gain = np.ravel(report["mean_optimal"]["gain"])
     assert abs(gain[0] - 1.6) <= 0.05 and abs(gain[1] - 9.9) <= 0.05
     p_opt = report["mean_optimal"]["empirical"]["exceed_prob"]

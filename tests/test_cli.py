@@ -95,6 +95,10 @@ class TestSimulate:
     def test_zero_paths_exits_1(self, scalar_model):
         assert main(["simulate", scalar_model, "--paths", "0", "--T", "2"]) == 1
 
+    def test_infinite_T_exits_1(self, scalar_model, capsys):
+        assert main(["simulate", scalar_model, "--paths", "10", "--T", "inf"]) == 1
+        assert "T must be positive and finite" in capsys.readouterr().err
+
     def test_infinite_horizon_requires_T(self, scalar_model, capsys):
         assert main(["simulate", scalar_model, "--paths", "100"]) == 1
         assert "--T is required" in capsys.readouterr().err
@@ -125,6 +129,29 @@ class TestSimulate:
         report = json.loads(out.read_text())
         assert report["agreement"]["within_4_stderr"] is True
         assert "PASS" in capsys.readouterr().out
+
+    def test_deterministic_model_zero_stderr(self, tmp_path, capsys):
+        # no noise, deterministic start: both standard errors are 0, so the
+        # variance (0 = 0) agrees and the mean's quadrature bias is infinitely
+        # many standard errors off
+        model, out = tmp_path / "deterministic.json", tmp_path / "report.json"
+        save_system_model(model, scalar_system(a=-1.0, v=0.0, mu0=1.0, sigma0=1.0),
+                          scalar_cost(alpha=-0.5, horizon=2.0))
+        assert main(["simulate", str(model), "--paths", "100", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["empirical"]["mean_stderr"] == 0.0
+        assert report["agreement"] == {"mean_z": "inf", "variance_z": 0.0,
+                                       "within_4_stderr": False}
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_single_path_not_assessed(self, scalar_model, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["simulate", scalar_model, "--paths", "1", "--T", "2",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["analytic"]["horizon"] == 2.0 and report["agreement"] is None
+        stdout = capsys.readouterr().out
+        assert "agreement cannot be assessed" in stdout and "PASS" not in stdout
 
 
 class TestSynthesize:

@@ -11,13 +11,19 @@ from lqgcost import (
     EmpiricalCostStats,
     LtiSystem,
     SimConfig,
+    auto_cost_stats,
+    benchmark_plant,
+    close_loop_full_state,
+    evaluate_gain,
     exceedance_probability,
     expected_cost_finite,
+    optimal_gain,
     psd_factor,
     second_moment,
     simulate_costs,
     variance_cost_finite,
 )
+from lqgcost.demo import _gain_report
 from lqgcost.simulate import BATCH_SIZE, _batch_stream, _cost_weights, _step_operators
 from conftest import random_spd, random_system, scalar_cost, scalar_system
 
@@ -65,6 +71,22 @@ class TestSimConfig:
     def test_rejects_bad_paths(self):
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, T=1.0, n_paths=0)
+
+    @pytest.mark.parametrize("field,value", [("n_paths", 10.5), ("seed", 1.7), ("seed", -1),
+                                             ("threads", 1.5), ("threads", 0)])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{"dt": 0.01, "T": 1.0, "n_paths": 10, field: value})
+
+    @pytest.mark.parametrize("field,value", [("dt", math.inf), ("T", math.inf), ("T", math.nan)])
+    def test_rejects_non_finite_step_or_horizon(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{"dt": 0.01, "T": 1.0, "n_paths": 10, field: value})
+
+    def test_whole_float_counts_become_int(self):
+        cfg = SimConfig(dt=0.01, T=1.0, n_paths=10.0, seed=3.0, threads=2.0)
+        assert (cfg.n_paths, cfg.seed, cfg.threads) == (10, 3, 2)
+        assert all(type(v) is int for v in (cfg.n_paths, cfg.seed, cfg.threads))
 
     def test_rejects_bad_scheme(self):
         with pytest.raises(ValueError):
@@ -242,3 +264,26 @@ class TestExceedance:
         p = out.exceed_prob
         assert out.exceed_stderr == pytest.approx(math.sqrt(p * (1 - p) / 20_000))
         assert out.exceed_prob == out.exceed_count / 20_000
+
+
+class TestSimulationReport:
+    def test_study_row_at_simulated_horizon(self):
+        # both study loops are open-loop unstable, so the cost over [20, inf)
+        # still weighs: the simulation is judged at T = 20, the tuner's
+        # infinite-horizon objective is reported beside it
+        plant, mu0, sigma0 = benchmark_plant(), np.zeros(2), np.zeros((2, 2))
+        f = optimal_gain(plant)
+        cfg = SimConfig(dt=0.01, T=20.0, n_paths=200, seed=1, threshold=1500.0,
+                        scheme="exact")
+        row = _gain_report(plant, f, mu0, sigma0, cfg)
+        sys, cost = close_loop_full_state(plant, f, mu0, sigma0)
+        at_t = auto_cost_stats(sys, CostSpec(Q=cost.Q, alpha=cost.alpha,
+                                             horizon=cfg.n_steps * cfg.dt))
+        assert row["analytic"]["mean"] == at_t.mean
+        assert row["analytic"]["mean"] == pytest.approx(152.46809102437012, rel=1e-12)
+        assert row["analytic"]["horizon"] == 20.0
+        objective = evaluate_gain(plant, f, mu0, sigma0)
+        assert row["objective"]["mean"] == objective.mean
+        assert row["objective"]["mean"] == pytest.approx(152.56202000659397, rel=1e-12)
+        assert row["objective"]["horizon"] == math.inf
+        assert row["agreement"]["within_4_stderr"] is True

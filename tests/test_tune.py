@@ -229,7 +229,8 @@ class TestMinimizeVariance:
               f"{result.variance_at_F:.1f} vs {base.variance:.1f} at the Riccati gain")
 
     def test_study_gain_is_stationary(self, monkeypatch):
-        # threshold_study's settings
+        # perfbench's tune-plant settings: threshold_study's step_tol and budget,
+        # stopping at grad_tol 1e-2
         plant = benchmark_plant()
         calls = []
         original = tune._infinite_objective_gradient
@@ -254,8 +255,9 @@ class TestMinimizeVariance:
         assert result.variance_at_F <= 32393.94
 
     def test_study_tune_evaluation_count(self, monkeypatch):
-        # threshold_study's settings; interpolating backtracking takes the first
-        # step from 1 to its accepted length in fewer trials than halving
+        # the benchmark tune (grad_tol 1e-2); interpolating backtracking takes
+        # the first step from 1 to its accepted length in fewer trials than
+        # halving
         plant = benchmark_plant()
         calls = []
         original = tune._value_and_gradient
@@ -273,8 +275,8 @@ class TestMinimizeVariance:
         assert result.variance_at_F <= 32393.930379289493
 
     def test_study_tune_one_factor_per_evaluation(self, monkeypatch):
-        # threshold_study's settings; the statistics at F come from the last
-        # accepted evaluation, so the final gain is not factored again
+        # the benchmark tune (grad_tol 1e-2); the statistics at F come from the
+        # last accepted evaluation, so the final gain is not factored again
         plant = benchmark_plant()
         opts = TuneOptions(f0=optimal_gain(plant), objective="variance", grad_tol=1e-2,
                            step_tol=1e-10, max_iter=3000)
