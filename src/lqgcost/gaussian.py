@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError
-from .linalg import _as_matrix, _as_square, is_symmetric, symmetrize
+from .linalg import _as_matrix, _as_square, _require_psd, _require_symmetric
 
 __all__ = [
     "JointGaussian",
@@ -45,11 +45,8 @@ def covariance_from_second_moment(second, mu):
     return np.asarray(second, dtype=float) - np.outer(mu, mu)
 
 
-def _require_symmetric_weight(m, name):
-    m = _as_square(m, name)
-    if not is_symmetric(m):
-        raise ValueError(f"{name} must be symmetric")
-    return symmetrize(m)
+def _square_symmetric(m, name):
+    return _require_symmetric(_as_square(m, name), name)
 
 
 @dataclass
@@ -66,26 +63,24 @@ class JointGaussian:
         self.mu_x = np.asarray(self.mu_x, dtype=float).reshape(-1)
         self.mu_y = np.asarray(self.mu_y, dtype=float).reshape(-1)
         nx, ny = self.mu_x.size, self.mu_y.size
-        self.K_xx = _as_square(self.K_xx, "K_xx")
-        self.K_yy = _as_square(self.K_yy, "K_yy")
+        self.K_xx = _square_symmetric(self.K_xx, "K_xx")
+        self.K_yy = _square_symmetric(self.K_yy, "K_yy")
         self.K_xy = _as_matrix(self.K_xy, "K_xy")
         if self.K_xx.shape != (nx, nx) or self.K_yy.shape != (ny, ny) or self.K_xy.shape != (nx, ny):
             raise DimensionError(
                 f"covariance blocks {self.K_xx.shape}/{self.K_xy.shape}/{self.K_yy.shape} "
                 f"do not conform with mean sizes {nx}/{ny}"
             )
-        joint = np.block([[self.K_xx, self.K_xy], [self.K_xy.T, self.K_yy]])
-        w = np.linalg.eigvalsh(symmetrize(joint))
-        if w[0] < -1e-8 * max(abs(w[-1]), 1.0):
-            raise ValueError(f"joint covariance is not PSD (min eigenvalue {w[0]:.3e})")
+        _require_psd(np.block([[self.K_xx, self.K_xy], [self.K_xy.T, self.K_yy]]),
+                     "joint covariance")
 
 
 def quartic_expectation(mu, second, p, q):
     """E[x^T P x * x^T Q x] for Gaussian x with mean mu and second moment E[x x^T]."""
     mu = np.asarray(mu, dtype=float).reshape(-1)
     s = _as_square(second, "second moment")
-    p = _require_symmetric_weight(p, "P")
-    q = _require_symmetric_weight(q, "Q")
+    p = _square_symmetric(p, "P")
+    q = _square_symmetric(q, "Q")
     if s.shape[0] != mu.size or p.shape != s.shape or q.shape != s.shape:
         raise DimensionError("mu, second moment, P and Q sizes do not conform")
     sp = s @ p
@@ -99,8 +94,8 @@ def quartic_expectation(mu, second, p, q):
 
 def joint_quartic_expectation(jg: JointGaussian, p, q):
     """E[x^T P x * y^T Q y] for the jointly Gaussian pair ``jg``."""
-    p = _require_symmetric_weight(p, "P")
-    q = _require_symmetric_weight(q, "Q")
+    p = _square_symmetric(p, "P")
+    q = _square_symmetric(q, "Q")
     nx, ny = jg.mu_x.size, jg.mu_y.size
     if p.shape != (nx, nx) or q.shape != (ny, ny):
         raise DimensionError(f"P must be {nx}x{nx} and Q {ny}x{ny}, got {p.shape}, {q.shape}")

@@ -6,6 +6,10 @@ reduces to the handful of operations in this module.  All functions are pure
 and operate on plain ``numpy`` arrays of float64; :class:`DriftFactor` holds
 the real Schur form of one drift so that every shifted or transposed Lyapunov
 equation on it reuses a single factorization.
+
+The kernels' tolerances are constants of this module, with no per-call
+override, and symmetry and (semi)definiteness are decided only here, at
+``PSD_TOL``.
 """
 
 import math
@@ -17,7 +21,8 @@ import numpy as np
 from scipy.linalg import expm, schur
 from scipy.linalg.lapack import dtrsyl
 
-from .exceptions import ConditionCheck, DimensionError, NumericalError, SingularLyapunovError
+from .exceptions import (ConditionCheck, ConditionError, DimensionError, NumericalError,
+                         SingularLyapunovError)
 
 __all__ = [
     "SpectrumReport",
@@ -33,11 +38,15 @@ __all__ = [
     "is_symmetric",
 ]
 
-#: Default relative tolerance separating genuine spectral degeneracy from rounding.
+#: Relative tolerance separating genuine spectral degeneracy from rounding.
 DEFAULT_SPECTRAL_TOL = 1e-9
 
-#: Default relative residual tolerance for Lyapunov solves.
+#: Relative residual tolerance of every Lyapunov solve and Schur factor.
 DEFAULT_RESIDUAL_RTOL = 1e-8
+
+#: Slack, relative to max(largest magnitude, 1), within which a matrix counts
+#: as symmetric and its smallest eigenvalue as nonnegative.
+PSD_TOL = 1e-8
 
 
 def _as_matrix(a, name="matrix"):
@@ -57,11 +66,36 @@ def _as_square(a, name="matrix"):
     return arr
 
 
-def is_symmetric(a, rtol=1e-10, atol=1e-12):
-    """``np.allclose(a, a.T, rtol, atol)`` for a square finite ``a``, without its overhead."""
+def is_symmetric(a):
+    """The package's symmetry test: square, max|a - a^T| <= PSD_TOL * max(max|a|, 1)."""
     a = np.asarray(a, dtype=float)
     return a.shape[0] == a.shape[1] and bool(
-        np.all(np.abs(a - a.T) <= atol + rtol * np.abs(a.T)))
+        np.abs(a - a.T).max() <= PSD_TOL * max(np.abs(a).max(), 1.0))
+
+
+def _require_symmetric(m, name):
+    """The symmetric part of the square ``m``; ConditionError unless it is symmetric."""
+    if not is_symmetric(m):
+        raise ConditionError(f"{name} must be symmetric",
+                             conditions=[ConditionCheck(f"{name} symmetric", False)])
+    return symmetrize(m)
+
+
+def _require_psd(m, name):
+    w = np.linalg.eigvalsh(symmetrize(m))
+    scale = max(abs(w[0]), abs(w[-1]), 1.0)
+    if w[0] < -PSD_TOL * scale:
+        raise ConditionError(
+            f"{name} must be positive semidefinite (min eigenvalue {w[0]:.3e})",
+            conditions=[ConditionCheck(f"{name} >= 0", False, f"min eigenvalue {w[0]:.3e}")],
+        )
+
+
+def _require_pd(m, name):
+    w = np.linalg.eigvalsh(m)
+    if w[0] <= PSD_TOL * max(abs(w[-1]), 1.0):
+        raise ConditionError(f"{name} must be positive definite",
+                             conditions=[ConditionCheck(f"{name} > 0", False)])
 
 
 def _fro(m):
@@ -135,14 +169,14 @@ def _classify(lam, tol):
                           tolerance_used=tol)
 
 
-def classify_spectrum(a, tol=DEFAULT_SPECTRAL_TOL):
-    """Classify the spectrum of ``a`` for stability and Lyapunov solvability."""
+def classify_spectrum(a):
+    """Classify the spectrum of ``a`` at ``DEFAULT_SPECTRAL_TOL``."""
     a = _as_square(a, "A")
     try:
         lam = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigenvalue computation failed for {a.shape} matrix: {exc}")
-    return _classify(lam, tol)
+    return _classify(lam, DEFAULT_SPECTRAL_TOL)
 
 
 def _schur_eigenvalues(t):
@@ -191,10 +225,11 @@ class DriftFactor:
     directly, which skips W's validation and the two mappings but keeps the
     Sylvester refusal and the residual test.
 
-    Each shift's :class:`SpectrumReport` (degenerate pairs included),
-    T + s I and ||T + s I||_F are built the first time :meth:`spectrum`,
-    :meth:`solve` or :meth:`_solve_schur` asks for that shift and reused
-    after, so checking a shift and then solving on it classifies it once.
+    Each shift's :class:`SpectrumReport` (at ``DEFAULT_SPECTRAL_TOL``,
+    degenerate pairs included), T + s I and ||T + s I||_F are built the first
+    time :meth:`spectrum`, :meth:`solve` or :meth:`_solve_schur` asks for that
+    shift and reused after, so checking a shift and then solving on it
+    classifies it once.
     """
 
     def __init__(self, a):
@@ -213,30 +248,28 @@ class DriftFactor:
         self.eigenvalues = _schur_eigenvalues(self.t)
         self._shifted = {}
 
-    def _at(self, shift, tol):
-        key = (shift, tol)
-        data = self._shifted.get(key)
+    def _at(self, shift):
+        data = self._shifted.get(shift)
         if data is None:
             t_s = self.t + shift * np.eye(len(self.t))
-            data = self._shifted[key] = _Shifted(
-                _classify(self.eigenvalues + shift, tol), t_s, _fro(t_s))
+            data = self._shifted[shift] = _Shifted(
+                _classify(self.eigenvalues + shift, DEFAULT_SPECTRAL_TOL), t_s, _fro(t_s))
         return data
 
-    def spectrum(self, shift=0.0, tol=DEFAULT_SPECTRAL_TOL):
+    def spectrum(self, shift=0.0):
         """SpectrumReport of A + shift * I."""
-        return self._at(shift, tol).report
+        return self._at(shift).report
 
-    def _solve_schur(self, w, shift=0.0, transposed=False, symmetric=True,
-                     tol=DEFAULT_SPECTRAL_TOL, rtol=DEFAULT_RESIDUAL_RTOL):
+    def _solve_schur(self, w, shift=0.0, transposed=False, symmetric=True):
         """Solve T_s Z + Z T_s^T + W = 0, or with ``transposed``
         T_s^T Z + Z T_s + W = 0, for T_s = T + ``shift`` I and a W already in
         the Schur basis; W is not validated.  A ``symmetric`` W has a
         symmetric Z, returned as the symmetric part of the computed one.
 
         Refuses a shift whose eigenvalues pair up to (nearly) zero, and a Z
-        with ||residual||_F > rtol * (||T_s||_F ||Z||_F + ||W||_F).
+        with ||residual||_F > DEFAULT_RESIDUAL_RTOL * (||T_s||_F ||Z||_F + ||W||_F).
         """
-        report, t_s, t_s_norm = self._at(shift, tol)
+        report, t_s, t_s_norm = self._at(shift)
         if not report.is_sylvester:
             i, j = report.degenerate_pairs[0]
             lam = report.eigenvalues
@@ -263,15 +296,15 @@ class DriftFactor:
         else:
             residual = _fro(t_s @ z + z @ t_s.T + w)
         bound = t_s_norm * _fro(z) + _fro(w)
-        if residual > rtol * max(bound, 1e-300):
+        if residual > DEFAULT_RESIDUAL_RTOL * max(bound, 1e-300):
             raise NumericalError(
-                f"lyapunov solution residual {residual:.3e} exceeds {rtol:.1e} * {bound:.3e}; "
+                f"lyapunov solution residual {residual:.3e} exceeds "
+                f"{DEFAULT_RESIDUAL_RTOL:.1e} * {bound:.3e}; "
                 "the equation is too ill-conditioned for the dense solver"
             )
         return z
 
-    def solve(self, w, shift=0.0, transposed=False, tol=DEFAULT_SPECTRAL_TOL,
-              rtol=DEFAULT_RESIDUAL_RTOL):
+    def solve(self, w, shift=0.0, transposed=False):
         """Solve (A+sI) X + X (A+sI)^T + W = 0, or with ``transposed`` the
         equation (A+sI)^T Y + Y (A+sI) + W = 0, for s = ``shift``.
 
@@ -282,26 +315,20 @@ class DriftFactor:
             raise DimensionError(
                 f"A and Q must have equal shapes, got {self.a.shape} and {w.shape}")
         u = self.u
-        z = self._solve_schur(u.T @ w @ u, shift, transposed, symmetric=False, tol=tol, rtol=rtol)
+        z = self._solve_schur(u.T @ w @ u, shift, transposed, symmetric=False)
         x = u @ z @ u.T
         # the solution of a symmetric equation is symmetric; here its symmetric
         # part is taken in A's basis
         return symmetrize(x) if is_symmetric(w) else x
 
 
-def solve_lyapunov(a, q, tol=DEFAULT_SPECTRAL_TOL, rtol=DEFAULT_RESIDUAL_RTOL):
+def solve_lyapunov(a, q):
     """Solve A X + X A^T + Q = 0 for X.
 
     Parameters
     ----------
     a, q : array_like, square, same size
         Coefficient and constant matrices.
-    tol : float
-        Relative spectral tolerance for the unique-solvability check.
-    rtol : float
-        Relative residual tolerance; the solution must satisfy
-        ``||A X + X A^T + Q||_F <= rtol * (||A||_F ||X||_F + ||Q||_F)``,
-        tested in the Schur basis (see Notes).
 
     Returns
     -------
@@ -315,7 +342,8 @@ def solve_lyapunov(a, q, tol=DEFAULT_SPECTRAL_TOL, rtol=DEFAULT_RESIDUAL_RTOL):
     SingularLyapunovError
         If some eigenvalue pair of ``a`` sums to zero (no unique solution).
     NumericalError
-        If the Schur factor or the solution fails its residual test.
+        If the Schur factor or the solution fails its residual test, which
+        asks ``||A X + X A^T + Q||_F <= DEFAULT_RESIDUAL_RTOL * (||A||_F ||X||_F + ||Q||_F)``.
 
     Notes
     -----
@@ -325,25 +353,24 @@ def solve_lyapunov(a, q, tol=DEFAULT_SPECTRAL_TOL, rtol=DEFAULT_RESIDUAL_RTOL):
     in memory.  The residual tested is that of Z on T: U is orthogonal, so
     its norms equal those of X on A once the factor itself has passed
     ||A - U T U^T||_F <= DEFAULT_RESIDUAL_RTOL * ||A||_F.  The Schur factor
-    depends only on A, and A + s I has the
-    factor U (T + s I) U^T, so callers that need several shifts or the
-    transposed equation of one drift should factor it once with
-    :class:`DriftFactor` and call :meth:`DriftFactor.solve`.
+    depends only on A, and A + s I has the factor U (T + s I) U^T, so callers
+    that need several shifts or the transposed equation of one drift should
+    factor it once with :class:`DriftFactor` and call :meth:`DriftFactor.solve`.
 
     References: R. H. Bartels and G. W. Stewart, "Solution of the matrix
     equation AX + XB = C", Comm. ACM 15(9), 1972; G. H. Golub, S. Nash and
     C. Van Loan, "A Hessenberg-Schur method for the problem AX + XB = C",
     IEEE Trans. Automat. Control 24(6), 1979.
     """
-    return DriftFactor(a).solve(q, tol=tol, rtol=rtol)
+    return DriftFactor(a).solve(q)
 
 
-def solve_lyapunov_transposed(a, q, tol=DEFAULT_SPECTRAL_TOL, rtol=DEFAULT_RESIDUAL_RTOL):
+def solve_lyapunov_transposed(a, q):
     """Solve A^T X + X A + Q = 0 for X (the transposed companion equation)."""
-    return DriftFactor(a).solve(q, transposed=True, tol=tol, rtol=rtol)
+    return DriftFactor(a).solve(q, transposed=True)
 
 
-def lyap_finite(a, q, t1, t2, solution=None, tol=DEFAULT_SPECTRAL_TOL):
+def lyap_finite(a, q, t1, t2, solution=None):
     """Integral of e^{A t} Q e^{A^T t} over [t1, t2] via the Lyapunov closed form.
 
     Equals ``e^{A t1} X e^{A^T t1} - e^{A t2} X e^{A^T t2}`` where X solves
@@ -361,7 +388,7 @@ def lyap_finite(a, q, t1, t2, solution=None, tol=DEFAULT_SPECTRAL_TOL):
         raise ValueError(f"need t1 <= t2, got t1={t1}, t2={t2}")
     if t1 == t2:
         return np.zeros_like(a)
-    x = solve_lyapunov(a, q, tol=tol) if solution is None else solution
+    x = solve_lyapunov(a, q) if solution is None else solution
     e1 = mat_exp(a, t1)
     e2 = mat_exp(a, t2)
     out = e1 @ x @ e1.T - e2 @ x @ e2.T
@@ -393,17 +420,15 @@ def van_loan_integral(a1, q, a2, horizon):
     return expm(block * horizon)[:n1, n1:]
 
 
-def psd_factor(m, tol=1e-12):
-    """Factor L with L L^T = M for symmetric PSD M.
+def psd_factor(m):
+    """Factor L with L L^T = M for a symmetric positive semidefinite M.
 
-    Uses the symmetric eigendecomposition; eigenvalues below ``-tol * scale``
-    raise, tiny negatives are clamped to zero.  Robust for singular M where a
-    Cholesky factorization would fail.
+    M passes the checks :class:`~lqgcost.systems.LtiSystem` makes on V and
+    Sigma0 - mu0 mu0^T, or ConditionError is raised; the negative eigenvalues
+    they admit are clamped to zero.  Uses the symmetric eigendecomposition,
+    robust for singular M where a Cholesky factorization would fail.
     """
-    m = _as_square(m, "M")
-    m = symmetrize(m)
+    m = _require_symmetric(_as_square(m, "M"), "M")
+    _require_psd(m, "M")
     w, u = np.linalg.eigh(m)
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    if w[0] < -tol * scale:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
     return u * np.sqrt(np.clip(w, 0.0, None))

@@ -35,6 +35,7 @@ scheme) no matter how many worker threads execute the batches.
 """
 
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -60,7 +61,8 @@ THREADS_ENV_VAR = "LQGCOST_THREADS"
 
 def _whole_number(name, value, least):
     """``value`` as an int; ValueError unless it is a whole number >= ``least``."""
-    if int(value) != value or value < least:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and int(value) == value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -69,9 +71,9 @@ def _whole_number(name, value, least):
 class SimConfig:
     """Simulation parameters.
 
-    ``threshold`` enables exceedance counting.  ``threads`` defaults to the
-    LQGCOST_THREADS environment variable (1 if unset); it only distributes
-    batches over workers and never changes the results.
+    ``threshold`` (not NaN) enables exceedance counting.  ``threads`` defaults
+    to the LQGCOST_THREADS environment variable (1 if unset or empty); it only
+    distributes batches over workers and never changes the results.
     """
 
     dt: float
@@ -89,6 +91,8 @@ class SimConfig:
             raise ValueError(f"T must be positive and finite, got {self.T}")
         self.n_paths = _whole_number("n_paths", self.n_paths, 1)
         self.seed = _whole_number("seed", self.seed, 0)
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
         if self.scheme not in ("euler", "exact"):
             raise ValueError(f"scheme must be 'euler' or 'exact', got {self.scheme!r}")
         if self.threads is not None:
@@ -101,11 +105,10 @@ class SimConfig:
     def resolved_threads(self):
         if self.threads is not None:
             return self.threads
-        env = os.environ.get(THREADS_ENV_VAR, "")
-        try:
-            return max(1, int(env))
-        except ValueError:
+        env = os.environ.get(THREADS_ENV_VAR, "").strip()
+        if not env:
             return 1
+        return _whole_number(THREADS_ENV_VAR, int(env) if env.isdecimal() else env, 1)
 
 
 @dataclass

@@ -18,6 +18,9 @@ Positive ``alpha`` acts as a prescribed degree of stability, negative
 
 An :class:`LqgPlant` is the controlled and observed plant that
 :mod:`lqgcost.lqg` reduces to the autonomous form.
+
+Symmetry and (semi)definiteness are checked by :mod:`lqgcost.linalg`, at
+its ``PSD_TOL``, and refused with ConditionError.
 """
 
 import math
@@ -25,15 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConditionCheck, ConditionError, DimensionError
-from .linalg import _as_matrix, _as_square, symmetrize
+from .exceptions import DimensionError
+from .linalg import _as_matrix, _as_square, _require_pd, _require_psd, _require_symmetric
 
 __all__ = ["LtiSystem", "CostSpec", "LqgPlant", "INFINITE_HORIZON"]
 
 INFINITE_HORIZON = math.inf
-
-#: Absolute eigenvalue slack when validating positive semidefiniteness.
-PSD_TOL = 1e-8
 
 
 def _as_vector(v, n, name):
@@ -50,31 +50,6 @@ def _square_of_size(m, n, name):
     if m.shape != (n, n):
         raise DimensionError(f"{name} must be {n}x{n}, got {m.shape}")
     return _require_symmetric(m, name)
-
-
-def _require_symmetric(m, name, tol=1e-8):
-    scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
-    if np.abs(m - m.T).max() > tol * scale:
-        raise ConditionError(f"{name} must be symmetric",
-                             conditions=[ConditionCheck(f"{name} symmetric", False)])
-    return symmetrize(m)
-
-
-def _require_psd(m, name, tol=PSD_TOL):
-    w = np.linalg.eigvalsh(symmetrize(m))
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    if w[0] < -tol * scale:
-        raise ConditionError(
-            f"{name} must be positive semidefinite (min eigenvalue {w[0]:.3e})",
-            conditions=[ConditionCheck(f"{name} >= 0", False, f"min eigenvalue {w[0]:.3e}")],
-        )
-
-
-def _require_pd(m, name):
-    w = np.linalg.eigvalsh(m)
-    if w[0] <= PSD_TOL * max(abs(w[-1]), 1.0):
-        raise ConditionError(f"{name} must be positive definite",
-                             conditions=[ConditionCheck(f"{name} > 0", False)])
 
 
 @dataclass

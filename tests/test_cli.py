@@ -121,6 +121,27 @@ class TestSimulate:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_invalid_thread_env_exits_1(self, scalar_model, monkeypatch, capsys):
+        monkeypatch.setenv("LQGCOST_THREADS", "abc")
+        assert main(["simulate", scalar_model, "--paths", "10", "--T", "1"]) == 1
+        assert "LQGCOST_THREADS" in capsys.readouterr().err
+
+    def test_sigma0_at_the_semidefinite_tolerance(self, tmp_path):
+        # Sigma0's eigenvalue -1e-9 is inside PSD_TOL: the system is admitted,
+        # so the simulator must factor it as well
+        model = tmp_path / "near_psd.json"
+        sys = LtiSystem(A=[[-1.0, 0.5], [0.0, -2.0]], V=np.eye(2), mu0=np.zeros(2),
+                        Sigma0=np.diag([1.0, -1e-9]))
+        save_system_model(model, sys, CostSpec(Q=np.eye(2), alpha=0.0, horizon=2.0))
+        analyzed, simulated = tmp_path / "analyze.json", tmp_path / "simulate.json"
+        assert main(["analyze", str(model), "--out", str(analyzed)]) == 0
+        assert main(["simulate", str(model), "--scheme", "exact", "--paths", "2000",
+                     "--dt", "0.01", "--out", str(simulated)]) == 0
+        expected = json.loads(analyzed.read_text())
+        analytic = json.loads(simulated.read_text())["analytic"]
+        assert (analytic["mean"], analytic["variance"]) == (expected["mean"],
+                                                            expected["variance"])
+
     def test_agreement_flagged_pass(self, scalar_model, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["simulate", scalar_model, "--paths", "100000", "--dt", "0.02",

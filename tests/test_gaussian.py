@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lqgcost import (
+    ConditionError,
     JointGaussian,
     covariance_from_second_moment,
     joint_quartic_expectation,
@@ -25,7 +26,7 @@ class TestQuarticExpectation:
         assert quartic_expectation(np.zeros(3), s, np.zeros((3, 3)), random_spd(3, rng)) == 0.0
 
     def test_asymmetric_weight_rejected(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConditionError):
             quartic_expectation(np.zeros(2), np.eye(2),
                                 np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 

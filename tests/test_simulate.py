@@ -72,7 +72,8 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, T=1.0, n_paths=0)
 
-    @pytest.mark.parametrize("field,value", [("n_paths", 10.5), ("seed", 1.7), ("seed", -1),
+    @pytest.mark.parametrize("field,value", [("n_paths", 10.5), ("n_paths", math.nan),
+                                             ("seed", 1.7), ("seed", -1),
                                              ("threads", 1.5), ("threads", 0)])
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -82,6 +83,10 @@ class TestSimConfig:
     def test_rejects_non_finite_step_or_horizon(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{"dt": 0.01, "T": 1.0, "n_paths": 10, field: value})
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold"):
+            SimConfig(dt=0.01, T=1.0, n_paths=10, threshold=math.nan)
 
     def test_whole_float_counts_become_int(self):
         cfg = SimConfig(dt=0.01, T=1.0, n_paths=10.0, seed=3.0, threads=2.0)
@@ -95,8 +100,16 @@ class TestSimConfig:
     def test_thread_env_default(self, monkeypatch):
         monkeypatch.setenv("LQGCOST_THREADS", "3")
         assert SimConfig(dt=0.1, T=1.0, n_paths=10).resolved_threads() == 3
+        monkeypatch.setenv("LQGCOST_THREADS", "")
+        assert SimConfig(dt=0.1, T=1.0, n_paths=10).resolved_threads() == 1
         monkeypatch.delenv("LQGCOST_THREADS")
         assert SimConfig(dt=0.1, T=1.0, n_paths=10).resolved_threads() == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "2.0"])
+    def test_thread_env_must_be_whole_number(self, monkeypatch, value):
+        monkeypatch.setenv("LQGCOST_THREADS", value)
+        with pytest.raises(ValueError, match="LQGCOST_THREADS"):
+            SimConfig(dt=0.1, T=1.0, n_paths=10).resolved_threads()
 
     def test_non_integer_step_count_warns(self):
         sys, cost = reference_case()

@@ -1,0 +1,145 @@
+"""One decision per predicate: every type and kernel that checks symmetry or
+positive semidefiniteness accepts and refuses the same matrices, at
+``linalg.PSD_TOL``, and no function carries a tolerance of its own."""
+
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+
+import lqgcost
+from lqgcost import (
+    ConditionError,
+    CostSpec,
+    JointGaussian,
+    LqgPlant,
+    LtiSystem,
+    joint_quartic_expectation,
+    psd_factor,
+    quartic_expectation,
+)
+from lqgcost.linalg import PSD_TOL
+
+ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+SCALES = (1e-3, 1.0, 1e3)
+FACTORS = (0.5, 2.0)   # of the tolerance: inside, outside
+
+
+def _unit(scale):
+    """The tolerance at a matrix of largest magnitude ``scale``."""
+    return PSD_TOL * max(scale, 1.0)
+
+
+def near_psd(scale, factor):
+    """Symmetric 2x2, eigenvalues ``scale`` and -``factor`` tolerances, in a rotated basis."""
+    m = ROTATION @ np.diag([scale, -factor * _unit(scale)]) @ ROTATION.T
+    return 0.5 * (m + m.T)
+
+
+def near_symmetric(scale, factor):
+    """Positive definite 2x2 with max|m - m^T| = ``factor`` tolerances."""
+    m = scale * np.array([[1.0, 0.25], [0.25, 1.0]])
+    m[0, 1] += factor * _unit(scale)
+    return m
+
+
+def _system(v=np.eye(2), sigma0=np.eye(2)):
+    return LtiSystem(A=-np.eye(2), V=v, mu0=np.zeros(2), Sigma0=sigma0)
+
+
+def _plant(q=np.eye(2), r=np.eye(2), v=np.eye(2), w=np.eye(2)):
+    return LqgPlant(A=-np.eye(2), B=np.eye(2), C=np.eye(2), Q=q, R=r, V=v, W=w)
+
+
+def _joint(k):
+    return JointGaussian(mu_x=np.zeros(2), mu_y=np.zeros(2), K_xx=k,
+                         K_xy=np.zeros((2, 2)), K_yy=k)
+
+
+# CostSpec and the quartic expectations take indefinite weights by design, so
+# only the symmetry rows reach them.
+PSD_CHECKS = {
+    "LtiSystem V": lambda m: _system(v=m),
+    "LtiSystem Sigma0": lambda m: _system(sigma0=m),
+    "LqgPlant Q": lambda m: _plant(q=m),
+    "LqgPlant V": lambda m: _plant(v=m),
+    "psd_factor": psd_factor,
+    "JointGaussian": _joint,
+}
+
+SYMMETRY_CHECKS = {
+    **PSD_CHECKS,
+    "LqgPlant R": lambda m: _plant(r=m),
+    "LqgPlant W": lambda m: _plant(w=m),
+    "CostSpec Q": lambda m: CostSpec(Q=m),
+    "quartic_expectation P": lambda m: quartic_expectation(np.zeros(2), np.eye(2), m, np.eye(2)),
+    "quartic_expectation Q": lambda m: quartic_expectation(np.zeros(2), np.eye(2), np.eye(2), m),
+    "joint_quartic_expectation P": lambda m: joint_quartic_expectation(
+        _joint(np.eye(2)), m, np.eye(2)),
+}
+
+
+def _outcomes(checks, m):
+    outcome = {}
+    for name, check in checks.items():
+        try:
+            check(m)
+            outcome[name] = "accepted"
+        except ConditionError:
+            outcome[name] = "refused"
+    return outcome
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("factor", FACTORS)
+def test_semidefiniteness_boundary_decided_alike(scale, factor):
+    expected = "accepted" if factor < 1.0 else "refused"
+    assert _outcomes(PSD_CHECKS, near_psd(scale, factor)) == dict.fromkeys(PSD_CHECKS, expected)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("factor", FACTORS)
+def test_symmetry_boundary_decided_alike(scale, factor):
+    expected = "accepted" if factor < 1.0 else "refused"
+    assert (_outcomes(SYMMETRY_CHECKS, near_symmetric(scale, factor))
+            == dict.fromkeys(SYMMETRY_CHECKS, expected))
+
+
+def test_psd_factor_clamps_what_it_admits():
+    m = near_psd(1.0, 0.5)
+    f = psd_factor(m)
+    w, u = np.linalg.eigh(m)
+    np.testing.assert_allclose(f @ f.T, (u * np.clip(w, 0.0, None)) @ u.T, atol=1e-15)
+
+
+def _package_callables():
+    """Every function and method defined in one of lqgcost's modules."""
+    for info in pkgutil.iter_modules(lqgcost.__path__):
+        if info.name == "__main__":   # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"lqgcost.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_tolerance_parameters():
+    # each tolerance is a module constant; the spectrum classifier's private
+    # kernel is the one function that takes its tolerance as data
+    offenders = [
+        name for name, fn in _package_callables()
+        if name != "lqgcost.linalg._classify"
+        and {"tol", "rtol", "atol"} & set(inspect.signature(fn).parameters)
+    ]
+    assert offenders == []
+    assert any(name == "lqgcost.linalg.DriftFactor.solve" for name, _ in _package_callables())
