@@ -34,9 +34,11 @@ can be far larger than their result; when a term exceeds the result by more
 than ``CANCELLATION_LIMIT`` the evaluation raises :class:`AccuracyError`
 instead of returning a value that has lost most of its digits.
 
-The alpha = 0 forms are the analytic limits of the alpha != 0 forms; the
-branch is selected automatically when |alpha| * max(1, T) < 1e-9 because the
-general expressions divide by alpha.
+One formula serves every alpha, zero included; nothing divides by alpha.  With
+phi_r(T) = integral_0^T e^{r t} dt = expm1(r T) / r (T at r = 0) the mean's
+(e^{2 alpha T} - 1) / (2 alpha) is phi_{2 alpha}(T), and by parts the variance's
+(e^{4 alpha T} Y_T[Q; A_-1] - Y_T[Q; A_1]) / (4 alpha) is
+phi_{4 alpha}(T) Y[Q; A_1] - e^{4 alpha T} Y_T[Y[Q; A_1]; A_-1].
 """
 
 import math
@@ -60,8 +62,8 @@ __all__ = [
     "cost_stats_lyapunov",
 ]
 
-#: Below this value of |alpha| * max(1, T) the alpha = 0 formulas are used.
-ALPHA_BRANCH_TOL = 1e-9
+#: The one condition whose failure marks a gain as infeasible for the tuner.
+SHIFTED_STABLE = "A+1a stable"
 
 #: Raw variances in [-VARIANCE_CLAMP_RTOL * (1 + mean^2), 0) clamp to zero.
 VARIANCE_CLAMP_RTOL = 1e-8
@@ -88,28 +90,32 @@ class CostStats:
         return math.sqrt(self.variance)
 
 
-def _use_zero_alpha(alpha, horizon):
-    return abs(alpha) * max(1.0, horizon) < ALPHA_BRANCH_TOL
+def _phi(rate, horizon):
+    """integral_0^T e^{rate t} dt, exactly T at rate = 0."""
+    x = rate * horizon
+    return horizon if x == 0.0 else math.expm1(x) / rate
 
 
-def _conditions(fac, cost, zero, with_variance):
-    """The route's validity checks on A + k*alpha*I, read from the factor's
-    eigenvalues; :class:`ConditionError` when one fails."""
+def _conditions(fac, cost, with_variance):
+    """The route's validity checks on A + k*alpha*I, each distinct shift once,
+    read from the factor's eigenvalues; :class:`ConditionError` when one fails."""
     alpha = cost.alpha
     what = "variance" if with_variance else "mean"
     if cost.is_infinite:
         rep = fac.spectrum(alpha)
         checks = [
             ConditionCheck("alpha < 0", alpha < 0.0, f"alpha = {alpha:g}"),
-            ConditionCheck("A+1a stable", rep.is_stable,
+            ConditionCheck(SHIFTED_STABLE, rep.is_stable,
                            f"max Re eig = {rep.eigenvalues.real.max():.4g}"),
         ]
         what = f"infinite-horizon {what} (cost diverges)"
     else:
-        checks = []
-        for k in (0,) if zero else (0, 1, -1, 2) if with_variance else (0, 1):
+        checks, shifts = [], {}
+        for k in (0, 1, -1, 2) if with_variance else (0, 1):
+            shifts.setdefault(k * alpha, k)
+        for shift, k in shifts.items():
             name = "A sylvester" if k == 0 else f"A{k:+g}a sylvester"
-            rep = fac.spectrum(k * alpha)
+            rep = fac.spectrum(shift)
             detail = "" if rep.is_sylvester else (
                 "eigenvalue pair sums to zero: " + ", ".join(
                     f"({rep.eigenvalues[i]:.4g}, {rep.eigenvalues[j]:.4g})"
@@ -177,7 +183,7 @@ class _Evaluation:
     (:meth:`DriftFactor._solve_schur`), the exponentials are taken on R + s I,
     and every trace is read in the basis, where it has the same value.
 
-    ``y`` is Y~[Q; A_1], or Y~[Q; A] on the alpha = 0 branch.  At a finite
+    ``y`` is Y~[Q; A_1] at either horizon.  At a finite
     horizon ``xv`` is X~[V; A] and ``e0`` is e^{R T}.  At the infinite
     horizon ``x2`` is X_2~ = (X[Sigma0; A_2] - X[V; A_2] / (4 alpha))~, one
     solve by linearity, made the first time ``raw_variance`` asks for it.
@@ -190,15 +196,12 @@ class _Evaluation:
     def __init__(self, sys, cost, with_variance):
         self.fac = fac = DriftFactor(sys.A)
         self.alpha, self.horizon = alpha, horizon = cost.alpha, cost.horizon
-        self.zero = zero = not cost.is_infinite and _use_zero_alpha(alpha, horizon)
-        self.checks = _conditions(fac, cost, zero, with_variance)
-        self.branch = ("infinite horizon" if cost.is_infinite
-                       else "finite horizon, alpha=0 branch" if zero
-                       else "finite horizon, general-alpha branch")
+        self.checks = _conditions(fac, cost, with_variance)
+        self.branch = "infinite horizon" if cost.is_infinite else "finite horizon"
         u = fac.u
         self.q, self.s, self.v = (u.T @ m @ u for m in (cost.Q, sys.Sigma0, sys.V))
         self.mu0 = sys.mu0 @ u
-        self.y = fac._solve_schur(self.q, shift=0.0 if zero else alpha, transposed=True)
+        self.y = fac._solve_schur(self.q, shift=alpha, transposed=True)
         if cost.is_infinite:
             self.mean = float(np.trace((self.s - self.v / (2.0 * alpha)) @ self.y))
             return
@@ -206,12 +209,9 @@ class _Evaluation:
         self.e0 = e0 = mat_exp(fac.t, horizon)
         # Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A], written as a difference
         sig_t = _difference(e0 @ (self.s - xv) @ e0.T, -xv, "Sigma_T")
-        if zero:
-            self.mean = float(np.trace((self.s - sig_t + horizon * self.v) @ self.y))
-        else:
-            g = math.exp(2.0 * alpha * horizon)
-            self.mean = float(np.trace(
-                (self.s - g * sig_t + (g - 1.0) / (2.0 * alpha) * self.v) @ self.y))
+        g = math.exp(2.0 * alpha * horizon)
+        self.mean = float(np.trace(
+            (self.s - g * sig_t + _phi(2.0 * alpha, horizon) * self.v) @ self.y))
 
     @cached_property
     def x2(self):
@@ -229,24 +229,16 @@ class _Evaluation:
             )
         fac, q, alpha, t, e0, xv = self.fac, self.q, self.alpha, self.horizon, self.e0, self.xv
         delta = symmetrize(s - xv)
-        if self.zero:
-            y_t = _transposed_finite(y, e0, "Y_T of A")
-            # analytic alpha -> 0 limit of (e^{4aT} Y_-1,T - Y_1,T) / (4a):
-            # T * Y - integral_0^T e^{A^T t} Y e^{A t} dt
-            y_of_y = fac._solve_schur(y, transposed=True)
-            weighted = t * y - _transposed_finite(y_of_y, e0, "Y_T of A, weight Y")
-            x2d = fac._solve_schur(delta)
-            e_p, r_1, r_3 = e0, fac.t, fac.t
-        else:
-            # e^{(A +- alpha I) T} = e^{+-alpha T} e^{A T}
-            e_p = math.exp(alpha * t) * e0
-            y_t = _transposed_finite(y, e_p, "Y_T of A+1a")
-            y_m = fac._solve_schur(q, shift=-alpha, transposed=True)
-            y_m_t = _transposed_finite(y_m, math.exp(-alpha * t) * e0, "Y_T of A-1a")
-            weighted = (math.exp(4.0 * alpha * t) * y_m_t - y_t) / (4.0 * alpha)
-            x2d = fac._solve_schur(delta, shift=2.0 * alpha)
-            eye = np.eye(len(q))
-            r_1, r_3 = fac.t + alpha * eye, fac.t + 3.0 * alpha * eye
+        # e^{(A +- alpha I) T} = e^{+-alpha T} e^{A T}
+        e_p = math.exp(alpha * t) * e0
+        y_t = _transposed_finite(y, e_p, "Y_T of A+1a")
+        # (e^{4aT} Y_T[Q; A_-1] - Y_T[Q; A_1]) / (4a), by parts (module docstring)
+        y_of_y = fac._solve_schur(y, shift=-alpha, transposed=True)
+        y_of_y_t = _transposed_finite(y_of_y, math.exp(-alpha * t) * e0, "Y_T of A-1a, weight Y_1")
+        weighted = _phi(4.0 * alpha, t) * y - math.exp(4.0 * alpha * t) * y_of_y_t
+        x2d = fac._solve_schur(delta, shift=2.0 * alpha)
+        eye = np.eye(len(q))
+        r_1, r_3 = fac.t + alpha * eye, fac.t + 3.0 * alpha * eye
         cross = van_loan_integral(r_3, x2d @ e_p.T @ q, r_1, t)
         mid = xv @ weighted + 2.0 * x2d @ y_t - 2.0 * cross
         return float(

@@ -78,11 +78,12 @@ class JointGaussian:
 def quartic_expectation(mu, second, p, q):
     """E[x^T P x * x^T Q x] for Gaussian x with mean mu and second moment E[x x^T]."""
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    s = _as_square(second, "second moment")
+    s = _square_symmetric(second, "second moment")
     p = _square_symmetric(p, "P")
     q = _square_symmetric(q, "Q")
     if s.shape[0] != mu.size or p.shape != s.shape or q.shape != s.shape:
         raise DimensionError("mu, second moment, P and Q sizes do not conform")
+    _require_psd(s - np.outer(mu, mu), "second moment - mu mu^T")
     sp = s @ p
     sq = s @ q
     return (

@@ -50,10 +50,12 @@ PSD_TOL = 1e-8
 
 
 def _as_matrix(a, name="matrix"):
-    """Validate and return ``a`` as a finite 2-d float array."""
+    """Validate and return ``a`` as a finite, non-empty 2-d float array."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DimensionError(f"{name} must not be empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr

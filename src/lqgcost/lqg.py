@@ -171,8 +171,8 @@ def close_loop_output_feedback(plant: LqgPlant, f, k, mu0, sigma0,
 
     ``mu0`` and ``sigma0`` describe the stacked initial state.
     """
-    f = np.asarray(f, dtype=float)
-    k = np.asarray(k, dtype=float)
+    f = _as_matrix(f, "F")
+    k = _as_matrix(k, "K")
     n = plant.n_states
     if f.shape != (plant.n_inputs, n):
         raise DimensionError(f"F must be {plant.n_inputs}x{n}, got {f.shape}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_lyap import CostStats, _infinite_objective_gradient, cost_stats_lyapunov
+from .cost_lyap import SHIFTED_STABLE, CostStats, _infinite_objective_gradient, cost_stats_lyapunov
 from .exceptions import ConditionError, InfeasibleGainError
 from .lqg import _regain_full_state, close_loop_full_state
 from .systems import LqgPlant
@@ -93,7 +93,7 @@ def _evaluate(route, sys, cost, *args):
     try:
         return route(sys, cost, *args)
     except ConditionError as exc:
-        if [c.name for c in exc.conditions if not c.passed] != ["A+1a stable"]:
+        if [c.name for c in exc.conditions if not c.passed] != [SHIFTED_STABLE]:
             raise
         raise InfeasibleGainError(f"gain does not stabilize the shifted closed loop: {exc}",
                                   conditions=exc.conditions) from exc

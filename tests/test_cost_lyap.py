@@ -193,6 +193,18 @@ class TestAlphaContinuity:
                     near = func(sys, CostSpec(Q=q, alpha=eps_signed, horizon=t))
                     assert abs(near - at_zero) / abs(at_zero) < 1e-4
 
+    @pytest.mark.parametrize("n", [2, 10])
+    @pytest.mark.parametrize("alpha_t", [5e-10, -5e-10, 2e-9, -2e-9, 1e-8, -1e-8,
+                                         1e-6, -1e-6])
+    def test_small_alpha_t_matches_expm(self, n, alpha_t, rng):
+        # nothing divides by alpha, so no digits are lost as alpha T -> 0
+        sys = random_system(n, rng)
+        t = 1.5
+        cost = CostSpec(Q=random_spd(n, rng), alpha=alpha_t / t, horizon=t)
+        lyap = cost_stats_lyapunov(sys, cost)
+        expm = cost_stats_expm(sys, cost)
+        assert_allclose([lyap.mean, lyap.variance], [expm.mean, expm.variance], rtol=1e-10)
+
 
 class TestCostStatsLyapunov:
     def test_combined_infinite(self):

@@ -368,7 +368,7 @@ class TestSchurCoordinates:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.0])
     def test_finite_horizon_residual_check(self, alpha, rng, monkeypatch):
-        # both finite branches solve in Schur coordinates only too
+        # the finite horizon, at alpha = 0 too, solves in Schur coordinates only
         sys = random_system(4, rng, alpha_shifts=(-0.3, 0.3, 0.6))
         cost = CostSpec(Q=random_spd(4, rng), alpha=alpha, horizon=1.2)
         _assert_perturbed_solve_refused(lambda: cost_stats_lyapunov(sys, cost), monkeypatch)
@@ -434,8 +434,8 @@ class TestOneFactorPerEvaluation:
     @pytest.mark.parametrize("alpha,horizon,shifts", [(0.3, 1.2, 4), (-0.4, 1.2, 4),
                                                       (0.0, 1.2, 1), (-0.4, math.inf, 2)])
     def test_one_classification_per_shift(self, alpha, horizon, shifts, rng, monkeypatch):
-        # A, A+1a, A-1a and A+2a on the general branch; A on the alpha = 0 branch;
-        # A+1a and A+2a at the infinite horizon
+        # A, A+1a, A-1a and A+2a at a finite horizon, one shift at alpha = 0 where
+        # they coincide; A+1a and A+2a at the infinite horizon
         sys = random_system(3, rng, alpha_shifts=(-0.4, 0.3, -0.3, 0.4, -0.8, 0.6, 0.9))
         cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=horizon)
         calls = []
@@ -462,7 +462,7 @@ class TestOneFactorPerEvaluation:
 
         monkeypatch.setattr(lqgcost.cost_lyap, "mat_exp", counting)
         stats = cost_stats_lyapunov(sys, cost)
-        assert len(calls) == 1 and stats.branch == "finite horizon, general-alpha branch"
+        assert len(calls) == 1 and stats.branch == "finite horizon"
 
     @pytest.mark.parametrize("alpha,horizon", [(0.25, 1.5), (0.0, 0.8), (-0.4, math.inf)])
     def test_variance_functions_match_combined_exactly(self, alpha, horizon, rng):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,18 @@ class TestCloseLoopOutputFeedback:
         assert np.abs(sys.A[:2, 2:]).max() == 0 and np.abs(sys.A[2:, :2]).max() == 0
         assert_allclose(cost.Q[:2, :2], plant.Q, rtol=1e-14)
         assert np.abs(cost.Q[2:, 2:]).max() == 0
+
+    @pytest.mark.parametrize("name", ["F", "K"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gain_named(self, name, bad):
+        plant = benchmark_plant()
+        gains = {"F": np.zeros((1, 2)), "K": np.zeros((2, 2))}
+        gains[name][0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+                close_loop_output_feedback(plant, gains["F"], gains["K"],
+                                           np.zeros(4), np.zeros((4, 4)))
 
     def test_noise_blocks(self):
         plant = benchmark_plant()

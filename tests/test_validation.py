@@ -13,6 +13,7 @@ import lqgcost
 from lqgcost import (
     ConditionError,
     CostSpec,
+    DimensionError,
     JointGaussian,
     LqgPlant,
     LtiSystem,
@@ -67,6 +68,8 @@ PSD_CHECKS = {
     "LqgPlant V": lambda m: _plant(v=m),
     "psd_factor": psd_factor,
     "JointGaussian": _joint,
+    "quartic_expectation second moment": lambda m: quartic_expectation(
+        np.zeros(2), m, np.eye(2), np.eye(2)),
 }
 
 SYMMETRY_CHECKS = {
@@ -105,6 +108,30 @@ def test_symmetry_boundary_decided_alike(scale, factor):
     expected = "accepted" if factor < 1.0 else "refused"
     assert (_outcomes(SYMMETRY_CHECKS, near_symmetric(scale, factor))
             == dict.fromkeys(SYMMETRY_CHECKS, expected))
+
+
+def test_quartic_second_moment_is_refused_below_mu_mu_t():
+    # diag(0.5, 1) is positive definite, but no second moment of a mean (1, 0)
+    with pytest.raises(ConditionError, match="second moment - mu mu"):
+        quartic_expectation([1.0, 0.0], np.diag([0.5, 1.0]), np.eye(2), np.eye(2))
+    with pytest.raises(ConditionError):
+        quartic_expectation([0.0], [[-1.0]], [[1.0]], [[1.0]])
+
+
+EMPTY = {
+    "A": lambda: LtiSystem(A=np.zeros((0, 0)), V=np.zeros((0, 0)), mu0=np.zeros(0),
+                           Sigma0=np.zeros((0, 0))),
+    "B": lambda: LqgPlant(A=-np.eye(2), B=np.zeros((2, 0)), C=np.eye(2), Q=np.eye(2),
+                          R=np.zeros((0, 0)), V=np.eye(2), W=np.eye(2)),
+    "Q": lambda: CostSpec(Q=np.zeros((0, 0))),
+    "M": lambda: psd_factor(np.zeros((0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY)
+def test_zero_size_matrix_named(name):
+    with pytest.raises(DimensionError, match=f"^{name} must not be empty"):
+        EMPTY[name]()
 
 
 def test_psd_factor_clamps_what_it_admits():
