@@ -12,13 +12,13 @@ Subcommands::
                      [--dt DT] [--T T] [--threshold J] [--out F]
 
 Every command prints a human-readable table on stdout and, with ``--out``,
-writes the same results as a structured JSON report.  Exit codes: 0 on
+writes the same results as a structured JSON report: each ``cmd_*`` returns
+its report and :func:`main` writes it.  Exit codes: 0 on
 success, 1 for input/usage errors, 2 for mathematical-condition errors
 (invalid spectrum, diverging cost, failed synthesis, ...).
 """
 
 import argparse
-import json
 import sys as _sys
 
 import numpy as np
@@ -33,12 +33,7 @@ from .exceptions import (
     NumericalError,
 )
 from .lqg import close_loop_full_state, close_loop_output_feedback, synthesize_gains
-from .models import (
-    ModelDocument,
-    dump_report,
-    load_model,
-    save_system_model,
-)
+from .models import _parse_array, _read_json, dump_report, load_model, save_system_model
 from .simulate import SimConfig, simulation_report
 from .systems import CostSpec, INFINITE_HORIZON
 from .tune import TuneOptions, minimize_variance
@@ -59,12 +54,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_out(args, report):
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump_report(report))
-
-
 def _fmt(x):
     return f"{x:.10g}"
 
@@ -76,15 +65,11 @@ def _print_conditions(conditions):
         print(f"  condition {c.name:<24s} {flag}{detail}")
 
 
-def _require_system(doc: ModelDocument, command):
-    if doc.kind != "system":
-        raise ModelFormatError(f"{command} expects a model of kind \"system\"")
-    return doc.system, doc.cost
-
-
-def _require_plant(doc: ModelDocument, command):
-    if doc.kind != "plant":
-        raise ModelFormatError(f"{command} expects a model of kind \"plant\"")
+def _load(args, kind):
+    """The model file ``args.model``, refused unless it is of ``kind``."""
+    doc = load_model(args.model)
+    if doc.kind != kind:
+        raise ModelFormatError(f"{args.command} expects a model of kind \"{kind}\"")
     return doc
 
 
@@ -92,18 +77,16 @@ def _require_plant(doc: ModelDocument, command):
 # analyze
 # ---------------------------------------------------------------------------
 
+_ROUTES = {"auto": auto_cost_stats, "lyapunov": cost_stats_lyapunov, "expm": cost_stats_expm}
+
+
 def cmd_analyze(args):
-    doc = load_model(args.model)
-    system, cost = _require_system(doc, "analyze")
+    doc = _load(args, "system")
+    cost = doc.cost
     if args.horizon is not None:
         horizon = INFINITE_HORIZON if args.horizon == "inf" else float(args.horizon)
         cost = CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=horizon)
-    if args.method == "lyapunov":
-        stats = cost_stats_lyapunov(system, cost)
-    elif args.method == "expm":
-        stats = cost_stats_expm(system, cost)
-    else:
-        stats = auto_cost_stats(system, cost)
+    stats = _ROUTES[args.method](doc.system, cost)
 
     print(f"analyze {args.model}")
     horizon_txt = "inf" if cost.is_infinite else _fmt(cost.horizon)
@@ -114,7 +97,7 @@ def cmd_analyze(args):
     print(f"  variance = {_fmt(stats.variance)}")
     print(f"  std      = {_fmt(stats.std)}")
 
-    report = {
+    return {
         "command": "analyze",
         "method": stats.method,
         "branch": stats.branch,
@@ -129,8 +112,6 @@ def cmd_analyze(args):
         "horizon": "inf" if cost.is_infinite else cost.horizon,
         "alpha": cost.alpha,
     }
-    _write_out(args, report)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +119,8 @@ def cmd_analyze(args):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    doc = load_model(args.model)
-    system, cost = _require_system(doc, "simulate")
+    doc = _load(args, "system")
+    system, cost = doc.system, doc.cost
     horizon = args.T
     if horizon is None:
         if cost.is_infinite:
@@ -172,14 +153,12 @@ def cmd_simulate(args):
             print(f"  agreement |z| mean = {_fmt(agreement['mean_z'])}, "
                   f"variance = {_fmt(agreement['variance_z'])}  -> {flag}")
 
-    report = {
+    return {
         "command": "simulate",
         "config": {"dt": cfg.dt, "T": effective_t, "n_paths": cfg.n_paths, "seed": cfg.seed,
                    "scheme": cfg.scheme, "threshold": cfg.threshold},
         **result,
     }
-    _write_out(args, report)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +166,7 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 
 def cmd_synthesize(args):
-    doc = load_model(args.model)
-    doc = _require_plant(doc, "synthesize")
+    doc = _load(args, "plant")
     plant = doc.plant
     gains = synthesize_gains(plant, full_state=args.full_state)
 
@@ -215,7 +193,7 @@ def cmd_synthesize(args):
         save_system_model(args.out_model, closed_sys, closed_cost)
         print(f"  closed-loop model written to {args.out_model}")
 
-    report = {
+    return {
         "command": "synthesize",
         "F": gains.F.tolist(),
         "K": None if gains.K is None else gains.K.tolist(),
@@ -223,8 +201,6 @@ def cmd_synthesize(args):
         "full_state": bool(args.full_state),
         "out_model": args.out_model,
     }
-    _write_out(args, report)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +208,7 @@ def cmd_synthesize(args):
 # ---------------------------------------------------------------------------
 
 def cmd_tune(args):
-    doc = load_model(args.model)
-    doc = _require_plant(doc, "tune")
+    doc = _load(args, "plant")
     plant = doc.plant
     if args.init is not None:
         entries = [float(v) for v in args.init.split(",")]
@@ -256,7 +231,7 @@ def cmd_tune(args):
     print(f"  stopped on {result.stop_reason}, gradient norm = {_fmt(result.gradient_norm)}")
     print(f"  mean = {_fmt(result.mean_at_F)}, variance = {_fmt(result.variance_at_F)}")
 
-    report = {
+    return {
         "command": "tune",
         "objective": args.objective,
         "F0": f0.tolist(),
@@ -270,8 +245,6 @@ def cmd_tune(args):
         "gradient_norm": result.gradient_norm,
         "trace": [[i, v] for i, v in result.trace],
     }
-    _write_out(args, report)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +252,12 @@ def cmd_tune(args):
 # ---------------------------------------------------------------------------
 
 def _load_assumption(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: not valid JSON ({exc})")
-    allowed = {"V", "mu0", "Sigma0"}
-    if not isinstance(raw, dict) or set(raw) - allowed:
-        raise ModelFormatError(f"{path}: assumption file allows only fields {sorted(allowed)}")
-    base = default_assumption()
-    return {key: np.asarray(raw.get(key, base[key]), dtype=float) for key in allowed}
+    """The documented assumption with the fields of the JSON file ``path`` in its place."""
+    raw, base = _read_json(path), default_assumption()
+    if set(raw) - set(base):
+        raise ModelFormatError(f"{path}: assumption file allows only fields {sorted(base)}")
+    return {key: _parse_array(raw[key], value.shape, f"{path}: {key}") if key in raw else value
+            for key, value in base.items()}
 
 
 def cmd_reproduce_example(args):
@@ -324,9 +293,7 @@ def cmd_reproduce_example(args):
           f"gradient norm = {_fmt(tuner['gradient_norm'])}")
     direction = "holds" if report["direction_holds"] else "DOES NOT HOLD"
     print(f"  variance-minimizing gain exceeds the threshold less often: {direction}")
-
-    _write_out(args, report)
-    return EXIT_OK
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +304,19 @@ def build_parser():
     parser = _Parser(prog="lqgcost",
                      description="mean/variance of quadratic costs of noisy linear systems")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _Parser(add_help=False)
+    common.add_argument("--out", default=None, help="write a JSON report here")
 
-    p = sub.add_parser("analyze", help="analytic mean and variance of a model's cost")
+    p = sub.add_parser("analyze", parents=[common],
+                       help="analytic mean and variance of a model's cost")
     p.add_argument("model")
-    p.add_argument("--method", choices=["auto", "lyapunov", "expm"], default="auto")
+    p.add_argument("--method", choices=list(_ROUTES), default="auto")
     p.add_argument("--horizon", default=None,
                    help="override the model's cost horizon (a number or 'inf')")
-    p.add_argument("--out", default=None, help="write a JSON report here")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate of the cost statistics")
+    p = sub.add_parser("simulate", parents=[common],
+                       help="Monte Carlo estimate of the cost statistics")
     p.add_argument("model")
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--dt", type=float, default=0.01)
@@ -354,29 +324,28 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--scheme", choices=["euler", "exact"], default="euler")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("synthesize", help="Riccati feedback and observer gains")
+    p = sub.add_parser("synthesize", parents=[common],
+                       help="Riccati feedback and observer gains")
     p.add_argument("model")
     p.add_argument("--full-state", action="store_true",
                    help="skip the observer (state fully measured)")
     p.add_argument("--out-model", default=None,
                    help="write the closed loop as a system-kind model file")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("tune", help="BFGS search of the feedback gain on exact gradients")
+    p = sub.add_parser("tune", parents=[common],
+                       help="BFGS search of the feedback gain on exact gradients")
     p.add_argument("model")
     p.add_argument("--objective", choices=["mean", "variance"], default="variance")
     p.add_argument("--init", default=None,
                    help="comma-separated initial gain entries (default: Riccati gain)")
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--grad-tol", type=float, default=1e-2)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("reproduce-example",
+    p = sub.add_parser("reproduce-example", parents=[common],
                        help="threshold-exceedance study on the bundled benchmark")
     p.add_argument("--paths", type=int, default=250_000)
     p.add_argument("--assumption-file", default=None,
@@ -390,7 +359,6 @@ def build_parser():
                         "columns would otherwise pick up at large path counts")
     p.add_argument("--tune-iters", type=int, default=3000,
                    help="BFGS iteration budget for the variance-minimizing gain")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_reproduce_example)
 
     return parser
@@ -400,7 +368,11 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        report = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(dump_report(report))
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT

@@ -32,7 +32,11 @@ At a finite horizon the identities for Y_T and for the state covariance
 Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A] subtract terms that
 can be far larger than their result; when a term exceeds the result by more
 than ``CANCELLATION_LIMIT`` the evaluation raises :class:`AccuracyError`
-instead of returning a value that has lost most of its digits.
+instead of returning a value that has lost most of its digits.  Every term
+of a finite-horizon evaluation is at most a fourth power of its largest
+exponential, e^{rho T} with rho = max(max Re eig(A) + |alpha|, alpha) (for
+the mean alone, max(max Re eig(A), alpha)); past ``OVERFLOW_EXPONENT`` the
+evaluation raises :class:`AccuracyError` before it forms one.
 
 One formula serves every alpha, zero included; nothing divides by alpha.  With
 phi_r(T) = integral_0^T e^{r t} dt = expm1(r T) / r (T at r = 0) the mean's
@@ -72,6 +76,10 @@ VARIANCE_CLAMP_RTOL = 1e-8
 #: for Y_T and Sigma_T.  Each factor of ten past it costs the result a digit
 #: on top of the Lyapunov solutions' own rounding.
 CANCELLATION_LIMIT = 1e6
+
+#: Largest rho * T a finite-horizon evaluation accepts (module docstring):
+#: e^{4 rho T} stays below the largest double.
+OVERFLOW_EXPONENT = math.log(np.finfo(float).max) / 4.0
 
 
 @dataclass
@@ -157,6 +165,18 @@ def _difference(first, second, name):
     return out
 
 
+def _require_no_overflow(fac, cost, with_variance):
+    """AccuracyError when rho * T passes OVERFLOW_EXPONENT (module docstring)."""
+    abscissa = fac.eigenvalues.real.max()
+    shift = abs(cost.alpha) if with_variance else 0.0
+    exponent = max(abscissa + shift, cost.alpha) * cost.horizon
+    if exponent > OVERFLOW_EXPONENT:
+        raise AccuracyError(
+            f"finite-horizon terms overflow: their largest exponential is e^({exponent:.4g}) "
+            f"and its fourth power passes the largest double (limit e^{OVERFLOW_EXPONENT:.4g})"
+        )
+
+
 def _transposed_finite(y_inf, e_t, name):
     """Y_T = Y - e^{A^T T} Y e^{A T} given Y and e^{A T}."""
     return _difference(y_inf, e_t.T @ y_inf @ e_t, name)
@@ -205,6 +225,7 @@ class _Evaluation:
         if cost.is_infinite:
             self.mean = float(np.trace((self.s - self.v / (2.0 * alpha)) @ self.y))
             return
+        _require_no_overflow(fac, cost, with_variance)
         self.xv = xv = fac._solve_schur(self.v)
         self.e0 = e0 = mat_exp(fac.t, horizon)
         # Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A], written as a difference

@@ -33,9 +33,13 @@ __all__ = ["benchmark_plant", "default_assumption", "threshold_study"]
 
 BENCHMARK_ALPHA = -0.8
 DEFAULT_THRESHOLD = 1500.0
+#: Measurement-noise intensity W of the benchmark plant, times the identity.
+MEASUREMENT_NOISE = 0.01
+#: Gains sampled on the segment from the mean-optimal to the variance-minimizing gain.
+LANDSCAPE_POINTS = 9
 
 
-def benchmark_plant(v=None, w_scale=0.01):
+def benchmark_plant(v=None):
     """The two-state benchmark plant; ``v`` overrides the process-noise intensity."""
     if v is None:
         v = np.eye(2)
@@ -46,7 +50,7 @@ def benchmark_plant(v=None, w_scale=0.01):
         Q=np.eye(2),
         R=np.eye(1),
         V=np.asarray(v, dtype=float),
-        W=w_scale * np.eye(2),
+        W=MEASUREMENT_NOISE * np.eye(2),
         alpha=BENCHMARK_ALPHA,
     )
 
@@ -74,7 +78,7 @@ def _gain_report(plant, f, mu0, sigma0, cfg):
 
 def threshold_study(n_paths=250_000, dt=0.01, horizon=20.0, threshold=DEFAULT_THRESHOLD,
                     seed=20160501, assumption=None, scheme="exact", threads=None,
-                    tune_max_iter=3000, landscape_points=9):
+                    tune_max_iter=3000):
     """Run the full study and return a structured report (a plain dict).
 
     Synthesizes the mean-optimal gain, tunes a variance-minimizing gain
@@ -106,7 +110,7 @@ def threshold_study(n_paths=250_000, dt=0.01, horizon=20.0, threshold=DEFAULT_TH
     report_opt = _gain_report(plant, f_opt, mu0, sigma0, cfg)
     report_mv = _gain_report(plant, f_mv, mu0, sigma0, cfg)
 
-    ts = np.linspace(0.0, 1.0, landscape_points)
+    ts = np.linspace(0.0, 1.0, LANDSCAPE_POINTS)
     landscape = []
     for t in ts:
         f = (1.0 - t) * f_opt + t * f_mv

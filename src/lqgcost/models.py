@@ -1,6 +1,7 @@
 """Model files: a strict JSON schema for systems and plants.
 
-Two kinds are supported::
+``_SCHEMA`` describes each kind once, field by field in file order; loading
+and saving both walk it.  The two kinds::
 
     {
       "schema_version": 1,
@@ -20,18 +21,19 @@ Two kinds are supported::
       "A": ..., "B": ..., "C": ..., "Q": ..., "R": ..., "V": ..., "W": ...,
       "alpha": -0.8,
       "mu0": [...], "Sigma0": [[...], ...],
-      "horizon": "inf" | T
+      "horizon": "inf" | T        # optional, "inf" when left out
     }
 
-Unknown fields are rejected at every level, dimensions must agree with the
-declared n/m/p, and floats are written with shortest round-trip precision
-(up to 17 significant digits), so save followed by load reproduces every
-matrix entry bit-for-bit.
+Unknown and missing fields are rejected at every level.  Arrays hold finite
+JSON numbers only (no strings, no booleans) in the shape the declared n/m/p
+give.  Floats are written with shortest round-trip precision (up to 17
+significant digits), so save followed by load reproduces every matrix entry
+bit-for-bit.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,10 +45,25 @@ __all__ = ["ModelDocument", "load_model", "save_system_model", "save_plant_model
 
 SCHEMA_VERSION = 1
 
-_SYSTEM_FIELDS = {"schema_version", "kind", "n", "A", "V", "mu0", "Sigma0", "cost"}
-_COST_FIELDS = {"Q", "alpha", "horizon"}
-_PLANT_FIELDS = {"schema_version", "kind", "n", "m", "p", "A", "B", "C", "Q", "R",
-                 "V", "W", "alpha", "mu0", "Sigma0", "horizon"}
+#: Every field of each kind, in file order.  An array field maps to its shape
+#: in the declared dimensions, a scalar field to how it is read; "cost" is the
+#: system kind's nested object.  Fields named like a field of ``LtiSystem``,
+#: ``CostSpec`` or ``LqgPlant`` are that field.
+_SCHEMA = {
+    "system": {"schema_version": "version", "kind": "kind", "n": "dim",
+               "A": ("n", "n"), "V": ("n", "n"), "mu0": ("n",), "Sigma0": ("n", "n"),
+               "cost": "cost"},
+    "cost": {"Q": ("n", "n"), "alpha": "number", "horizon": "horizon"},
+    "plant": {"schema_version": "version", "kind": "kind", "n": "dim", "m": "dim", "p": "dim",
+              "A": ("n", "n"), "B": ("n", "m"), "C": ("p", "n"), "Q": ("n", "n"),
+              "R": ("m", "m"), "V": ("n", "n"), "W": ("p", "p"), "alpha": "number",
+              "mu0": ("n",), "Sigma0": ("n", "n"), "horizon": "horizon"},
+}
+
+#: Fields a file may leave out, with the value they then read as.
+_DEFAULTS = {"plant": {"horizon": "inf"}}
+
+_LARGEST = np.finfo(float).max
 
 
 @dataclass
@@ -62,60 +79,73 @@ class ModelDocument:
     horizon: float = INFINITE_HORIZON
 
 
-def _require_keys(obj, allowed, required, where):
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"{where} must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ModelFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ModelFormatError(f"{where}: missing field(s) {sorted(missing)}")
+def _is_number(x):
+    """A finite JSON number: an int or a float, not a bool, within double range."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _LARGEST
 
 
-def _parse_matrix(obj, rows, cols, name):
+def _parse_array(value, shape, where):
+    """A vector or matrix field: nested lists of finite JSON numbers in ``shape``."""
+    def numbers(v):
+        return all(numbers(x) for x in v) if isinstance(v, list) else _is_number(v)
+
+    if not numbers(value):
+        raise ModelFormatError(f"{where} must hold finite JSON numbers only")
     try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ModelFormatError(f"{name} must be a nested array of numbers")
-    if arr.shape != (rows, cols):
-        raise ModelFormatError(f"{name} must be {rows}x{cols}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelFormatError(f"{name} contains non-finite entries")
+        arr = np.array(value, dtype=float)
+    except ValueError:          # ragged nesting
+        arr = None
+    if arr is None or arr.shape != shape:
+        want = "x".join(map(str, shape)) if len(shape) == 2 else f"of length {shape[0]}"
+        got = "a ragged array" if arr is None else f"shape {arr.shape}"
+        raise ModelFormatError(f"{where} must be {want}, got {got}")
     return arr
 
 
-def _parse_vector(obj, n, name):
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ModelFormatError(f"{name} must be an array of numbers")
-    if arr.shape != (n,):
-        raise ModelFormatError(f"{name} must have length {n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelFormatError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _parse_dim(obj, name):
-    v = obj.get(name)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ModelFormatError(f"{name} must be a positive integer")
-    return v
-
-
-def _parse_horizon(value, where):
+def _parse_scalar(value, spec, where):
+    """A "dim", "number" or "horizon" field."""
+    if spec == "dim":
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ModelFormatError(f"{where} must be a positive integer")
+        return value
+    if spec == "number":
+        if not _is_number(value):
+            raise ModelFormatError(f"{where} must be a finite number")
+        return float(value)
     if value == "inf":
         return INFINITE_HORIZON
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not (math.isfinite(value) and value > 0):
-            raise ModelFormatError(f"{where}: horizon must be positive and finite, or \"inf\"")
-        return float(value)
-    raise ModelFormatError(f"{where}: horizon must be a number or \"inf\"")
+    if not (_is_number(value) and value > 0):
+        raise ModelFormatError(f"{where} must be a positive finite number or \"inf\"")
+    return float(value)
 
 
-def load_model(path):
-    """Parse and validate a model file; returns a :class:`ModelDocument`."""
+def _parse(raw, kind, path, dims, prefix=""):
+    """The fields of one ``kind`` object by name; the dimensions land in ``dims``."""
+    table, defaults = _SCHEMA[kind], _DEFAULTS.get(kind, {})
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"{path}: {prefix.rstrip('.')} must be a JSON object")
+    for problem, names in (("unknown", set(raw) - set(table)),
+                           ("missing", set(table) - set(raw) - set(defaults))):
+        if names:
+            raise ModelFormatError(
+                f"{path}: {problem} field(s) {sorted(prefix + name for name in names)}")
+    raw = {**defaults, **raw}
+    values = {}
+    for name, spec in table.items():
+        where = f"{path}: {prefix}{name}"
+        if isinstance(spec, tuple):
+            values[name] = _parse_array(raw[name], tuple(dims[d] for d in spec), where)
+        elif spec == "cost":
+            values[name] = _parse(raw[name], spec, path, dims, f"{name}.")
+        elif spec not in ("version", "kind"):       # both checked by load_model
+            values[name] = _parse_scalar(raw[name], spec, where)
+            if spec == "dim":
+                dims[name] = values[name]
+    return values
+
+
+def _read_json(path):
+    """The JSON object in file ``path``; ModelFormatError when it is not one."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -123,63 +153,37 @@ def load_model(path):
             raise ModelFormatError(f"{path}: not valid JSON ({exc})")
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: top level must be a JSON object")
+    return raw
+
+
+def load_model(path):
+    """Parse and validate a model file; returns a :class:`ModelDocument`."""
+    raw = _read_json(path)
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported schema_version {raw.get('schema_version')!r} "
             f"(expected {SCHEMA_VERSION})"
         )
     kind = raw.get("kind")
+    if kind not in ("system", "plant"):
+        raise ModelFormatError(f"{path}: kind must be \"system\" or \"plant\", got {kind!r}")
+    f = _parse(raw, kind, path, {})
     if kind == "system":
-        return _load_system(raw, path)
-    if kind == "plant":
-        return _load_plant(raw, path)
-    raise ModelFormatError(f"{path}: kind must be \"system\" or \"plant\", got {kind!r}")
+        sys, cost = _build(LtiSystem, f), _build(CostSpec, f["cost"])
+        return ModelDocument(kind="system", system=sys, cost=cost,
+                             mu0=sys.mu0, Sigma0=sys.Sigma0, horizon=cost.horizon)
+    return ModelDocument(kind="plant", plant=_build(LqgPlant, f), mu0=f["mu0"],
+                         Sigma0=f["Sigma0"], horizon=f["horizon"])
 
 
-def _load_system(raw, path):
-    _require_keys(raw, _SYSTEM_FIELDS, _SYSTEM_FIELDS, path)
-    n = _parse_dim(raw, "n")
-    cost_raw = raw["cost"]
-    _require_keys(cost_raw, _COST_FIELDS, _COST_FIELDS, f"{path}: cost")
-    if not isinstance(cost_raw["alpha"], (int, float)) or isinstance(cost_raw["alpha"], bool):
-        raise ModelFormatError(f"{path}: cost.alpha must be a number")
-    sys = LtiSystem(
-        A=_parse_matrix(raw["A"], n, n, "A"),
-        V=_parse_matrix(raw["V"], n, n, "V"),
-        mu0=_parse_vector(raw["mu0"], n, "mu0"),
-        Sigma0=_parse_matrix(raw["Sigma0"], n, n, "Sigma0"),
-    )
-    cost = CostSpec(
-        Q=_parse_matrix(cost_raw["Q"], n, n, "cost.Q"),
-        alpha=float(cost_raw["alpha"]),
-        horizon=_parse_horizon(cost_raw["horizon"], path),
-    )
-    return ModelDocument(kind="system", system=sys, cost=cost,
-                         mu0=sys.mu0, Sigma0=sys.Sigma0, horizon=cost.horizon)
+def _build(cls, values):
+    """The dataclass ``cls`` from the parsed fields that name its fields."""
+    return cls(**{field.name: values[field.name] for field in fields(cls)})
 
 
-def _load_plant(raw, path):
-    _require_keys(raw, _PLANT_FIELDS, _PLANT_FIELDS - {"horizon"}, path)
-    n = _parse_dim(raw, "n")
-    m = _parse_dim(raw, "m")
-    p = _parse_dim(raw, "p")
-    if not isinstance(raw["alpha"], (int, float)) or isinstance(raw["alpha"], bool):
-        raise ModelFormatError(f"{path}: alpha must be a number")
-    plant = LqgPlant(
-        A=_parse_matrix(raw["A"], n, n, "A"),
-        B=_parse_matrix(raw["B"], n, m, "B"),
-        C=_parse_matrix(raw["C"], p, n, "C"),
-        Q=_parse_matrix(raw["Q"], n, n, "Q"),
-        R=_parse_matrix(raw["R"], m, m, "R"),
-        V=_parse_matrix(raw["V"], n, n, "V"),
-        W=_parse_matrix(raw["W"], p, p, "W"),
-        alpha=float(raw["alpha"]),
-    )
-    mu0 = _parse_vector(raw["mu0"], n, "mu0")
-    sigma0 = _parse_matrix(raw["Sigma0"], n, n, "Sigma0")
-    horizon = _parse_horizon(raw.get("horizon", "inf"), path)
-    return ModelDocument(kind="plant", plant=plant, mu0=mu0, Sigma0=sigma0,
-                         horizon=horizon)
+def _attributes(obj):
+    """A dataclass instance's fields by name, for the writer."""
+    return {field.name: getattr(obj, field.name) for field in fields(obj)}
 
 
 def to_jsonable(obj):
@@ -206,43 +210,31 @@ def dump_report(obj):
     return json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
-def save_system_model(path, sys: LtiSystem, cost: CostSpec):
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "system",
-        "n": sys.dim,
-        "A": sys.A.tolist(),
-        "V": sys.V.tolist(),
-        "mu0": sys.mu0.tolist(),
-        "Sigma0": sys.Sigma0.tolist(),
-        "cost": {
-            "Q": cost.Q.tolist(),
-            "alpha": cost.alpha,
-            "horizon": "inf" if cost.is_infinite else cost.horizon,
-        },
-    }
+def _document(kind, values):
+    """``values`` (by field name) as a ``kind`` object in the table's field order."""
+    doc = {}
+    for name, spec in _SCHEMA[kind].items():
+        value = {"version": SCHEMA_VERSION, "kind": kind}.get(spec, values.get(name))
+        if isinstance(spec, tuple):
+            value = np.asarray(value, dtype=float).tolist()
+        elif spec == "cost":
+            value = _document(spec, value)
+        elif spec == "horizon":
+            value = "inf" if math.isinf(value) else float(value)
+        doc[name] = value
+    return doc
+
+
+def _save(path, kind, values):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(json.dumps(_document(kind, values), indent=2) + "\n")
+
+
+def save_system_model(path, sys: LtiSystem, cost: CostSpec):
+    _save(path, "system", {**_attributes(sys), "n": sys.dim, "cost": _attributes(cost)})
 
 
 def save_plant_model(path, plant: LqgPlant, mu0, sigma0, horizon=INFINITE_HORIZON):
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "plant",
-        "n": plant.n_states,
-        "m": plant.n_inputs,
-        "p": plant.n_outputs,
-        "A": plant.A.tolist(),
-        "B": plant.B.tolist(),
-        "C": plant.C.tolist(),
-        "Q": plant.Q.tolist(),
-        "R": plant.R.tolist(),
-        "V": plant.V.tolist(),
-        "W": plant.W.tolist(),
-        "alpha": plant.alpha,
-        "mu0": np.asarray(mu0, dtype=float).tolist(),
-        "Sigma0": np.asarray(sigma0, dtype=float).tolist(),
-        "horizon": "inf" if math.isinf(horizon) else float(horizon),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    _save(path, "plant", {**_attributes(plant), "n": plant.n_states, "m": plant.n_inputs,
+                          "p": plant.n_outputs, "mu0": mu0, "Sigma0": sigma0,
+                          "horizon": horizon})

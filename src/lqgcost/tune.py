@@ -8,12 +8,14 @@ adjoint Lyapunov solve per forward solve for the gradient (Levine & Athans,
 1970).  A BFGS search with an interpolating Armijo backtracking line search
 runs on top of it (Nocedal & Wright, Numerical Optimization, 2nd ed.,
 Alg. 6.1 and Sec. 3.5), which takes a step whose value ties within rounding
-on its exact slope (Hager & Zhang, SIAM J. Optim. 16(1), 2005).  A gain that
-fails only the route's "A+1a stable" check (at DEFAULT_SPECTRAL_TOL) is
-infinitely bad, which confines the search to the stabilizing set without any
-constraint machinery.  The mean and variance reported at the final gain come
-from the last accepted evaluation (for the mean objective plus the one
-variance solve its evaluations skip), so the final gain is not factored again.
+on its exact slope (Hager & Zhang, SIAM J. Optim. 16(1), 2005), and restarts
+from steepest descent when a line search along a BFGS direction fails.  A
+gain that fails only the route's "A+1a stable" check (at
+DEFAULT_SPECTRAL_TOL) is infinitely bad, which confines the search to the
+stabilizing set without any constraint machinery.  The mean and variance
+reported at the final gain come from the last accepted evaluation (for the
+mean objective plus the one variance solve its evaluations skip), so the
+final gain is not factored again.
 """
 
 import math
@@ -72,9 +74,10 @@ class TuneResult:
     ``iterations`` counts accepted steps; ``stop_reason`` is "gradient"
     (``gradient_norm``, the norm of the gradient at ``F``, fell below
     ``grad_tol``; then ``converged``), "max_iter" or "line_search" (a
-    rejected trial step was shorter than ``step_tol``).  ``mean_at_F`` and
-    ``variance_at_F`` come from the search's evaluation at ``F`` and equal
-    :func:`evaluate_gain` there bit for bit.
+    steepest-descent line search rejected a trial step shorter than
+    ``step_tol``).  ``mean_at_F`` and ``variance_at_F`` come from the
+    search's evaluation at ``F`` and equal :func:`evaluate_gain` there bit
+    for bit.
     """
 
     F: np.ndarray
@@ -172,11 +175,16 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
     meets the approximate Wolfe conditions 0.9 s_0 <= s <= -0.8 s_0 (s_0 the
     slope at ``F``) and its gradient norm is at most half the one at ``F``,
     so the trace may rise by rounding but a search at that floor ends.
-    The search gives up once a rejected trial step is shorter than
-    ``opts.step_tol``.  Gradients are exact (adjoint Lyapunov solves), so
-    ``converged=True`` means the gradient norm at ``F`` is below
-    ``opts.grad_tol``.  The mean and variance at ``F`` are read from the
-    last accepted evaluation; for the mean objective that takes one more
+    A line search fails once a rejected trial step is shorter than
+    ``opts.step_tol``.  When it failed along a BFGS direction, the matrix is
+    dropped and the search restarts from the steepest-descent step of length
+    1 (Nocedal & Wright, ch. 6, on restarting quasi-Newton updates): a matrix
+    built from steps across many orders of magnitude of the objective can
+    point badly near the minimum.  The search gives up when a
+    steepest-descent line search fails.  Gradients are exact (adjoint
+    Lyapunov solves), so ``converged=True`` means the gradient norm at ``F``
+    is below ``opts.grad_tol``.  The mean and variance at ``F`` are read from
+    the last accepted evaluation; for the mean objective that takes one more
     Lyapunov solve (X_2) on its factor.
     """
     loop = close_loop_full_state(plant, opts.f0, mu0, sigma0)
@@ -223,8 +231,11 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
             else:
                 step *= 0.5
         if not accepted:
-            stop_reason = "line_search"
-            break
+            if h is None:
+                stop_reason = "line_search"
+                break
+            h = None        # restart from the steepest-descent step
+            continue
         y = new_grad.ravel() - g
         sy = s @ y
         if sy > 0.0:

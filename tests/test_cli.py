@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ class TestAnalyze:
 
     def test_plant_kind_rejected(self, benchmark_model):
         assert main(["analyze", benchmark_model]) == 1
+
+    @pytest.mark.parametrize("a,alpha,horizon", [(-1.0, 200.0, 1.0), (-1.0, -200.0, 10.0),
+                                                 (1.0, 0.0, 800.0), (0.5, 0.0, 400.0)])
+    def test_overflow_exits_2(self, tmp_path, capsys, a, alpha, horizon):
+        model = tmp_path / "overflow.json"
+        save_system_model(model, scalar_system(a=a, v=1.0),
+                          scalar_cost(alpha=alpha, horizon=horizon))
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert main(["analyze", str(model)]) == 2
+        assert "neither method applies" in capsys.readouterr().err
+
+    def test_string_entry_exits_1(self, scalar_model, capsys):
+        path = pathlib.Path(scalar_model)
+        doc = json.loads(path.read_text())
+        doc["A"] = [["-1.5"]]
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", scalar_model]) == 1
+        assert "A must hold finite JSON numbers only" in capsys.readouterr().err
 
     def test_conditions_in_report(self, scalar_model, tmp_path):
         out = tmp_path / "report.json"
@@ -280,6 +299,13 @@ class TestReproduceExample:
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["assumption"]["V"] == [[2.0, 0.0], [0.0, 2.0]]
+
+    def test_assumption_arrays_hold_numbers_only(self, tmp_path, capsys):
+        assumption = tmp_path / "assume.json"
+        assumption.write_text(json.dumps({"V": [["2", 0.0], [0.0, 2.0]]}))
+        assert main(["reproduce-example", "--paths", "100", "--T", "2", "--tune-iters", "5",
+                     "--assumption-file", str(assumption)]) == 1
+        assert "V must hold finite JSON numbers only" in capsys.readouterr().err
 
     def test_bad_assumption_file_exits_1(self, tmp_path):
         assumption = tmp_path / "assume.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,3 +288,38 @@ class TestCancellationGuard:
         assert (auto.mean, auto.variance) == (expm.mean, expm.variance)
         assert any(c.name == "lyapunov fallback" and not c.passed
                    for c in auto.conditions_checked)
+
+
+#: (a, alpha, T) of the scalar system dx = a x dt + dv, V = 1, x0 ~ N(0, 1),
+#: Q = 1, whose finite-horizon terms pass the largest double.
+OVERFLOW_CASES = [(-1.0, 200.0, 1.0), (-1.0, -200.0, 10.0), (1.0, 0.0, 800.0), (0.5, 0.0, 400.0)]
+
+
+def _overflow_case(a, alpha, horizon):
+    return (LtiSystem(A=[[a]], V=[[1.0]], mu0=[0.0], Sigma0=[[1.0]]),
+            CostSpec(Q=[[1.0]], alpha=alpha, horizon=horizon))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowGuard:
+    @pytest.mark.parametrize("a,alpha,horizon", OVERFLOW_CASES)
+    def test_named_error_before_any_overflow(self, a, alpha, horizon):
+        with pytest.raises(AccuracyError, match="overflow"):
+            cost_stats_lyapunov(*_overflow_case(a, alpha, horizon))
+
+    @pytest.mark.parametrize("a,alpha,horizon", OVERFLOW_CASES)
+    def test_auto_says_neither_method_applies(self, a, alpha, horizon):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(ConditionError, match="neither method applies.*overflow"):
+                auto_cost_stats(*_overflow_case(a, alpha, horizon))
+        assert [str(w.message)[:43] for w in record] == [
+            "Lyapunov accuracy check failed (finite-hori"]
+
+    def test_mean_kept_where_only_the_variance_overflows(self):
+        # A - alpha I = 199: the variance's e^{(A - alpha) T} term squares past
+        # the largest double, the mean forms no such term
+        sys, cost = _overflow_case(-1.0, -200.0, 1.0)
+        assert expected_cost_finite(sys, cost) == 0.002493781094527363
+        with pytest.raises(AccuracyError, match="overflow"):
+            cost_stats_lyapunov(sys, cost)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import block_diag, solve_continuous_are
 
 from lqgcost import (
     ConditionCheck,
@@ -329,75 +329,43 @@ class TestCloseLoopOutputFeedback:
         emp = simulate_costs(sys, cost, cfg)
         assert abs(emp.mean - mean) < 4.0 * emp.mean_stderr
 
-    def test_matches_raw_loop_simulation(self):
-        # ground-truth oracle: integrate the loop from its defining equations
-        # (state, measurement, estimator) without the augmented-system form
+    def test_matches_raw_loop_euler_chain(self):
+        # ground-truth oracle from the loop's defining equations (state,
+        # measurement, estimator), not from the augmented system the library
+        # forms.  Their Euler steps
+        #   x' = x + (A x - B F xh) dt + dv,           dv ~ N(0, V dt)
+        #   xh' = xh + (A xh - B F xh) dt + K (C x dt + dw - C xh dt),  dw ~ N(0, W dt)
+        # are the linear Gaussian chain z' = M z + noise in z = (x, xh), so the
+        # trapezoidal sum of e^{2 alpha t} (x^T Q x + u^T R u) has an exact
+        # mean; two Richardson steps over dt remove its O(dt) and O(dt^2) bias
         plant = benchmark_plant()
-        f = optimal_gain(plant)
-        k = kalman_gain(plant)
-        sys, cost = close_loop_output_feedback(plant, f, k,
-                                               np.zeros(4), np.zeros((4, 4)))
-        horizon, dt, n = 8.0, 0.002, 50_000
-        finite = CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=horizon)
-        mean = expected_cost_finite(sys, finite)
+        f, k = optimal_gain(plant), kalman_gain(plant)
+        sys, cost = close_loop_output_feedback(plant, f, k, np.zeros(4), np.zeros((4, 4)))
+        horizon = 8.0
+        mean = expected_cost_finite(sys, CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=horizon))
 
         a, b, c = plant.A, plant.B, plant.C
-        steps = round(horizon / dt)
-        g = np.random.default_rng(99)
-        lv = np.linalg.cholesky(plant.V)
-        lw = math.sqrt(0.01)
-        dv_factor, dw_scale = lv * math.sqrt(dt), lw * math.sqrt(dt)
-        # states as (state, path) columns in preallocated buffers; the normals
-        # are drawn as (path, channel) blocks and used through their transposes
-        x, x_next, xh, xh_next, dy, bu, tmp = (np.zeros((2, n)) for _ in range(7))
-        u = np.empty((1, n))
-        xi_v, xi_w = np.empty((n, 2)), np.empty((n, 2))
-        costs = np.zeros(n)
-        w = np.full(steps + 1, dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        for kk in range(steps + 1):
-            np.matmul(-f, xh, out=u)
-            np.multiply(b, u, out=bu)
-            # x^T Q x + u^2, weighted, summed into tmp[0]
-            np.matmul(plant.Q, x, out=tmp)
-            tmp *= x
-            tmp[0] += tmp[1]
-            u *= u
-            tmp[0] += u[0]
-            tmp[0] *= w[kk] * math.exp(2.0 * plant.alpha * kk * dt)
-            costs += tmp[0]
-            if kk == steps:
-                break
-            g.standard_normal(out=xi_v)
-            g.standard_normal(out=xi_w)
-            # x' = x + (A x + B u) dt + dv, with dv = lv xi_v sqrt(dt)
-            np.matmul(a, x, out=x_next)
-            x_next += bu
-            x_next *= dt
-            x_next += x
-            np.matmul(dv_factor, xi_v.T, out=tmp)
-            x_next += tmp
-            # dy = C x dt + dw, with dw = lw xi_w sqrt(dt)
-            np.matmul(c, x, out=dy)
-            dy *= dt
-            np.multiply(xi_w.T, dw_scale, out=tmp)
-            dy += tmp
-            # xh' = xh + (A xh + B u) dt + K (dy - C xh dt)
-            np.matmul(c, xh, out=tmp)
-            tmp *= dt
-            dy -= tmp
-            np.matmul(k, dy, out=xh_next)
-            np.matmul(a, xh, out=tmp)
-            tmp += bu
-            tmp *= dt
-            xh_next += tmp
-            xh_next += xh
-            x, x_next = x_next, x
-            xh, xh_next = xh_next, xh
-        stderr = costs.std(ddof=1) / math.sqrt(n)
-        # allowance for the oracle's own O(dt) discretization bias
-        assert abs(costs.mean() - mean) < 4.0 * stderr + 0.015 * mean
+        drift = np.block([[a, -b @ f], [k @ c, a - b @ f - k @ c]])
+        noise = block_diag(plant.V, k @ plant.W @ k.T)
+        weight = block_diag(plant.Q, f.T @ plant.R @ f)
+
+        def chain_mean(dt):
+            steps = round(horizon / dt)
+            step = np.eye(4) + dt * drift
+            second_moment = np.zeros((4, 4))          # z starts at 0
+            total = 0.0
+            for kk in range(steps + 1):
+                trapezoid = 0.5 if kk in (0, steps) else 1.0
+                total += (trapezoid * dt * math.exp(2.0 * plant.alpha * kk * dt)
+                          * np.vdot(weight, second_moment))
+                second_moment = step @ second_moment @ step.T + dt * noise
+            return total
+
+        coarse, mid, fine = (chain_mean(dt) for dt in (0.004, 0.002, 0.001))
+        once = (2.0 * mid - coarse, 2.0 * fine - mid)
+        twice = (4.0 * once[1] - once[0]) / 3.0
+        assert abs(fine - mean) > 1e-3 * mean           # the bias the extrapolation removes
+        assert twice == pytest.approx(mean, rel=1e-6)
 
     def test_full_state_limit_consistency(self):
         # with perfect measurements (W -> 0) the output-feedback loop's cost

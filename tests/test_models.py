@@ -140,3 +140,33 @@ class TestStrictness:
         doc["kind"] = "network"
         with pytest.raises(ModelFormatError, match="kind"):
             load_model(self._write(doc, path))
+
+
+class TestArraysHoldNumbersOnly:
+    SYSTEM_ARRAYS = ("A", "V", "mu0", "Sigma0", "cost.Q")
+    PLANT_ARRAYS = ("A", "B", "C", "Q", "R", "V", "W", "mu0", "Sigma0")
+
+    def _saved(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        if kind == "system":
+            save_system_model(path, LtiSystem(A=[[-1.5]], V=[[1.0]], mu0=[0.0], Sigma0=[[1.0]]),
+                              CostSpec(Q=[[1.0]], alpha=-0.5))
+        else:
+            save_plant_model(path, LqgPlant(A=[[-1.5]], B=[[1.0]], C=[[1.0]], Q=[[1.0]],
+                                            R=[[1.0]], V=[[1.0]], W=[[1.0]], alpha=-0.5),
+                             [0.0], [[1.0]])
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("bad", ["-1.5", "1", True])
+    @pytest.mark.parametrize("kind", ["system", "plant"])
+    def test_string_or_boolean_entry_names_the_field(self, tmp_path, kind, bad):
+        path, doc = self._saved(tmp_path, kind)
+        load_model(path)
+        for field in self.SYSTEM_ARRAYS if kind == "system" else self.PLANT_ARRAYS:
+            *outer, name = field.split(".")
+            bad_doc = json.loads(json.dumps(doc))
+            holder = bad_doc[outer[0]] if outer else bad_doc
+            holder[name] = [bad] if name == "mu0" else [[bad]]
+            path.write_text(json.dumps(bad_doc))
+            with pytest.raises(ModelFormatError, match=f": {field} must hold finite JSON numbers"):
+                load_model(path)

@@ -385,6 +385,23 @@ class TestMinimizeVariance:
             assert result.iterations < opts.max_iter
             assert np.abs(result.F - f_opt).max() < 1e-6
 
+    @pytest.mark.parametrize("abscissa", [-1e-6, -1e-8, -2e-9])
+    def test_near_boundary_start_restarts_to_stationary_point(self, abscissa):
+        # s F_ric puts the complex pair of A + alpha I - B F, whose real part is
+        # half the trace, at ``abscissa``.  The first steps cross many orders of
+        # magnitude of the objective, so a later BFGS direction fails its line
+        # search; the search then restarts from steepest descent
+        plant = benchmark_plant()
+        f_ric = optimal_gain(plant)
+        f0 = (np.trace(plant.shifted_drift()) - 2.0 * abscissa) / f_ric[0, 0] * f_ric
+        assert np.linalg.eigvals(plant.shifted_drift() - plant.B @ f0).real.max() == (
+            pytest.approx(abscissa, rel=1e-6))
+        result = minimize_variance(plant, ZERO2, ZERO22,
+                                   TuneOptions(f0=f0, objective="variance", grad_tol=1e-8))
+        assert result.stop_reason == "gradient" and result.converged
+        assert result.variance_at_F == pytest.approx(32393.9303792, rel=1e-11)
+        assert np.abs(result.F - MINIMIZER).max() < 1e-3
+
     def test_monotone_trace(self):
         plant = benchmark_plant()
         opts = TuneOptions(f0=optimal_gain(plant), objective="variance",
