@@ -228,7 +228,10 @@ def cmd_tune(args):
     print(f"  F         = {np.array2string(result.F, precision=6)}")
     print(f"  objective = {_fmt(result.objective_value)} after {result.iterations} iterations"
           f" (converged = {result.converged})")
-    print(f"  stopped on {result.stop_reason}, gradient norm = {_fmt(result.gradient_norm)}")
+    value = abs(result.objective_value)
+    relative = result.gradient_norm / value if value else np.inf
+    print(f"  stopped on {result.stop_reason}, gradient norm = {_fmt(result.gradient_norm)}"
+          f" (relative to |objective|: {_fmt(relative)})")
     print(f"  mean = {_fmt(result.mean_at_F)}, variance = {_fmt(result.variance_at_F)}")
 
     return {

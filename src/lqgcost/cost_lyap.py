@@ -36,7 +36,9 @@ instead of returning a value that has lost most of its digits.  Every term
 of a finite-horizon evaluation is at most a fourth power of its largest
 exponential, e^{rho T} with rho = max(max Re eig(A) + |alpha|, alpha) (for
 the mean alone, max(max Re eig(A), alpha)); past ``OVERFLOW_EXPONENT`` the
-evaluation raises :class:`AccuracyError` before it forms one.
+evaluation raises :class:`AccuracyError` before it forms one.  An overflow
+from the data's scale instead (say Sigma0 = 1e160) leaves a variance that
+is not finite, which raises :class:`AccuracyError` as well.
 
 One formula serves every alpha, zero included; nothing divides by alpha.  With
 phi_r(T) = integral_0^T e^{r t} dt = expm1(r T) / r (T at r = 0) the mean's
@@ -51,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import AccuracyError, ConditionCheck, ConditionError, NumericalError
+from .exceptions import AccuracyError, ConditionCheck, ConditionError
 from .linalg import DriftFactor, mat_exp, symmetrize, van_loan_integral
 from .systems import CostSpec, LtiSystem
 
@@ -141,22 +143,33 @@ def _conditions(fac, cost, with_variance):
     return checks
 
 
-def _finalize_variance(raw, mean):
-    if raw >= 0.0:
+def _finalize_variance(raw, mean, route):
+    """The raw variance, clamped at zero against rounding; :class:`AccuracyError`,
+    naming ``route``, when the mean or the raw variance is not finite (the
+    data's scale overflowed) or the raw variance is negative beyond the clamp."""
+    if not (math.isfinite(mean) and math.isfinite(raw)):
+        problem = (f"the mean came out {mean:.6e} and the raw variance {raw:.6e}; "
+                   "the data's scale overflows double precision")
+    elif raw >= 0.0:
         return raw
-    if raw >= -VARIANCE_CLAMP_RTOL * (1.0 + mean * mean):
+    elif raw >= -VARIANCE_CLAMP_RTOL * (1.0 + mean * mean):
         return 0.0
-    raise NumericalError(
-        f"variance came out {raw:.6e} < 0 beyond the rounding allowance; "
-        "the validity conditions are likely violated numerically"
-    )
+    else:
+        problem = f"it came out {raw:.6e} < 0 beyond the rounding allowance"
+    raise AccuracyError(f"{route} lost the variance: {problem}")
 
 
 def _difference(first, second, name):
-    """symmetrize(first - second), refused when it cancels beyond CANCELLATION_LIMIT."""
+    """symmetrize(first - second), refused when it cancels beyond CANCELLATION_LIMIT.
+
+    The norms are taken of the matrices divided by their largest entry, so
+    that squaring entries near the largest double does not overflow."""
     out = symmetrize(first - second)
-    big = max(np.linalg.norm(first), np.linalg.norm(second))
-    ratio = big / max(np.linalg.norm(out), 1e-300) if big > 0.0 else 0.0
+    scale = max(np.abs(first).max(), np.abs(second).max())
+    ratio = 0.0
+    if scale > 0.0:
+        big = max(np.linalg.norm(first / scale), np.linalg.norm(second / scale))
+        ratio = big / max(np.linalg.norm(out / scale), 1e-300)
     if ratio > CANCELLATION_LIMIT:
         raise AccuracyError(
             f"finite-horizon identity for {name} cancels: its terms are {ratio:.3g} times "
@@ -241,6 +254,11 @@ class _Evaluation:
 
     @cached_property
     def raw_variance(self):
+        # an overflow leaves a non-finite value, which _finalize_variance refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._raw_variance()
+
+    def _raw_variance(self):
         s, y, mu0 = self.s, self.y, self.mu0
         if math.isinf(self.horizon):
             return float(
@@ -270,7 +288,7 @@ class _Evaluation:
 
     @property
     def variance(self):
-        return _finalize_variance(self.raw_variance, self.mean)
+        return _finalize_variance(self.raw_variance, self.mean, "Lyapunov route")
 
 
 def _infinite_objective_gradient(sys, cost, objective):
@@ -347,7 +365,7 @@ def variance_cost_infinite_unreduced(sys: LtiSystem, cost: CostSpec):
         - 2.0 * (ev.mu0 @ y @ ev.mu0) ** 2
         + 4.0 * np.trace(y @ xv @ ev.q @ (2.0 * x2d - xv / (4.0 * alpha)))
     )
-    return _finalize_variance(float(raw), ev.mean)
+    return _finalize_variance(float(raw), ev.mean, "Lyapunov route")
 
 
 def cost_stats_lyapunov(sys: LtiSystem, cost: CostSpec):

@@ -77,8 +77,7 @@ def _gain_report(plant, f, mu0, sigma0, cfg):
 
 
 def threshold_study(n_paths=250_000, dt=0.01, horizon=20.0, threshold=DEFAULT_THRESHOLD,
-                    seed=20160501, assumption=None, scheme="exact", threads=None,
-                    tune_max_iter=3000):
+                    seed=20160501, assumption=None, scheme="exact", tune_max_iter=3000):
     """Run the full study and return a structured report (a plain dict).
 
     Synthesizes the mean-optimal gain, tunes a variance-minimizing gain
@@ -106,7 +105,7 @@ def threshold_study(n_paths=250_000, dt=0.01, horizon=20.0, threshold=DEFAULT_TH
     f_mv = tune.F
 
     cfg = SimConfig(dt=dt, T=horizon, n_paths=n_paths, seed=seed,
-                    threshold=threshold, scheme=scheme, threads=threads)
+                    threshold=threshold, scheme=scheme)
     report_opt = _gain_report(plant, f_opt, mu0, sigma0, cfg)
     report_mv = _gain_report(plant, f_mv, mu0, sigma0, cfg)
 

@@ -159,10 +159,11 @@ def _read_json(path):
 def load_model(path):
     """Parse and validate a model file; returns a :class:`ModelDocument`."""
     raw = _read_json(path)
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    version = raw.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:     # not true, not 1.0
         raise ModelFormatError(
-            f"{path}: unsupported schema_version {raw.get('schema_version')!r} "
-            f"(expected {SCHEMA_VERSION})"
+            f"{path}: unsupported schema_version {json.dumps(version)} "
+            f"(expected the integer {SCHEMA_VERSION})"
         )
     kind = raw.get("kind")
     if kind not in ("system", "plant"):

@@ -31,7 +31,8 @@ from its own stream, SFC64 seeded by ``SeedSequence(seed, spawn_key=(b,))``
 the seed and the batch index.  The batch first draws an (n, count) block for
 the initial state, then one (n, count) block per step, coordinate-major.
 Results are therefore bit-identical for a given (seed, n_paths, dt, T,
-scheme) no matter how many worker threads execute the batches.
+scheme) no matter how many worker threads execute the batches.  By default
+one worker runs per CPU this process may use, up to one per batch.
 """
 
 import math
@@ -56,8 +57,6 @@ __all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "exceedance_prob
 #: Paths per random stream; fixed so that results never depend on threading.
 BATCH_SIZE = 16384
 
-THREADS_ENV_VAR = "LQGCOST_THREADS"
-
 
 def _whole_number(name, value, least):
     """``value`` as an int; ValueError unless it is a whole number >= ``least``."""
@@ -71,9 +70,9 @@ def _whole_number(name, value, least):
 class SimConfig:
     """Simulation parameters.
 
-    ``threshold`` (not NaN) enables exceedance counting.  ``threads`` defaults
-    to the LQGCOST_THREADS environment variable (1 if unset or empty); it only
-    distributes batches over workers and never changes the results.
+    ``threshold`` (not NaN) enables exceedance counting.  ``threads`` (by
+    default one per usable CPU) only distributes batches over workers and
+    never changes the results.
     """
 
     dt: float
@@ -101,14 +100,6 @@ class SimConfig:
     @property
     def n_steps(self):
         return max(1, int(round(self.T / self.dt)))
-
-    def resolved_threads(self):
-        if self.threads is not None:
-            return self.threads
-        env = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if not env:
-            return 1
-        return _whole_number(THREADS_ENV_VAR, int(env) if env.isdecimal() else env, 1)
 
 
 @dataclass
@@ -146,6 +137,14 @@ def _cost_weights(cfg, alpha):
     w[0] *= 0.5
     w[-1] *= 0.5
     return w * np.exp(2.0 * alpha * t)
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity interface on this platform
+        return os.cpu_count() or 1
 
 
 def _batch_stream(seed, batch_index):
@@ -220,8 +219,8 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
         return _run_batch(b, sizes[b], cfg.seed, z_mean0, z_init, state_op, noise_op, lam, u,
                           weights)
 
-    threads = cfg.resolved_threads()
-    if threads > 1 and n_batches > 1:
+    threads = min(n_batches, cfg.threads or _usable_cpus())
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(task, range(n_batches)))
     else:

@@ -73,11 +73,15 @@ class TuneResult:
 
     ``iterations`` counts accepted steps; ``stop_reason`` is "gradient"
     (``gradient_norm``, the norm of the gradient at ``F``, fell below
-    ``grad_tol``; then ``converged``), "max_iter" or "line_search" (a
-    steepest-descent line search rejected a trial step shorter than
-    ``step_tol``).  ``mean_at_F`` and ``variance_at_F`` come from the
-    search's evaluation at ``F`` and equal :func:`evaluate_gain` there bit
-    for bit.
+    ``grad_tol``; then ``converged``), "max_iter", or one of two ways a
+    steepest-descent line search fails once it rejects a trial step shorter
+    than ``step_tol``: "rounding_floor" when that trial's first-order change,
+    step length times ``gradient_norm``, is within the band in which values
+    tie (``_TIE_RTOL`` times ``|objective_value|``), so that rounding of the
+    objective, not its slope, decided the search and ``F`` is as stationary
+    as the objective resolves; "line_search" otherwise.  ``mean_at_F`` and
+    ``variance_at_F`` come from the search's evaluation at ``F`` and equal
+    :func:`evaluate_gain` there bit for bit.
     """
 
     F: np.ndarray
@@ -181,7 +185,8 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
     1 (Nocedal & Wright, ch. 6, on restarting quasi-Newton updates): a matrix
     built from steps across many orders of magnitude of the objective can
     point badly near the minimum.  The search gives up when a
-    steepest-descent line search fails.  Gradients are exact (adjoint
+    steepest-descent line search fails, on "rounding_floor" or
+    "line_search" (:class:`TuneResult`).  Gradients are exact (adjoint
     Lyapunov solves), so ``converged=True`` means the gradient norm at ``F``
     is below ``opts.grad_tol``.  The mean and variance at ``F`` are read from
     the last accepted evaluation; for the mean objective that takes one more
@@ -232,7 +237,9 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
                 step *= 0.5
         if not accepted:
             if h is None:
-                stop_reason = "line_search"
+                # the last trial's first-order change within the tie band (TuneResult)
+                floor = step * abs(slope) <= _TIE_RTOL * abs(value)
+                stop_reason = "rounding_floor" if floor else "line_search"
                 break
             h = None        # restart from the steepest-descent step
             continue

@@ -8,6 +8,7 @@ tested) state moments and Gaussian quartic expectation formulas.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -211,3 +212,8 @@ def scalar_system(a=-1.0, v=2.0, mu0=0.0, sigma0=1.0):
 
 def scalar_cost(q=1.0, alpha=-0.5, horizon=np.inf):
     return CostSpec(Q=[[q]], alpha=alpha, horizon=horizon)
+
+
+def set_usable_cpus(monkeypatch, count):
+    """Make the simulator see ``count`` usable CPUs, so its default worker count follows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)

@@ -40,6 +40,7 @@ from conftest import (
     random_stable_sylvester,
     scalar_cost,
     scalar_system,
+    set_usable_cpus,
 )
 
 
@@ -273,12 +274,12 @@ def test_simulation_determinism(tmp_path, monkeypatch):
     args = ["simulate", str(model), "--paths", "30000", "--dt", "0.01", "--T", "4",
             "--seed", "99", "--threshold", "2.5"]
     outs = []
-    for threads, name in (("1", "a.json"), ("4", "b.json"), ("2", "c.json")):
-        monkeypatch.setenv("LQGCOST_THREADS", threads)
-        out = tmp_path / name
+    for cpus in (1, 4, 2):
+        set_usable_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}.json"
         assert cli_main(args + ["--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
     elapsed = time.perf_counter() - t0
     _report("simulation determinism", elapsed,
-            "byte-identical reports at 1/2/4 threads")
+            "byte-identical reports at 1/2/4 usable CPUs")

@@ -8,7 +8,7 @@ from scipy.linalg import solve_continuous_are
 
 from lqgcost.cli import main
 from lqgcost import CostSpec, LqgPlant, LtiSystem, save_plant_model, save_system_model
-from conftest import recipe_plant, scalar_cost, scalar_system
+from conftest import recipe_plant, scalar_cost, scalar_system, set_usable_cpus
 
 
 @pytest.fixture
@@ -93,6 +93,14 @@ class TestAnalyze:
             assert main(["analyze", str(model)]) == 2
         assert "neither method applies" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_variance_overflow_from_data_scale_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "huge_sigma0.json"
+        save_system_model(model, scalar_system(v=1.0, sigma0=1e160),
+                          scalar_cost(alpha=0.0, horizon=1.0))
+        assert main(["analyze", str(model)]) == 2
+        assert "lost the variance" in capsys.readouterr().err
+
     def test_string_entry_exits_1(self, scalar_model, capsys):
         path = pathlib.Path(scalar_model)
         doc = json.loads(path.read_text())
@@ -100,6 +108,12 @@ class TestAnalyze:
         path.write_text(json.dumps(doc))
         assert main(["analyze", scalar_model]) == 1
         assert "A must hold finite JSON numbers only" in capsys.readouterr().err
+
+    def test_boolean_schema_version_exits_1(self, scalar_model, capsys):
+        path = pathlib.Path(scalar_model)
+        path.write_text(path.read_text().replace('"schema_version": 1', '"schema_version": true'))
+        assert main(["analyze", scalar_model]) == 1
+        assert "schema_version true" in capsys.readouterr().err
 
     def test_conditions_in_report(self, scalar_model, tmp_path):
         out = tmp_path / "report.json"
@@ -131,19 +145,15 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_thread_count_invariance(self, scalar_model, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["simulate", scalar_model, "--paths", "20000", "--dt", "0.01",
                 "--T", "4", "--seed", "5"]
-        monkeypatch.setenv("LQGCOST_THREADS", "1")
-        assert main(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("LQGCOST_THREADS", "4")
-        assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_invalid_thread_env_exits_1(self, scalar_model, monkeypatch, capsys):
-        monkeypatch.setenv("LQGCOST_THREADS", "abc")
-        assert main(["simulate", scalar_model, "--paths", "10", "--T", "1"]) == 1
-        assert "LQGCOST_THREADS" in capsys.readouterr().err
+        reports = []
+        for cpus in (1, 2, 4):
+            set_usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"r{cpus}.json"
+            assert main(args + ["--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     def test_sigma0_at_the_semidefinite_tolerance(self, tmp_path):
         # Sigma0's eigenvalue -1e-9 is inside PSD_TOL: the system is admitted,
@@ -244,8 +254,9 @@ class TestTune:
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert report["converged"] is True and report["stop_reason"] == "gradient"
         assert 0.0 < report["gradient_norm"] < 1e-2          # the CLI's default --grad-tol
+        relative = report["gradient_norm"] / report["objective_value"]
         assert (f"stopped on gradient, gradient norm = {report['gradient_norm']:.10g}"
-                in capsys.readouterr().out)
+                f" (relative to |objective|: {relative:.10g})" in capsys.readouterr().out)
 
     def test_budget_stop_reported(self, benchmark_model, tmp_path, capsys):
         out = tmp_path / "report.json"

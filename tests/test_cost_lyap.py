@@ -323,3 +323,16 @@ class TestOverflowGuard:
         assert expected_cost_finite(sys, cost) == 0.002493781094527363
         with pytest.raises(AccuracyError, match="overflow"):
             cost_stats_lyapunov(sys, cost)
+
+    def test_overflow_from_the_data_scale_raises_on_both_routes(self):
+        # e^{rho T} is small, but Sigma0 = 1e160 squares past the largest double
+        sys = LtiSystem(A=[[-1.0]], V=[[1.0]], mu0=[0.0], Sigma0=[[1e160]])
+        cost = CostSpec(Q=[[1.0]], alpha=0.0, horizon=1.0)
+        assert expected_cost_finite(sys, cost) == pytest.approx(4.3233e159, rel=1e-4)
+        for route, name in ((cost_stats_lyapunov, "Lyapunov route"),
+                            (variance_cost_finite, "Lyapunov route"),
+                            (cost_stats_expm, "block exponential")):
+            with pytest.raises(AccuracyError, match=f"^{name} lost the variance.*overflows"):
+                route(sys, cost)
+        with pytest.raises(AccuracyError, match="lost the variance"):
+            auto_cost_stats(sys, cost)

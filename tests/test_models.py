@@ -116,6 +116,13 @@ class TestStrictness:
         with pytest.raises(ModelFormatError, match="schema_version"):
             load_model(self._write(doc, path))
 
+    @pytest.mark.parametrize("version,shown", [(True, "true"), (1.0, "1.0")])
+    def test_schema_version_must_be_the_integer_one(self, tmp_path, version, shown):
+        doc, path = self._base(tmp_path)
+        doc["schema_version"] = version
+        with pytest.raises(ModelFormatError, match=f"schema_version {shown} "):
+            load_model(self._write(doc, path))
+
     def test_bad_horizon(self, tmp_path):
         doc, path = self._base(tmp_path)
         doc["cost"]["horizon"] = -3.0

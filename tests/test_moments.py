@@ -122,19 +122,17 @@ class TestCrossMoment:
         with pytest.raises(SingularLyapunovError):
             cross_moment(sys, 0.2, 0.5)
 
-    def test_matches_sampled_covariance(self, rng):
-        # light Monte Carlo cross-check of E[x(t1) x(t2)^T] on the scalar system
-        sys = scalar_system(a=-1.0, v=2.0, mu0=0.0, sigma0=3.0)
-        t1, t2, dt = 0.5, 1.0, 1e-3
-        n_paths = 200_000
-        g = np.random.default_rng(7)
-        x = math.sqrt(3.0) * g.standard_normal(n_paths)
-        k1, k2 = round(t1 / dt), round(t2 / dt)
-        x1 = None
-        for k in range(k2):
-            if k == k1:
-                x1 = x.copy()
-            x = x + (-x) * dt + math.sqrt(2.0 * dt) * g.standard_normal(n_paths)
-        est = float(np.mean(x1 * x))
-        stderr = float(np.std(x1 * x) / math.sqrt(n_paths))
-        assert abs(est - cross_moment(sys, t1, t2)[0, 0]) < 4.0 * stderr + 5e-3
+    @pytest.mark.parametrize("t1,t2", [(0.3, 1.1), (1.1, 0.3), (0.0, 0.8)])
+    def test_matches_diagonal_drift_closed_form(self, t1, t2):
+        # A = diag(a) with correlated noise: X_ij = -V_ij / (a_i + a_j) and, for
+        # t1 <= t2, E[x_i(t1) x_j(t2)] = e^{a_i t1} (Sigma0 - X)_ij e^{a_j t2}
+        # + X_ij e^{a_j (t2 - t1)}; for t1 > t2 the lag decays at the rate a_i
+        a = np.array([-0.7, -1.9])
+        v = np.array([[1.0, 0.6], [0.6, 2.0]])
+        sigma0 = np.array([[1.5, -0.4], [-0.4, 0.8]])
+        sys = LtiSystem(A=np.diag(a), V=v, mu0=np.zeros(2), Sigma0=sigma0)
+        x = -v / (a[:, None] + a[None, :])
+        lag = np.exp(a[None, :] * max(t2 - t1, 0.0) + a[:, None] * max(t1 - t2, 0.0))
+        expected = (np.exp(a[:, None] * t1) * (sigma0 - x) * np.exp(a[None, :] * t2)
+                    + x * lag)
+        assert_allclose(cross_moment(sys, t1, t2), expected, rtol=1e-12, atol=0.0)

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -23,9 +24,10 @@ from lqgcost import (
     simulate_costs,
     variance_cost_finite,
 )
+from lqgcost import simulate as simulate_module
 from lqgcost.demo import _gain_report
 from lqgcost.simulate import BATCH_SIZE, _batch_stream, _cost_weights, _step_operators
-from conftest import random_spd, random_system, scalar_cost, scalar_system
+from conftest import random_spd, random_system, scalar_cost, scalar_system, set_usable_cpus
 
 
 def reference_case():
@@ -97,19 +99,21 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, T=1.0, n_paths=10, scheme="heun")
 
-    def test_thread_env_default(self, monkeypatch):
-        monkeypatch.setenv("LQGCOST_THREADS", "3")
-        assert SimConfig(dt=0.1, T=1.0, n_paths=10).resolved_threads() == 3
-        monkeypatch.setenv("LQGCOST_THREADS", "")
-        assert SimConfig(dt=0.1, T=1.0, n_paths=10).resolved_threads() == 1
-        monkeypatch.delenv("LQGCOST_THREADS")
-        assert SimConfig(dt=0.1, T=1.0, n_paths=10).resolved_threads() == 1
+    def test_default_worker_count_follows_usable_cpus(self, monkeypatch):
+        pools = []
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "2.0"])
-    def test_thread_env_must_be_whole_number(self, monkeypatch, value):
-        monkeypatch.setenv("LQGCOST_THREADS", value)
-        with pytest.raises(ValueError, match="LQGCOST_THREADS"):
-            SimConfig(dt=0.1, T=1.0, n_paths=10).resolved_threads()
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", Pool)
+        sys, cost = two_state_system(), CostSpec(Q=np.eye(2), alpha=-0.2, horizon=0.5)
+        three_batches = dict(dt=0.05, T=0.5, n_paths=2 * BATCH_SIZE + 500, seed=17)
+        for cpus, threads in ((1, None), (2, None), (8, None), (8, 1), (1, 2)):
+            set_usable_cpus(monkeypatch, cpus)
+            simulate_costs(sys, cost, SimConfig(threads=threads, **three_batches))
+        assert pools == [2, 3, 2]
 
     def test_non_integer_step_count_warns(self):
         sys, cost = reference_case()

@@ -20,6 +20,7 @@ from lqgcost import (
 )
 from lqgcost import linalg, tune
 from lqgcost.lqg import close_loop_full_state
+from conftest import recipe_plant
 
 
 def benchmark_plant():
@@ -301,11 +302,11 @@ class TestMinimizeVariance:
         ("variance", [0.0, 0.0], 1e-2, 3000, "gradient"),
         ("variance", [0.0, 0.0], 1e-2, 3, "max_iter"),
         ("mean", [0.4, -0.6], 1e-5, 4000, "gradient"),
-        ("mean", [0.4, -0.6], 1e-300, 500, "line_search"),
+        ("mean", [0.4, -0.6], 1e-300, 500, "rounding_floor"),
     ])
     def test_final_statistics_equal_evaluate_gain(self, objective, offset, grad_tol, max_iter,
                                                   stop):
-        # on a "line_search" stop the last evaluation is a rejected trial; the
+        # on a "rounding_floor" stop the last evaluation is a rejected trial; the
         # statistics must still be those of the accepted F
         plant, mu0, sigma0 = benchmark_plant(), np.array([0.3, -0.2]), 0.5 * np.eye(2)
         opts = TuneOptions(f0=optimal_gain(plant) + np.array([offset]), objective=objective,
@@ -380,10 +381,20 @@ class TestMinimizeVariance:
             f0[0, 1] += ulps * np.spacing(f0[0, 1])
             opts = TuneOptions(f0=f0, objective="mean", grad_tol=1e-300, max_iter=500)
             result = minimize_variance(plant, ZERO2, ZERO22, opts)
-            assert result.stop_reason == "line_search" and not result.converged
+            assert result.stop_reason == "rounding_floor" and not result.converged
             assert opts.grad_tol <= result.gradient_norm < 1e-6
             assert result.iterations < opts.max_iter
             assert np.abs(result.F - f_opt).max() < 1e-6
+
+    def test_coarse_step_tol_stop_is_not_the_rounding_floor(self):
+        # the first trial, one unit along the steepest descent, is rejected and
+        # already shorter than step_tol: the search fails far from any stationary point
+        plant = benchmark_plant()
+        result = minimize_variance(plant, ZERO2, ZERO22,
+                                   TuneOptions(f0=optimal_gain(plant), step_tol=1.5))
+        assert result.stop_reason == "line_search" and not result.converged
+        assert result.iterations == 0
+        assert result.gradient_norm > 0.1 * result.objective_value
 
     @pytest.mark.parametrize("abscissa", [-1e-6, -1e-8, -2e-9])
     def test_near_boundary_start_restarts_to_stationary_point(self, abscissa):
@@ -401,6 +412,36 @@ class TestMinimizeVariance:
         assert result.stop_reason == "gradient" and result.converged
         assert result.variance_at_F == pytest.approx(32393.9303792, rel=1e-11)
         assert np.abs(result.F - MINIMIZER).max() < 1e-3
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_seeded_sweep_ends_at_a_stationary_point(self, n):
+        # recipe plants from the Riccati gain and from s F_ric with max Re eig of
+        # A + alpha I - B F at -1e-5 (bisection on s; skipped where F = 0
+        # already lies left of it): every run ends on "gradient" or on
+        # "rounding_floor", with |g| / |J| <= 1e-5 either way
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            plant = recipe_plant(n, rng, m=2, p=2)
+            mu0 = rng.normal(size=n)
+            sigma0 = np.outer(mu0, mu0) + np.eye(n)
+            f_ric = optimal_gain(plant)
+            starts = [f_ric]
+
+            def abscissa(s):
+                return np.linalg.eigvals(plant.shifted_drift() - s * plant.B @ f_ric).real.max()
+
+            if abscissa(0.0) > -1e-5:
+                lo, hi = 0.0, 1.0       # abscissa(lo) > -1e-5 >= abscissa(hi)
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if abscissa(mid) <= -1e-5 else (mid, hi)
+                starts.append(hi * f_ric)
+            for f0 in starts:
+                result = minimize_variance(plant, mu0, sigma0,
+                                           TuneOptions(f0=f0, objective="variance",
+                                                       grad_tol=1e-6))
+                assert result.stop_reason in ("gradient", "rounding_floor"), (seed, result)
+                assert result.gradient_norm <= 1e-5 * abs(result.objective_value), seed
 
     def test_monotone_trace(self):
         plant = benchmark_plant()
