@@ -326,7 +326,7 @@ def build_parser():
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--scheme", choices=["euler", "exact"], default="euler")
+    p.add_argument("--scheme", choices=["euler", "exact"], default="exact")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("synthesize", parents=[common],

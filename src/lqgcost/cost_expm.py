@@ -17,10 +17,10 @@ With E = e^{C T} partitioned into n x n blocks E_ij:
 
 No spectral conditions on A or alpha are needed, which is the point of this
 route: it covers drifts whose Lyapunov equations are singular.  The price is
-accuracy decay for large T * (spectral range), hence the crossover policy in
-:func:`auto_cost_stats`.  A variance that decay pushes below zero, or a
-mean or variance the data's scale overflows, raises :class:`AccuracyError`,
-as an exponent past ``EXPM_GROWTH_LIMIT`` does.
+accuracy decay for large T * (spectral range), so :func:`auto_cost_stats`
+tries it first only up to ``AUTO_GROWTH_SWITCH``.  A variance that decay
+pushes below zero, or a mean or variance the data's scale overflows, raises
+:class:`AccuracyError`, as an exponent past ``EXPM_GROWTH_LIMIT`` does.
 """
 
 import warnings
@@ -46,7 +46,7 @@ __all__ = [
 #: for the small blocks the formulas consume.
 EXPM_GROWTH_LIMIT = 50.0
 
-#: The automatic method choice prefers the exponential route below this growth.
+#: :func:`auto_cost_stats` tries the exponential route first up to this growth.
 AUTO_GROWTH_SWITCH = 20.0
 
 
@@ -162,42 +162,37 @@ def _stats_from_blocks(sys, cost, blocks):
 
 
 def auto_cost_stats(sys: LtiSystem, cost: CostSpec):
-    """Choose the numerically preferable route.
+    """Choose the numerically preferable route; hand a refusal to the other.
 
-    Infinite horizon: only the Lyapunov route applies.  Finite horizon: the
-    exponential route wins for small T * (spectral range), the Lyapunov route
-    for large; if the Lyapunov route's solvability conditions fail, or its
-    finite-horizon identities cancel beyond their accuracy limit, fall back
-    to the exponential route (with a warning when outside its comfort zone).
+    Infinite horizon: the Lyapunov route.  Finite horizon: the exponential
+    route first up to ``AUTO_GROWTH_SWITCH`` (in T * max|Re eig|), else the
+    Lyapunov route.  A refusal (``ConditionError`` or ``AccuracyError``) by
+    the first passes to the second, whose result records it as a failed
+    "<method> fallback" check.  Only a fallback onto the exponential route
+    warns; when both refuse, ``ConditionError`` names both reasons.
     """
     if cost.is_infinite:
         return cost_stats_lyapunov(sys, cost)
     growth = _growth_exponent(sys, cost)
-    if growth <= AUTO_GROWTH_SWITCH:
-        try:
-            return _stats_from_blocks(sys, cost, _block_exponential(sys, cost, growth))
-        except AccuracyError:
-            return cost_stats_lyapunov(sys, cost)
+    routes = {"expm": lambda: _stats_from_blocks(sys, cost, _block_exponential(sys, cost, growth)),
+              "lyapunov": lambda: cost_stats_lyapunov(sys, cost)}
+    first, second = ("expm", "lyapunov") if growth <= AUTO_GROWTH_SWITCH else ("lyapunov", "expm")
     try:
-        return cost_stats_lyapunov(sys, cost)
-    except (ConditionError, AccuracyError) as lyap_err:
-        reason = ("validity conditions failed" if isinstance(lyap_err, ConditionError)
+        return routes[first]()
+    except (ConditionError, AccuracyError) as err:
+        refusal = err
+    if second == "expm":
+        reason = ("validity conditions failed" if isinstance(refusal, ConditionError)
                   else "accuracy check failed")
-        warnings.warn(
-            f"Lyapunov {reason} ({lyap_err}); falling back to the block-exponential route "
-            f"at T * max|Re eig| = {growth:.3g}, expect reduced accuracy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        try:
-            stats = _stats_from_blocks(sys, cost, _block_exponential(sys, cost, growth))
-        except AccuracyError as expm_err:
-            raise ConditionError(
-                f"neither method applies: Lyapunov {reason} "
-                f"({lyap_err}) and the exponential route refused ({expm_err})",
-                conditions=getattr(lyap_err, "conditions", []),
-            )
-        stats.conditions_checked.append(
-            ConditionCheck("lyapunov fallback", False, str(lyap_err))
-        )
-        return stats
+        warnings.warn(f"Lyapunov {reason} ({refusal}); falling back to the block-exponential "
+                      f"route at T * max|Re eig| = {growth:.3g}, expect reduced accuracy",
+                      RuntimeWarning, stacklevel=2)
+    try:
+        stats = routes[second]()
+    except (ConditionError, AccuracyError) as err:
+        lyap_err, expm_err = (refusal, err) if first == "lyapunov" else (err, refusal)
+        raise ConditionError(f"neither method applies: the Lyapunov route refused ({lyap_err}) "
+                             f"and the exponential route refused ({expm_err})",
+                             conditions=getattr(lyap_err, "conditions", []))
+    stats.conditions_checked.append(ConditionCheck(f"{first} fallback", False, str(refusal)))
+    return stats

@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import AccuracyError, ConditionCheck, ConditionError
-from .linalg import DriftFactor, mat_exp, symmetrize, van_loan_integral
+from .linalg import DriftFactor, _fro, mat_exp, symmetrize, van_loan_integral
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
@@ -160,16 +160,9 @@ def _finalize_variance(raw, mean, route):
 
 
 def _difference(first, second, name):
-    """symmetrize(first - second), refused when it cancels beyond CANCELLATION_LIMIT.
-
-    The norms are taken of the matrices divided by their largest entry, so
-    that squaring entries near the largest double does not overflow."""
+    """symmetrize(first - second), refused when it cancels beyond CANCELLATION_LIMIT."""
     out = symmetrize(first - second)
-    scale = max(np.abs(first).max(), np.abs(second).max())
-    ratio = 0.0
-    if scale > 0.0:
-        big = max(np.linalg.norm(first / scale), np.linalg.norm(second / scale))
-        ratio = big / max(np.linalg.norm(out / scale), 1e-300)
+    ratio = max(_fro(first), _fro(second)) / max(_fro(out), 1e-300)
     if ratio > CANCELLATION_LIMIT:
         raise AccuracyError(
             f"finite-horizon identity for {name} cancels: its terms are {ratio:.3g} times "

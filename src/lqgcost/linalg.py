@@ -12,13 +12,13 @@ override, and symmetry and (semi)definiteness are decided only here, at
 ``PSD_TOL``.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm, schur
+from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dtrsyl
 
 from .exceptions import (ConditionCheck, ConditionError, DimensionError, NumericalError,
@@ -101,8 +101,9 @@ def _require_pd(m, name):
 
 
 def _fro(m):
-    """Frobenius norm of a real matrix (``np.linalg.norm(m)`` without its dispatch)."""
-    return math.sqrt(np.vdot(m, m))
+    """Frobenius norm of a real matrix, by BLAS ``dnrm2``: it scales as it sums,
+    so entries near the largest double do not overflow."""
+    return dnrm2(m.ravel())
 
 
 def symmetrize(a):

@@ -19,7 +19,7 @@ needed for the single-time second moment.
 
 import numpy as np
 
-from .exceptions import SingularLyapunovError
+from .exceptions import AccuracyError, SingularLyapunovError
 from .linalg import mat_exp, solve_lyapunov, symmetrize, van_loan_integral
 from .systems import LtiSystem
 
@@ -42,26 +42,36 @@ def noise_gramian_finite(a, v, t):
 
     Identity used: the block exponential of [[-A, V], [0, A^T]] * t has
     upper-right block integral_0^t e^{-A (t-s)} V e^{A^T s} ds; multiplying by
-    e^{A t} from the left shifts the decaying factor onto the integrand.
+    e^{A t} from the left shifts the decaying factor onto the integrand.  The
+    -A block grows like e^{-A t}, so a stable A can overflow it (AccuracyError).
     """
-    _check_time(t)
-    if t == 0.0:
-        return np.zeros_like(np.asarray(a, dtype=float))
-    inner = van_loan_integral(-np.asarray(a, float), v, np.asarray(a, float).T, t)
-    return symmetrize(mat_exp(a, t) @ inner)
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = van_loan_integral(-a, v, a.T, t)
+        out = symmetrize(mat_exp(a, t) @ inner)
+    return _require_finite(out, f"the noise Gramian's Van Loan exponential at t = {t:g}")
 
 
 def second_moment(sys: LtiSystem, t):
-    """Second moment Sigma(t) = E[x(t) x(t)^T], exactly symmetric."""
+    """Second moment Sigma(t) = E[x(t) x(t)^T], exactly symmetric (AccuracyError on overflow)."""
     _check_time(t)
     if t == 0.0:
         return sys.Sigma0.copy()
-    e = mat_exp(sys.A, t)
     try:
         x = solve_lyapunov(sys.A, sys.V)
+        start, rest = sys.Sigma0 - x, x
     except SingularLyapunovError:
-        return symmetrize(e @ sys.Sigma0 @ e.T + noise_gramian_finite(sys.A, sys.V, t))
-    return symmetrize(e @ (sys.Sigma0 - x) @ e.T + x)
+        start, rest = sys.Sigma0, noise_gramian_finite(sys.A, sys.V, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = mat_exp(sys.A, t)
+        out = symmetrize(e @ start @ e.T + rest)
+    return _require_finite(out, f"Sigma(t) at t = {t:g}")
+
+
+def _require_finite(m, what):
+    if not np.all(np.isfinite(m)):
+        raise AccuracyError(f"{what} overflows double precision")
+    return m
 
 
 def cross_moment(sys: LtiSystem, t1, t2):

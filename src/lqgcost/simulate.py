@@ -6,7 +6,7 @@ Two time-stepping schemes are available:
 ``euler``
     Euler-Maruyama, x_{k+1} = x_k + A x_k dt + L xi_k sqrt(dt) with
     L L^T = V.  Weak order 1: expect O(dt) bias in the moments.
-``exact``
+``exact`` (the default)
     Exact one-step Gaussian discretization of the linear system,
     x_{k+1} = e^{A dt} x_k + L_d xi_k with L_d L_d^T = integral_0^dt
     e^{A s} V e^{A^T s} ds.  The sampled state marginals are exact for any
@@ -80,7 +80,7 @@ class SimConfig:
     n_paths: int
     seed: int = 0
     threshold: float = None
-    scheme: str = "euler"
+    scheme: str = "exact"
     threads: int = None
 
     def __post_init__(self):

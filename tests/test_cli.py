@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_continuous_are
 
-from lqgcost.cli import main
-from lqgcost import CostSpec, LqgPlant, LtiSystem, save_plant_model, save_system_model
+from lqgcost.cli import build_parser, main
+from lqgcost import (CostSpec, LqgPlant, LtiSystem, SimConfig, save_plant_model,
+                     save_system_model)
 from conftest import recipe_plant, scalar_cost, scalar_system, set_usable_cpus
 
 
@@ -99,7 +100,10 @@ class TestAnalyze:
         save_system_model(model, scalar_system(v=1.0, sigma0=1e160),
                           scalar_cost(alpha=0.0, horizon=1.0))
         assert main(["analyze", str(model)]) == 2
-        assert "lost the variance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "neither method applies" in err
+        assert "Lyapunov route lost the variance" in err
+        assert "block exponential lost the variance" in err
 
     def test_string_entry_exits_1(self, scalar_model, capsys):
         path = pathlib.Path(scalar_model)
@@ -135,6 +139,13 @@ class TestSimulate:
     def test_infinite_horizon_requires_T(self, scalar_model, capsys):
         assert main(["simulate", scalar_model, "--paths", "100"]) == 1
         assert "--T is required" in capsys.readouterr().err
+
+    def test_exact_is_the_default_scheme(self):
+        # one default for the library, `simulate` and `reproduce-example`
+        parser = build_parser()
+        assert SimConfig(dt=0.01, T=1.0, n_paths=10).scheme == "exact"
+        assert parser.parse_args(["simulate", "model.json", "--paths", "10"]).scheme == "exact"
+        assert parser.parse_args(["reproduce-example"]).scheme == "exact"
 
     def test_byte_identical_reports(self, scalar_model, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

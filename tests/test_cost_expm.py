@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from lqgcost import (
     AccuracyError,
+    ConditionError,
     CostSpec,
     LtiSystem,
     SimConfig,
@@ -195,7 +196,8 @@ auto = {}
 for switch in (20.0, 50.0):      # Lyapunov route first, exponential route first
     ce.AUTO_GROWTH_SWITCH = switch
     stats = ce.auto_cost_stats(system, cost)
-    auto[switch] = [stats.method, (stats.mean, stats.variance) == (lyap.mean, lyap.variance)]
+    auto[switch] = [stats.method, (stats.mean, stats.variance) == (lyap.mean, lyap.variance),
+                    [c.name for c in stats.conditions_checked if c.name.endswith("fallback")]]
 print(json.dumps({"expm": expm, "lyapunov": lyap.variance, "auto": list(auto.values())}))
 """
 
@@ -214,7 +216,7 @@ def test_expm_lost_variance_is_accuracy_error():
     out = json.loads(done.stdout)
     assert out["expm"].startswith("AccuracyError: block exponential lost the variance")
     assert out["lyapunov"] == pytest.approx(3.392e7, rel=1e-3)
-    assert out["auto"] == [["lyapunov", True], ["lyapunov", True]]
+    assert out["auto"] == [["lyapunov", True, []], ["lyapunov", True, ["expm fallback"]]]
 
 
 class TestAutoCostStats:
@@ -240,6 +242,20 @@ class TestAutoCostStats:
         with pytest.warns(RuntimeWarning, match="falling back"):
             stats = auto_cost_stats(sys, cost)
         assert stats.method == "expm"
+
+    @pytest.mark.filterwarnings("error")
+    def test_double_refusal_below_switch_names_both(self):
+        # growth 0: the exponential route runs first and the variance squares
+        # past the largest double; the nilpotent drift's Lyapunov equations
+        # are singular.  A fallback onto the Lyapunov route does not warn.
+        sys = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], V=np.eye(2),
+                        mu0=np.zeros(2), Sigma0=np.eye(2) * 1e160)
+        cost = CostSpec(Q=np.eye(2), alpha=0.0, horizon=1.0)
+        with pytest.raises(ConditionError, match="^neither method applies: the Lyapunov route "
+                           "refused [(].*failed A sylvester[)] and the exponential route "
+                           "refused [(]block exponential lost the variance") as err:
+            auto_cost_stats(sys, cost)
+        assert [(c.name, c.passed) for c in err.value.conditions] == [("A sylvester", False)]
 
     def test_routes_agree(self, rng):
         sys = random_system(2, rng, alpha_shifts=(-0.3, 0.3, 0.6, 0.9))

@@ -334,5 +334,7 @@ class TestOverflowGuard:
                             (cost_stats_expm, "block exponential")):
             with pytest.raises(AccuracyError, match=f"^{name} lost the variance.*overflows"):
                 route(sys, cost)
-        with pytest.raises(AccuracyError, match="lost the variance"):
+        with pytest.raises(ConditionError, match="^neither method applies: the Lyapunov route "
+                           "refused [(]Lyapunov route lost the variance.* and the exponential "
+                           "route refused [(]block exponential lost the variance"):
             auto_cost_stats(sys, cost)

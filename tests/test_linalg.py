@@ -373,6 +373,13 @@ class TestSchurCoordinates:
         cost = CostSpec(Q=random_spd(4, rng), alpha=alpha, horizon=1.2)
         _assert_perturbed_solve_refused(lambda: cost_stats_lyapunov(sys, cost), monkeypatch)
 
+    def test_frobenius_norm_does_not_overflow(self):
+        # the residual tests and the cancellation guard take this norm of
+        # matrices whose squared entries may pass the largest double
+        assert lqgcost.linalg._fro(np.full((3, 3), 1e300)) == 3e300
+        strided = np.arange(12.0).reshape(3, 4).T
+        assert lqgcost.linalg._fro(strided) == pytest.approx(np.linalg.norm(strided), rel=1e-15)
+
 
 def _assert_perturbed_solve_refused(run, monkeypatch):
     """``run()`` passes with ``dtrsyl`` perturbed by 1e-13 and raises its

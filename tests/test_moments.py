@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lqgcost import (
+    AccuracyError,
     LtiSystem,
     SingularLyapunovError,
     cross_moment,
@@ -59,6 +60,15 @@ class TestSecondMoment:
         expected = e @ sys.Sigma0 @ e.T + finite_integral_by_quadrature(a, v, 0.0, t)
         assert_allclose(second_moment(sys, t), expected, rtol=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_named(self):
+        # A = diag(1, -1) is not sylvester, so Sigma(t) takes the Gramian
+        # path; its e^{2t} term passes the largest double by t = 400
+        sys = LtiSystem(A=np.diag([1.0, -1.0]), V=np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2))
+        assert np.all(np.isfinite(second_moment(sys, 300.0)))
+        with pytest.raises(AccuracyError, match="t = 400 overflows double precision"):
+            second_moment(sys, 400.0)
+
     def test_differential_identity(self, rng):
         # d Sigma / dt = A Sigma + Sigma A^T + V, by central differences
         for _ in range(3):
@@ -91,6 +101,16 @@ class TestNoiseGramianFinite:
         assert_allclose(noise_gramian_finite(a, v, 0.9),
                         finite_integral_by_quadrature(a, v, 0.0, 0.9),
                         rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.filterwarnings("error")
+    def test_stiff_drift_overflow_named(self):
+        # the -A block of the Van Loan matrix reaches e^{750} at t = 25,
+        # though the Gramian is about diag(5, 1/60)
+        a = np.diag([-0.1, -30.0])
+        assert_allclose(noise_gramian_finite(a, np.eye(2), 20.0),
+                        np.diag([(1.0 - math.exp(-4.0)) / 0.2, 1.0 / 60.0]), rtol=1e-12)
+        with pytest.raises(AccuracyError, match="Van Loan exponential at t = 25 overflows"):
+            noise_gramian_finite(a, np.eye(2), 25.0)
 
 
 class TestCrossMoment:

@@ -174,8 +174,10 @@ class TestSimulateCosts:
 
     def test_dt_convergence(self):
         sys, cost = reference_case()
-        coarse = simulate_costs(sys, cost, SimConfig(dt=0.02, T=4.0, n_paths=50_000, seed=21))
-        fine = simulate_costs(sys, cost, SimConfig(dt=0.01, T=4.0, n_paths=50_000, seed=22))
+        coarse = simulate_costs(sys, cost, SimConfig(dt=0.02, T=4.0, n_paths=50_000, seed=21,
+                                                     scheme="euler"))
+        fine = simulate_costs(sys, cost, SimConfig(dt=0.01, T=4.0, n_paths=50_000, seed=22,
+                                                   scheme="euler"))
         assert abs(coarse.mean - fine.mean) < 4.0 * math.hypot(coarse.mean_stderr,
                                                                fine.mean_stderr) + 0.02
 
