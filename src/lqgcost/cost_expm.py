@@ -84,8 +84,9 @@ def build_block_matrix(sys: LtiSystem, cost: CostSpec):
 
 
 def _growth_exponent(sys, cost):
-    """T * max |Re eig(C)|, computed from the spectrum of A and the shifts."""
-    re = np.linalg.eigvals(sys.A).real
+    """T * max |Re eig(C)|, from the eigenvalues of A and the shifts: those of
+    the system's factor (``sys.factor``), which the Lyapunov route shares."""
+    re = sys.factor.eigenvalues.real
     alpha = cost.alpha
     rate = max(
         np.abs(re).max(),

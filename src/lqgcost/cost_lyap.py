@@ -10,7 +10,9 @@ Notation used throughout:
 
 Every drift A_k shares the real Schur basis of A: with A = U R U^T,
 A_k = U (R + k alpha I) U^T.  One evaluation (:class:`_Evaluation`), at
-either horizon, factors ``sys.A`` once (:class:`lqgcost.linalg.DriftFactor`),
+either horizon, uses the system's factor (``sys.factor``, the
+:class:`lqgcost.linalg.DriftFactor` of ``sys.A``, built once per system and
+shared with every other evaluation of it, whatever its alpha or horizon),
 maps Q, V, Sigma0 and mu0 into that basis once and stays there: each X and Y
 above is one quasi-triangular back-substitution on R + k alpha I, each
 exponential e^{A_k T} = e^{k alpha T} e^{A T} comes from the one n x n
@@ -31,7 +33,7 @@ infinite mean/var   alpha < 0 and A_1 stable
 At a finite horizon the identities for Y_T and for the state covariance
 Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A] subtract terms that
 can be far larger than their result; when a term exceeds the result by more
-than ``CANCELLATION_LIMIT`` the evaluation raises :class:`AccuracyError`
+than ``linalg.CANCELLATION_LIMIT`` the evaluation raises :class:`AccuracyError`
 instead of returning a value that has lost most of its digits.  Every term
 of a finite-horizon evaluation is at most a fourth power of its largest
 exponential, e^{rho T} with rho = max(max Re eig(A) + |alpha|, alpha) (for
@@ -54,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import AccuracyError, ConditionCheck, ConditionError
-from .linalg import DriftFactor, _fro, mat_exp, symmetrize, van_loan_integral
+from .linalg import _difference, mat_exp, symmetrize, van_loan_integral
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
@@ -73,11 +75,6 @@ SHIFTED_STABLE = "A+1a stable"
 
 #: Raw variances in [-VARIANCE_CLAMP_RTOL * (1 + mean^2), 0) clamp to zero.
 VARIANCE_CLAMP_RTOL = 1e-8
-
-#: Largest ||term||_F / ||result||_F allowed in the finite-horizon identities
-#: for Y_T and Sigma_T.  Each factor of ten past it costs the result a digit
-#: on top of the Lyapunov solutions' own rounding.
-CANCELLATION_LIMIT = 1e6
 
 #: Largest rho * T a finite-horizon evaluation accepts (module docstring):
 #: e^{4 rho T} stays below the largest double.
@@ -159,18 +156,6 @@ def _finalize_variance(raw, mean, route):
     raise AccuracyError(f"{route} lost the variance: {problem}")
 
 
-def _difference(first, second, name):
-    """symmetrize(first - second), refused when it cancels beyond CANCELLATION_LIMIT."""
-    out = symmetrize(first - second)
-    ratio = max(_fro(first), _fro(second)) / max(_fro(out), 1e-300)
-    if ratio > CANCELLATION_LIMIT:
-        raise AccuracyError(
-            f"finite-horizon identity for {name} cancels: its terms are {ratio:.3g} times "
-            f"the result (limit {CANCELLATION_LIMIT:g}); use the exponential route"
-        )
-    return out
-
-
 def _require_no_overflow(fac, cost, with_variance):
     """AccuracyError when rho * T passes OVERFLOW_EXPONENT (module docstring)."""
     abscissa = fac.eigenvalues.real.max()
@@ -199,7 +184,8 @@ def _require_horizon(cost, infinite):
 # ---------------------------------------------------------------------------
 
 class _Evaluation:
-    """One evaluation of the route, in the real Schur basis of ``sys.A``.
+    """One evaluation of the route, in the real Schur basis of ``sys.A``
+    (``sys.factor``).
 
     With A = U R U^T every shifted drift is U (R + s I) U^T, so
     Y[Q; A_1] = U Y~ U^T where Y~ solves the same equation on R + alpha I
@@ -220,7 +206,7 @@ class _Evaluation:
     """
 
     def __init__(self, sys, cost, with_variance):
-        self.fac = fac = DriftFactor(sys.A)
+        self.fac = fac = sys.factor
         self.alpha, self.horizon = alpha, horizon = cost.alpha, cost.horizon
         self.checks = _conditions(fac, cost, with_variance)
         self.branch = "infinite horizon" if cost.is_infinite else "finite horizon"

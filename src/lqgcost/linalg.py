@@ -21,8 +21,8 @@ from scipy.linalg import expm, schur
 from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dtrsyl
 
-from .exceptions import (ConditionCheck, ConditionError, DimensionError, NumericalError,
-                         SingularLyapunovError)
+from .exceptions import (AccuracyError, ConditionCheck, ConditionError, DimensionError,
+                         NumericalError, SingularLyapunovError)
 
 __all__ = [
     "SpectrumReport",
@@ -47,6 +47,16 @@ DEFAULT_RESIDUAL_RTOL = 1e-8
 #: Slack, relative to max(largest magnitude, 1), within which a matrix counts
 #: as symmetric and its smallest eigenvalue as nonnegative.
 PSD_TOL = 1e-8
+
+#: Most shifts a DriftFactor keeps; past it the oldest goes.  One evaluation
+#: uses at most four (0, alpha, -alpha, 2 alpha), and a system evaluated at
+#: many alphas would otherwise hold an n x n matrix for each.
+SHIFTS_KEPT = 16
+
+#: Largest ||term||_F / ||result||_F allowed in a finite-horizon identity
+#: that subtracts one term from another.  Each factor of ten past it costs
+#: the result a digit on top of the terms' own rounding.
+CANCELLATION_LIMIT = 1e6
 
 
 def _as_matrix(a, name="matrix"):
@@ -104,6 +114,19 @@ def _fro(m):
     """Frobenius norm of a real matrix, by BLAS ``dnrm2``: it scales as it sums,
     so entries near the largest double do not overflow."""
     return dnrm2(m.ravel())
+
+
+def _difference(first, second, name):
+    """symmetrize(first - second), refused (AccuracyError) when it cancels
+    beyond CANCELLATION_LIMIT."""
+    out = symmetrize(first - second)
+    ratio = max(_fro(first), _fro(second)) / max(_fro(out), 1e-300)
+    if ratio > CANCELLATION_LIMIT:
+        raise AccuracyError(
+            f"finite-horizon identity for {name} cancels: its terms are {ratio:.3g} times "
+            f"the result (limit {CANCELLATION_LIMIT:g})"
+        )
+    return out
 
 
 def symmetrize(a):
@@ -219,6 +242,11 @@ class DriftFactor:
     checked in Schur coordinates, where U being orthogonal leaves the
     Frobenius norms, and so the residual test, as they are in A's basis.
 
+    Every :class:`~lqgcost.systems.LtiSystem` owns the factor of its drift
+    (``sys.factor``), built the first time it is read, so each route, alpha
+    and horizon evaluated on that system, and its state moments, read one
+    factorization.
+
     :meth:`solve` is the validated boundary of :func:`solve_lyapunov` and
     :func:`solve_lyapunov_transposed`: it checks W, maps it into the basis
     (U^T W U), solves there and maps X back out (U Z U^T).  Callers that keep
@@ -231,8 +259,9 @@ class DriftFactor:
     Each shift's :class:`SpectrumReport` (at ``DEFAULT_SPECTRAL_TOL``,
     degenerate pairs included), T + s I and ||T + s I||_F are built the first
     time :meth:`spectrum`, :meth:`solve` or :meth:`_solve_schur` asks for that
-    shift and reused after, so checking a shift and then solving on it
-    classifies it once.
+    shift and kept with the factor, up to the last ``SHIFTS_KEPT`` shifts, so
+    checking a shift and then solving on it classifies it once, and so do
+    later evaluations of the same system at that shift.
     """
 
     def __init__(self, a):
@@ -254,6 +283,8 @@ class DriftFactor:
     def _at(self, shift):
         data = self._shifted.get(shift)
         if data is None:
+            if len(self._shifted) == SHIFTS_KEPT:
+                del self._shifted[next(iter(self._shifted))]
             t_s = self.t + shift * np.eye(len(self.t))
             data = self._shifted[shift] = _Shifted(
                 _classify(self.eigenvalues + shift, DEFAULT_SPECTRAL_TOL), t_s, _fro(t_s))
@@ -358,7 +389,8 @@ def solve_lyapunov(a, q):
     ||A - U T U^T||_F <= DEFAULT_RESIDUAL_RTOL * ||A||_F.  The Schur factor
     depends only on A, and A + s I has the factor U (T + s I) U^T, so callers
     that need several shifts or the transposed equation of one drift should
-    factor it once with :class:`DriftFactor` and call :meth:`DriftFactor.solve`.
+    factor it once with :class:`DriftFactor` (a system's ``factor``) and call
+    :meth:`DriftFactor.solve`.
 
     References: R. H. Bartels and G. W. Stewart, "Solution of the matrix
     equation AX + XB = C", Comm. ACM 15(9), 1972; G. H. Golub, S. Nash and

@@ -25,7 +25,6 @@ stability test reads ``classify_spectrum(m).is_stable`` (Re lambda <
 two gains is A + alpha I - B F and A - K C.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from scipy.linalg import schur
 
 from .exceptions import ConditionError, DimensionError, NumericalError, SynthesisError
 from .linalg import _as_matrix, _as_square, classify_spectrum, solve_lyapunov_transposed, symmetrize
-from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON
+from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON, _with_gain_terms
 
 __all__ = [
     "GainPair",
@@ -152,11 +151,10 @@ def close_loop_full_state(plant: LqgPlant, f, mu0, sigma0, horizon=INFINITE_HORI
 
 def _regain_full_state(plant, sys, cost, f):
     """Copies of a validated loop of ``plant`` with the gain-dependent A - B F and
-    Q + F^T R F of ``f`` (a finite float array of the gain's shape) swapped in."""
-    sys, cost = copy.copy(sys), copy.copy(cost)
-    sys.A = plant.A - plant.B @ f
-    cost.Q = symmetrize(plant.Q + f.T @ plant.R @ f)
-    return sys, cost
+    Q + F^T R F of ``f`` (a finite float array of the gain's shape) swapped in;
+    the copied system factors its own drift."""
+    return _with_gain_terms(sys, cost, plant.A - plant.B @ f,
+                            symmetrize(plant.Q + f.T @ plant.R @ f))
 
 
 def close_loop_output_feedback(plant: LqgPlant, f, k, mu0, sigma0,

@@ -18,12 +18,15 @@ from lqgcost import (
     LtiSystem,
     NumericalError,
     SingularLyapunovError,
+    auto_cost_stats,
     classify_spectrum,
+    cost_stats_expm,
     cost_stats_lyapunov,
     lyap_finite,
     mat_exp,
     optimal_gain,
     psd_factor,
+    second_moment,
     solve_lyapunov,
     solve_lyapunov_transposed,
     van_loan_integral,
@@ -429,14 +432,38 @@ class TestOneFactorPerEvaluation:
                                                (-0.4, math.inf)])
     def test_one_schur_per_evaluation(self, alpha, horizon, rng, schur_calls, solve_calls):
         # one path at both horizons: every solve runs in Schur coordinates, none
-        # through the validated DriftFactor.solve
+        # through the validated DriftFactor.solve, and the second evaluation
+        # reads the system's factor
         sys = random_system(3, rng, alpha_shifts=(-0.4, 0.3, -0.3, 0.4, -0.8, 0.6, 0.9))
         cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=horizon)
         cost_stats_lyapunov(sys, cost)
         assert (len(schur_calls), len(solve_calls)) == (1, 0)
         variance = variance_cost_infinite if cost.is_infinite else variance_cost_finite
         variance(sys, cost)
-        assert (len(schur_calls), len(solve_calls)) == (2, 0)
+        assert (len(schur_calls), len(solve_calls)) == (1, 0)
+
+    def test_one_schur_per_system(self, rng, schur_calls, monkeypatch):
+        # every route, both horizons and the state moments at two alphas read
+        # one factor, and the exponential route reads its eigenvalues
+        eig_calls = []
+        real_eigvals = np.linalg.eigvals
+
+        def counting_eigvals(*args, **kwargs):
+            eig_calls.append(1)
+            return real_eigvals(*args, **kwargs)
+
+        sys = random_system(3, rng, alpha_shifts=(-0.4, 0.3, -0.3, 0.4, -0.8, 0.6, 0.9))
+        q = random_spd(3, rng)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        for alpha in (-0.4, 0.3):
+            finite = CostSpec(Q=q, alpha=alpha, horizon=1.2)
+            cost_stats_lyapunov(sys, finite)
+            if alpha < 0:
+                cost_stats_lyapunov(sys, CostSpec(Q=q, alpha=alpha))
+            expm_stats = cost_stats_expm(sys, finite)
+            assert auto_cost_stats(sys, finite).variance == expm_stats.variance
+        second_moment(sys, 0.7)
+        assert (len(schur_calls), len(eig_calls)) == (1, 0)
 
     @pytest.mark.parametrize("alpha,horizon,shifts", [(0.3, 1.2, 4), (-0.4, 1.2, 4),
                                                       (0.0, 1.2, 1), (-0.4, math.inf, 2)])
@@ -453,6 +480,9 @@ class TestOneFactorPerEvaluation:
             return real(*args)
 
         monkeypatch.setattr(lqgcost.linalg, "_classify", counting)
+        cost_stats_lyapunov(sys, cost)
+        assert len(calls) == shifts
+        # a second evaluation of the system finds every shift classified
         cost_stats_lyapunov(sys, cost)
         assert len(calls) == shifts
 

@@ -24,8 +24,9 @@ def awkward_floats(n, rng):
 class TestSystemModelRoundTrip:
     def test_bit_exact(self, tmp_path, rng):
         sys = random_system(3, rng)
-        sys.A[0, 1] = math.pi * 1e-7
-        sys = LtiSystem(A=sys.A, V=sys.V, mu0=sys.mu0, Sigma0=sys.Sigma0)
+        a = sys.A.copy()
+        a[0, 1] = math.pi * 1e-7
+        sys = LtiSystem(A=a, V=sys.V, mu0=sys.mu0, Sigma0=sys.Sigma0)
         cost = CostSpec(Q=random_spd(3, rng), alpha=-1.0 / 3.0, horizon=math.pi)
         path = tmp_path / "model.json"
         save_system_model(path, sys, cost)

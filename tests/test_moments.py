@@ -30,6 +30,12 @@ class TestMeanState:
         sys = scalar_system(a=-1.0, v=2.0, mu0=2.0, sigma0=5.0)
         assert_allclose(mean_state(sys, 1.0), [2.0 * math.exp(-1.0)], rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_named(self):
+        sys = LtiSystem(A=[[1.0]], V=[[1.0]], mu0=[1.0], Sigma0=[[1.0]])
+        with pytest.raises(AccuracyError, match="mu\\(t\\) at t = 800 overflows"):
+            mean_state(sys, 800.0)
+
 
 class TestSecondMoment:
     def test_time_zero(self, rng):
@@ -104,12 +110,30 @@ class TestNoiseGramianFinite:
 
     @pytest.mark.filterwarnings("error")
     def test_stiff_drift_overflow_named(self):
-        # the -A block of the Van Loan matrix reaches e^{750} at t = 25,
-        # though the Gramian is about diag(5, 1/60)
-        a = np.diag([-0.1, -30.0])
+        # the -A block of the Van Loan matrix reaches e^{750} at t = 25, and
+        # the zero eigenvalue makes the Lyapunov equation singular, so there
+        # is no fallback
+        a = np.diag([-30.0, 0.0])
         assert_allclose(noise_gramian_finite(a, np.eye(2), 20.0),
-                        np.diag([(1.0 - math.exp(-4.0)) / 0.2, 1.0 / 60.0]), rtol=1e-12)
+                        np.diag([1.0 / 60.0, 20.0]), rtol=1e-12)
         with pytest.raises(AccuracyError, match="Van Loan exponential at t = 25 overflows"):
+            noise_gramian_finite(a, np.eye(2), 25.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [20.0, 25.0])
+    def test_stiff_drift_past_the_van_loan_overflow(self, t):
+        # at t = 25 the Van Loan block overflows and X - e^{A t} X e^{A^T t}
+        # gives the Gramian, about diag(5, 1/60)
+        a = np.diag([-0.1, -30.0])
+        assert_allclose(noise_gramian_finite(a, np.eye(2), t),
+                        np.diag([(1.0 - math.exp(-0.2 * t)) / 0.2,
+                                 (1.0 - math.exp(-60.0 * t)) / 60.0]), rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_fallback_cancellation_named(self):
+        # the slow mode's X is 5e8 where its Gramian is about 25
+        a = np.diag([-30.0, -1e-9])
+        with pytest.raises(AccuracyError, match="noise Gramian at t = 25 cancels"):
             noise_gramian_finite(a, np.eye(2), 25.0)
 
 
@@ -141,6 +165,12 @@ class TestCrossMoment:
         sys = LtiSystem(A=a, V=np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2))
         with pytest.raises(SingularLyapunovError):
             cross_moment(sys, 0.2, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_named(self):
+        sys = LtiSystem(A=[[1.0]], V=[[1.0]], mu0=[1.0], Sigma0=[[1.0]])
+        with pytest.raises(AccuracyError, match="at t1 = 1, t2 = 800 overflows"):
+            cross_moment(sys, 1.0, 800.0)
 
     @pytest.mark.parametrize("t1,t2", [(0.3, 1.1), (1.1, 0.3), (0.0, 0.8)])
     def test_matches_diagonal_drift_closed_form(self, t1, t2):

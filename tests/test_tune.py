@@ -10,6 +10,7 @@ from lqgcost import (
     LtiSystem,
     LqgPlant,
     TuneOptions,
+    cost_stats_lyapunov,
     evaluate_gain,
     expected_cost_infinite,
     finite_difference_gradient,
@@ -132,6 +133,33 @@ class TestValidateOnce:
             assert result.stop_reason == "max_iter" and not result.converged
         assert counts[0] == counts[1] <= 2
         assert objective_value(plant, result.F, ZERO2, ZERO22, "variance") == result.objective_value
+
+    def test_swapped_copies_factor_their_own_drift(self, monkeypatch):
+        # the loop's factor is built before the search; no copy inherits it
+        plant = benchmark_plant()
+        f0 = optimal_gain(plant)
+        opts = TuneOptions(f0=f0, objective="variance", grad_tol=1e-2)
+        fresh = minimize_variance(plant, ZERO2, ZERO22, opts)
+        loop = close_loop_full_state(plant, f0, ZERO2, ZERO22)
+        cost_stats_lyapunov(*loop)
+        copies = []
+        real = tune._regain_full_state
+
+        def recording(plant, sys, cost, f):
+            assert sys is loop[0] and "factor" in vars(sys)
+            new_sys, new_cost = real(plant, sys, cost, f)
+            assert "factor" not in vars(new_sys)
+            copies.append((new_sys, f))
+            return new_sys, new_cost
+
+        monkeypatch.setattr(tune, "close_loop_full_state", lambda *args: loop)
+        monkeypatch.setattr(tune, "_regain_full_state", recording)
+        result = minimize_variance(plant, ZERO2, ZERO22, opts)
+        assert np.array_equal(result.F, fresh.F) and result.variance_at_F == fresh.variance_at_F
+        assert len(copies) > result.iterations
+        for sys, f in copies:
+            assert "factor" in vars(sys) and sys.factor is not loop[0].factor
+            assert np.array_equal(sys.factor.a, plant.A - plant.B @ f)
 
 
 class TestTuneOptions:
