@@ -244,8 +244,7 @@ class DriftFactor:
 
     Every :class:`~lqgcost.systems.LtiSystem` owns the factor of its drift
     (``sys.factor``), built the first time it is read, so each route, alpha
-    and horizon evaluated on that system, and its state moments, read one
-    factorization.
+    and horizon evaluated on that system reads one factorization.
 
     :meth:`solve` is the validated boundary of :func:`solve_lyapunov` and
     :func:`solve_lyapunov_transposed`: it checks W, maps it into the basis
@@ -410,8 +409,8 @@ def lyap_finite(a, q, t1, t2, solution=None):
 
     Equals ``e^{A t1} X e^{A^T t1} - e^{A t2} X e^{A^T t2}`` where X solves
     A X + X A^T + Q = 0.  Requires that equation to be uniquely solvable;
-    callers facing a degenerate spectrum should integrate through
-    :func:`van_loan_integral` instead.
+    :func:`~lqgcost.moments.noise_gramian_finite` gives the integral over
+    [0, t] for any A.
 
     ``solution`` may pass a precomputed X to avoid re-solving.
     """

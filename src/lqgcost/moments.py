@@ -4,26 +4,30 @@ For dx/dt = A x + v with noise intensity V and Gaussian initial state,
 the state stays Gaussian with
 
     mu(t)          = e^{A t} mu0,
-    Sigma(t)       = e^{A t} (Sigma0 - X) e^{A^T t} + X,
-    Sigma(t1, t2)  = e^{A t1} (Sigma0 - X) e^{A^T t2} + X e^{A^T (t2 - t1)},
+    Sigma(t)       = e^{A t} Sigma0 e^{A^T t} + W(t),
+    Sigma(t1, t2)  = Sigma(t1) e^{A^T (t2 - t1)}          (t1 <= t2),
 
-where X solves A X + X A^T + V = 0 and Sigma(t1, t2) = E[x(t1) x(t2)^T]
-for t1 <= t2.  X is solved on the system's factor (``sys.factor``), the one
-Schur factorization of A that the cost routes share.  When that Lyapunov
-equation is singular (A has eigenvalue pairs summing to zero), Sigma(t) falls
-back to the equivalent integral form
+where W(t) = integral_0^t e^{A s} V e^{A^T s} ds is the noise Gramian and
+Sigma(t1, t2) = E[x(t1) x(t2)^T].  One propagation gives e^{A t} and W(t)
+for any square A, with no spectral condition and no Lyapunov solve: at a
+step h = t / 2^k with ||A||_1 h <= 1 both come from one Van Loan block
+exponential, and k doublings
 
-    Sigma(t) = e^{A t} Sigma0 e^{A^T t} + integral_0^t e^{A s} V e^{A^T s} ds
+    W(2h) = W(h) + e^{A h} W(h) e^{A^T h},    e^{2 A h} = (e^{A h})^2
 
-evaluated through one block matrix exponential, so no spectral condition is
-needed for the single-time second moment.  A moment that overflows double
-precision raises :class:`AccuracyError`.
+carry them to t (C. F. Van Loan, "Computing integrals involving the matrix
+exponential", IEEE Trans. Automat. Control 23(3), 1978).  Each doubling adds
+positive semidefinite terms, so nothing cancels on stiff, unstable or
+non-normal drifts.  A moment that overflows double precision raises
+:class:`AccuracyError`.
 """
+
+import math
 
 import numpy as np
 
-from .exceptions import AccuracyError, SingularLyapunovError
-from .linalg import _difference, mat_exp, solve_lyapunov, symmetrize, van_loan_integral
+from .exceptions import AccuracyError
+from .linalg import _as_square, mat_exp, symmetrize, van_loan_integral
 from .systems import LtiSystem
 
 __all__ = ["mean_state", "second_moment", "cross_moment", "noise_gramian_finite"]
@@ -32,6 +36,30 @@ __all__ = ["mean_state", "second_moment", "cross_moment", "noise_gramian_finite"
 def _check_time(t):
     if not np.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
+
+
+def _propagate(a, v, t):
+    """(e^{A t}, W(t)) for a finite t >= 0, by scaling and squaring.
+
+    The doubling count k is the least with ||A||_1 t / 2^k <= 1, taken from
+    logarithms so that neither ||A||_1 nor ||A||_1 t is formed; at k = 0 this
+    is one exponential and one Van Loan block at t.  Overflow is left to the
+    caller, which checks what it returns.
+    """
+    mag = np.abs(a)
+    scale = mag.max()
+    k = 0
+    if scale > 0.0 and t > 0.0:
+        norm = (mag / scale).sum(axis=0).max()      # ||A||_1 / scale, at least 1
+        k = max(0, math.ceil(math.log2(scale) + math.log2(norm) + math.log2(t)))
+    h = math.ldexp(t, -k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = mat_exp(a, h)
+        w = symmetrize(phi @ van_loan_integral(-a, v, a.T, h))
+        for _ in range(k):
+            w = symmetrize(w + phi @ w @ phi.T)
+            phi = phi @ phi
+    return phi, w
 
 
 def mean_state(sys: LtiSystem, t):
@@ -43,47 +71,21 @@ def mean_state(sys: LtiSystem, t):
 
 
 def noise_gramian_finite(a, v, t):
-    """integral_0^t e^{A s} V e^{A^T s} ds for any square A (no spectral conditions).
+    """Noise Gramian W(t) = integral_0^t e^{A s} V e^{A^T s} ds for any square A.
 
-    Identity used: the block exponential of [[-A, V], [0, A^T]] * t has
-    upper-right block integral_0^t e^{-A (t-s)} V e^{A^T s} ds; multiplying by
-    e^{A t} from the left shifts the decaying factor onto the integrand.  The
-    -A block grows like e^{-A t}, so a stable A can overflow it.  Only then is
-    the Gramian X - e^{A t} X e^{A^T t} instead, with X solving
-    A X + X A^T + V = 0, refused (AccuracyError) when its terms cancel beyond
-    ``linalg.CANCELLATION_LIMIT`` or overflow; when that equation is singular
-    the overflow raises AccuracyError.
+    Exactly symmetric; AccuracyError when it overflows double precision.
     """
-    a = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = van_loan_integral(-a, v, a.T, t)
-        out = symmetrize(mat_exp(a, t) @ inner)
-    if np.all(np.isfinite(out)):
-        return out
-    try:
-        x = solve_lyapunov(a, v)
-    except SingularLyapunovError:
-        raise AccuracyError(f"the noise Gramian's Van Loan exponential at t = {t:g} "
-                            "overflows double precision") from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = mat_exp(a, t)
-        far = _require_finite(e @ x @ e.T, f"e^(A t) X e^(A^T t) at t = {t:g}")
-    return _difference(x, far, f"the noise Gramian at t = {t:g}")
+    a = _as_square(a, "A")
+    _check_time(t)
+    return _require_finite(_propagate(a, v, t)[1], f"the noise Gramian at t = {t:g}")
 
 
 def second_moment(sys: LtiSystem, t):
     """Second moment Sigma(t) = E[x(t) x(t)^T], exactly symmetric (AccuracyError on overflow)."""
     _check_time(t)
-    if t == 0.0:
-        return sys.Sigma0.copy()
-    try:
-        x = sys.factor.solve(sys.V)
-        start, rest = sys.Sigma0 - x, x
-    except SingularLyapunovError:
-        start, rest = sys.Sigma0, noise_gramian_finite(sys.A, sys.V, t)
+    phi, w = _propagate(sys.A, sys.V, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = mat_exp(sys.A, t)
-        out = symmetrize(e @ start @ e.T + rest)
+        out = symmetrize(phi @ sys.Sigma0 @ phi.T + w)
     return _require_finite(out, f"Sigma(t) at t = {t:g}")
 
 
@@ -94,20 +96,11 @@ def _require_finite(m, what):
 
 
 def cross_moment(sys: LtiSystem, t1, t2):
-    """Cross moment Sigma(t1, t2) = E[x(t1) x(t2)^T] (AccuracyError on overflow).
-
-    Requires the noise Lyapunov equation to be uniquely solvable; unlike
-    :func:`second_moment` there is no integral fallback here.
-    """
+    """Cross moment Sigma(t1, t2) = E[x(t1) x(t2)^T] for any drift (AccuracyError on overflow)."""
     _check_time(t1)
     _check_time(t2)
     if t1 > t2:
         return cross_moment(sys, t2, t1).T
-    x = sys.factor.solve(sys.V)
     with np.errstate(over="ignore", invalid="ignore"):
-        e1 = mat_exp(sys.A, t1)
-        e2 = mat_exp(sys.A, t2)
-        out = e1 @ (sys.Sigma0 - x) @ e2.T + x @ mat_exp(sys.A.T, t2 - t1)
-    if t1 == t2:
-        out = symmetrize(out)
+        out = second_moment(sys, t1) @ mat_exp(sys.A.T, t2 - t1)
     return _require_finite(out, f"Sigma(t1, t2) at t1 = {t1:g}, t2 = {t2:g}")

@@ -88,6 +88,8 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not math.isfinite(float(self.T) / float(self.dt)):
+            raise ValueError(f"T/dt must be finite, got T = {self.T}, dt = {self.dt}")
         self.n_paths = _whole_number("n_paths", self.n_paths, 1)
         self.seed = _whole_number("seed", self.seed, 0)
         if self.threshold is not None and math.isnan(self.threshold):
@@ -262,7 +264,7 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
         p = count / n
         stats.exceed_count = count
         stats.exceed_prob = p
-        stats.exceed_stderr = math.sqrt(p * (1.0 - p) / n)
+        stats.exceed_stderr = math.sqrt(p * (1.0 - p) / n) if n > 1 else math.inf
     return stats
 
 

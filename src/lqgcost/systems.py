@@ -76,7 +76,7 @@ class LtiSystem:
     Building it validates and copies the arrays, which are then read-only.
     ``factor`` is the :class:`~lqgcost.linalg.DriftFactor` of A, built the
     first time it is read and kept, so every evaluation of this system (each
-    route, alpha and horizon, the state moments) reads one Schur factorization.
+    route, alpha and horizon) reads one Schur factorization.
     """
 
     A: np.ndarray

@@ -136,6 +136,12 @@ class TestSimulate:
         assert main(["simulate", scalar_model, "--paths", "10", "--T", "inf"]) == 1
         assert "T must be positive and finite" in capsys.readouterr().err
 
+    def test_step_count_past_the_largest_double_exits_1(self, scalar_model, capsys):
+        assert main(["simulate", scalar_model, "--paths", "10", "--T", "1",
+                     "--dt", "1e-320"]) == 1
+        err = capsys.readouterr().err
+        assert "input error: T/dt must be finite" in err and "Traceback" not in err
+
     def test_infinite_horizon_requires_T(self, scalar_model, capsys):
         assert main(["simulate", scalar_model, "--paths", "100"]) == 1
         assert "--T is required" in capsys.readouterr().err

@@ -22,8 +22,10 @@ from lqgcost import (
     classify_spectrum,
     cost_stats_expm,
     cost_stats_lyapunov,
+    cross_moment,
     lyap_finite,
     mat_exp,
+    noise_gramian_finite,
     optimal_gain,
     psd_factor,
     second_moment,
@@ -443,8 +445,9 @@ class TestOneFactorPerEvaluation:
         assert (len(schur_calls), len(solve_calls)) == (1, 0)
 
     def test_one_schur_per_system(self, rng, schur_calls, monkeypatch):
-        # every route, both horizons and the state moments at two alphas read
-        # one factor, and the exponential route reads its eigenvalues
+        # every route and both horizons at two alphas read one factor, the
+        # exponential route reads its eigenvalues, and the state moments need
+        # neither
         eig_calls = []
         real_eigvals = np.linalg.eigvals
 
@@ -464,6 +467,16 @@ class TestOneFactorPerEvaluation:
             assert auto_cost_stats(sys, finite).variance == expm_stats.variance
         second_moment(sys, 0.7)
         assert (len(schur_calls), len(eig_calls)) == (1, 0)
+
+    def test_state_moments_factor_nothing(self, schur_calls):
+        # a stiff and a neutral mode: the Lyapunov equation is singular and a
+        # Van Loan block at t = 25 would overflow
+        sys = LtiSystem(A=np.diag([-30.0, 0.0]), V=np.eye(2), mu0=np.ones(2),
+                        Sigma0=2.0 * np.eye(2))
+        noise_gramian_finite(sys.A, sys.V, 25.0)
+        second_moment(sys, 25.0)
+        cross_moment(sys, 20.0, 25.0)
+        assert schur_calls == []
 
     @pytest.mark.parametrize("alpha,horizon,shifts", [(0.3, 1.2, 4), (-0.4, 1.2, 4),
                                                       (0.0, 1.2, 1), (-0.4, math.inf, 2)])

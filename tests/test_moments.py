@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from lqgcost import (
     AccuracyError,
     LtiSystem,
-    SingularLyapunovError,
     cross_moment,
     mean_state,
     noise_gramian_finite,
@@ -68,8 +67,7 @@ class TestSecondMoment:
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_named(self):
-        # A = diag(1, -1) is not sylvester, so Sigma(t) takes the Gramian
-        # path; its e^{2t} term passes the largest double by t = 400
+        # the e^{2t} term of A = diag(1, -1) passes the largest double by t = 400
         sys = LtiSystem(A=np.diag([1.0, -1.0]), V=np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2))
         assert np.all(np.isfinite(second_moment(sys, 300.0)))
         with pytest.raises(AccuracyError, match="t = 400 overflows double precision"):
@@ -109,32 +107,55 @@ class TestNoiseGramianFinite:
                         rtol=1e-9, atol=1e-11)
 
     @pytest.mark.filterwarnings("error")
-    def test_stiff_drift_overflow_named(self):
-        # the -A block of the Van Loan matrix reaches e^{750} at t = 25, and
-        # the zero eigenvalue makes the Lyapunov equation singular, so there
-        # is no fallback
+    def test_stiff_and_neutral_drift(self):
+        # one Van Loan block at t = 25 would hold e^{750}, past the largest
+        # double, and the zero mode makes the Lyapunov equation singular
         a = np.diag([-30.0, 0.0])
-        assert_allclose(noise_gramian_finite(a, np.eye(2), 20.0),
-                        np.diag([1.0 / 60.0, 20.0]), rtol=1e-12)
-        with pytest.raises(AccuracyError, match="Van Loan exponential at t = 25 overflows"):
-            noise_gramian_finite(a, np.eye(2), 25.0)
+        sys = LtiSystem(A=a, V=np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2))
+        for t in (20.0, 25.0):
+            gramian = np.diag([-math.expm1(-60.0 * t) / 60.0, t])
+            assert_allclose(noise_gramian_finite(a, np.eye(2), t), gramian, rtol=1e-12)
+            assert_allclose(second_moment(sys, t),
+                            gramian + np.diag([math.exp(-60.0 * t), 1.0]), rtol=1e-12)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [20.0, 25.0])
     def test_stiff_drift_past_the_van_loan_overflow(self, t):
-        # at t = 25 the Van Loan block overflows and X - e^{A t} X e^{A^T t}
-        # gives the Gramian, about diag(5, 1/60)
+        # one Van Loan block at t = 25 would overflow; the Gramian is about
+        # diag(5, 1/60)
         a = np.diag([-0.1, -30.0])
         assert_allclose(noise_gramian_finite(a, np.eye(2), t),
                         np.diag([(1.0 - math.exp(-0.2 * t)) / 0.2,
                                  (1.0 - math.exp(-60.0 * t)) / 60.0]), rtol=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_fallback_cancellation_named(self):
-        # the slow mode's X is 5e8 where its Gramian is about 25
-        a = np.diag([-30.0, -1e-9])
-        with pytest.raises(AccuracyError, match="noise Gramian at t = 25 cancels"):
-            noise_gramian_finite(a, np.eye(2), 25.0)
+    def test_stiff_and_slow_drift(self):
+        # X - e^{A t} X e^{A^T t} cancels here: the slow mode's X is 5e8
+        # where its Gramian is about 25
+        a = np.array([-30.0, -1e-9])
+        assert_allclose(noise_gramian_finite(np.diag(a), np.eye(2), 25.0),
+                        np.diag(np.expm1(50.0 * a) / (2.0 * a)), rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1.0, 2.0, 5.0, 10.0])
+    def test_rotated_stiff_drift(self, t):
+        # one Van Loan block at t holds e^{30 t} against a Gramian of order
+        # one, so its digits are gone by t = 2
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))
+        a = q @ np.diag([-0.1, -30.0]) @ q.T
+        gramian = np.diag([-math.expm1(-0.2 * t) / 0.2, -math.expm1(-60.0 * t) / 60.0])
+        assert_allclose(noise_gramian_finite(a, np.eye(2), t), q @ gramian @ q.T, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_doubling_count_from_logs(self):
+        # ||A||_1 t = 1e310 is past the largest double
+        assert_allclose(noise_gramian_finite([[-1e300]], [[1.0]], 1e10), [[5e-301]],
+                        rtol=1e-12)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_time_checked(self, t):
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            noise_gramian_finite(np.eye(2), np.eye(2), t)
 
 
 class TestCrossMoment:
@@ -160,11 +181,17 @@ class TestCrossMoment:
         sys = random_system(3, rng)
         assert np.array_equal(cross_moment(sys, 1.2, 0.4), cross_moment(sys, 0.4, 1.2).T)
 
-    def test_non_sylvester_rejected(self):
+    def test_double_integrator_closed_form(self):
+        # A is nilpotent, so its Lyapunov equation is singular; for t1 <= t2
+        # Sigma(t1, t2) = Sigma(t1) e^{A^T d} with d = t2 - t1
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         sys = LtiSystem(A=a, V=np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2))
-        with pytest.raises(SingularLyapunovError):
-            cross_moment(sys, 0.2, 0.5)
+        for t1, t2 in ((0.2, 0.5), (1.5, 4.0), (0.0, 2.0), (3.0, 3.0)):
+            sigma = np.array([[1.0 + t1 + t1 ** 2 + t1 ** 3 / 3.0, t1 + t1 ** 2 / 2.0],
+                              [t1 + t1 ** 2 / 2.0, 1.0 + t1]])
+            expected = sigma @ np.array([[1.0, 0.0], [t2 - t1, 1.0]])
+            assert_allclose(cross_moment(sys, t1, t2), expected, rtol=1e-12)
+            assert_allclose(cross_moment(sys, t2, t1), expected.T, rtol=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_named(self):

@@ -26,7 +26,8 @@ from lqgcost import (
 )
 from lqgcost import simulate as simulate_module
 from lqgcost.demo import _gain_report
-from lqgcost.simulate import BATCH_SIZE, _batch_stream, _cost_weights, _step_operators
+from lqgcost.simulate import (BATCH_SIZE, _batch_stream, _cost_weights, _step_operators,
+                              simulation_report)
 from conftest import random_spd, random_system, scalar_cost, scalar_system, set_usable_cpus
 
 
@@ -81,7 +82,8 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=field):
             SimConfig(**{"dt": 0.01, "T": 1.0, "n_paths": 10, field: value})
 
-    @pytest.mark.parametrize("field,value", [("dt", math.inf), ("T", math.inf), ("T", math.nan)])
+    @pytest.mark.parametrize("field,value", [("dt", math.inf), ("T", math.inf), ("T", math.nan),
+                                             ("dt", 1e-320)])     # T / dt = inf
     def test_rejects_non_finite_step_or_horizon(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{"dt": 0.01, "T": 1.0, "n_paths": 10, field: value})
@@ -284,8 +286,23 @@ class TestExceedance:
         assert out.exceed_stderr == pytest.approx(math.sqrt(p * (1 - p) / 20_000))
         assert out.exceed_prob == out.exceed_count / 20_000
 
+    def test_single_path_not_assessable(self):
+        sys, cost = reference_case()
+        out = simulate_costs(sys, cost, SimConfig(dt=0.02, T=2.0, n_paths=1, threshold=2.0))
+        assert out.mean_stderr == out.exceed_stderr == math.inf
+
 
 class TestSimulationReport:
+    def test_stiff_drift_at_a_large_step(self):
+        # the exact scheme's noise Gramian at dt = 2 on a drift with a mode
+        # at -30: one Van Loan block at dt holds e^{60}
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))
+        sys = LtiSystem(A=q @ np.diag([-0.1, -30.0]) @ q.T, V=np.eye(2), mu0=np.zeros(2),
+                        Sigma0=np.eye(2))
+        cfg = SimConfig(dt=2.0, T=20.0, n_paths=20_000, seed=20)
+        report = simulation_report(sys, CostSpec(Q=np.eye(2), alpha=0.0, horizon=20.0), cfg)
+        assert report["agreement"]["within_4_stderr"] is True
+
     def test_study_row_at_simulated_horizon(self):
         # both study loops are open-loop unstable, so the cost over [20, inf)
         # still weighs: the simulation is judged at T = 20, the tuner's
