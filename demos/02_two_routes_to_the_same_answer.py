@@ -1,10 +1,11 @@
 """Two independent evaluation routes and where each one shines.
 
 The finite-horizon cost moments can be computed either from Lyapunov-equation
-solutions or from one big block matrix exponential.  The Lyapunov route needs
-the (shifted) drifts to have no eigenvalue pair summing to zero; the
-exponential route works for any drift but loses accuracy once
-T * (spectral range) gets large.  `auto_cost_stats` picks a route for you.
+solutions or from the paper's block matrix exponential.  The Lyapunov route
+needs the (shifted) drifts to have no eigenvalue pair summing to zero; the
+exponential route works for any drift, and once T * (spectral range) passes
+10 it takes the block on a short step and doubles it up to T.
+`auto_cost_stats` takes the exponential route at every finite horizon.
 """
 
 import numpy as np

@@ -1,11 +1,12 @@
 """lqgcost: exact mean and variance of exponentially weighted quadratic costs
 of noisy linear systems, LQG gain synthesis, and a Monte Carlo cross-check.
 
-The analytic statistics come in two interchangeable flavors: closed forms
-built from Lyapunov-equation solutions (valid when the relevant shifted
-drifts have no eigenvalue pair summing to zero) and a single block matrix
-exponential (valid for any drift, accurate for moderate horizons).
-:func:`auto_cost_stats` picks between them.
+The analytic statistics come by two routes: closed forms built from
+Lyapunov-equation solutions (valid when the relevant shifted drifts have no
+eigenvalue pair summing to zero), and the paper's block matrix exponential
+on a short step, doubled up to the horizon (finite horizons, any drift).
+:func:`auto_cost_stats` takes the second at a finite horizon and the first
+at the infinite one.
 """
 
 from .cost_expm import (
@@ -22,7 +23,6 @@ from .cost_lyap import (
     expected_cost_infinite,
     variance_cost_finite,
     variance_cost_infinite,
-    variance_cost_infinite_unreduced,
 )
 from .demo import benchmark_plant, default_assumption, threshold_study
 from .exceptions import (
@@ -66,7 +66,7 @@ from .lqg import (
 )
 from .models import ModelDocument, load_model, save_plant_model, save_system_model
 from .moments import cross_moment, mean_state, noise_gramian_finite, second_moment
-from .simulate import EmpiricalCostStats, SimConfig, exceedance_probability, simulate_costs
+from .simulate import EmpiricalCostStats, SimConfig, simulate_costs
 from .systems import CostSpec, INFINITE_HORIZON, LqgPlant, LtiSystem
 from .tune import (
     TuneOptions,
@@ -118,7 +118,6 @@ __all__ = [
     "cross_moment",
     "default_assumption",
     "evaluate_gain",
-    "exceedance_probability",
     "expected_cost_finite",
     "expected_cost_infinite",
     "finite_difference_gradient",
@@ -147,5 +146,4 @@ __all__ = [
     "van_loan_integral",
     "variance_cost_finite",
     "variance_cost_infinite",
-    "variance_cost_infinite_unreduced",
 ]

@@ -209,6 +209,9 @@ def cmd_synthesize(args):
 
 def cmd_tune(args):
     doc = _load(args, "plant")
+    if doc.horizon != INFINITE_HORIZON:
+        raise ValueError("tune optimises the infinite-horizon cost; "
+                         f"the model's horizon is {doc.horizon:g}")
     plant = doc.plant
     if args.init is not None:
         entries = [float(v) for v in args.init.split(",")]
@@ -223,7 +226,7 @@ def cmd_tune(args):
                        grad_tol=args.grad_tol)
     result = minimize_variance(plant, doc.mu0, doc.Sigma0, opts)
 
-    print(f"tune {args.model} (objective = {args.objective})")
+    print(f"tune {args.model} (objective = {args.objective}, horizon = inf)")
     print(f"  F0        = {np.array2string(f0, precision=6)}")
     print(f"  F         = {np.array2string(result.F, precision=6)}")
     print(f"  objective = {_fmt(result.objective_value)} after {result.iterations} iterations"
@@ -237,6 +240,7 @@ def cmd_tune(args):
     return {
         "command": "tune",
         "objective": args.objective,
+        "horizon": "inf",
         "F0": f0.tolist(),
         "F": result.F.tolist(),
         "objective_value": result.objective_value,

@@ -66,7 +66,6 @@ __all__ = [
     "expected_cost_infinite",
     "variance_cost_finite",
     "variance_cost_infinite",
-    "variance_cost_infinite_unreduced",
     "cost_stats_lyapunov",
 ]
 
@@ -142,11 +141,11 @@ def _conditions(fac, cost, with_variance):
 
 def _finalize_variance(raw, mean, route):
     """The raw variance, clamped at zero against rounding; :class:`AccuracyError`,
-    naming ``route``, when the mean or the raw variance is not finite (the
-    data's scale overflowed) or the raw variance is negative beyond the clamp."""
+    naming ``route``, when the mean or the raw variance is not finite (a term
+    overflowed) or the raw variance is negative beyond the clamp."""
     if not (math.isfinite(mean) and math.isfinite(raw)):
         problem = (f"the mean came out {mean:.6e} and the raw variance {raw:.6e}; "
-                   "the data's scale overflows double precision")
+                   "a term overflows double precision")
     elif raw >= 0.0:
         return raw
     elif raw >= -VARIANCE_CLAMP_RTOL * (1.0 + mean * mean):
@@ -323,28 +322,6 @@ def variance_cost_infinite(sys: LtiSystem, cost: CostSpec):
     """Var of the infinite-horizon cost; requires alpha < 0 and stable shifted drift."""
     _require_horizon(cost, infinite=True)
     return _Evaluation(sys, cost, with_variance=True).variance
-
-
-def variance_cost_infinite_unreduced(sys: LtiSystem, cost: CostSpec):
-    """Diagnostic evaluation of the infinite-horizon variance before algebraic reduction.
-
-    Mathematically identical to :func:`variance_cost_infinite` but uses the
-    initial-condition offset ``Sigma0 - X[V; A]`` explicitly, so it
-    additionally needs the unshifted noise Lyapunov equation to be solvable.
-    Exposed for the equivalence test between the two evaluations.
-    """
-    _require_horizon(cost, infinite=True)
-    ev = _Evaluation(sys, cost, with_variance=True)
-    fac, alpha, y = ev.fac, ev.alpha, ev.y
-    xv = fac._solve_schur(ev.v)
-    delta = symmetrize(ev.s - xv)
-    x2d = fac._solve_schur(delta, shift=2.0 * alpha)
-    raw = (
-        2.0 * np.trace((delta @ y) @ (delta @ y))
-        - 2.0 * (ev.mu0 @ y @ ev.mu0) ** 2
-        + 4.0 * np.trace(y @ xv @ ev.q @ (2.0 * x2d - xv / (4.0 * alpha)))
-    )
-    return _finalize_variance(float(raw), ev.mean, "Lyapunov route")
 
 
 def cost_stats_lyapunov(sys: LtiSystem, cost: CostSpec):

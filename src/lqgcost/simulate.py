@@ -51,8 +51,7 @@ from .linalg import mat_exp, psd_factor
 from .moments import noise_gramian_finite
 from .systems import CostSpec, LtiSystem
 
-__all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "exceedance_probability",
-           "simulation_report"]
+__all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "simulation_report"]
 
 #: Paths per random stream; fixed so that results never depend on threading.
 BATCH_SIZE = 16384
@@ -266,13 +265,6 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
         stats.exceed_prob = p
         stats.exceed_stderr = math.sqrt(p * (1.0 - p) / n) if n > 1 else math.inf
     return stats
-
-
-def exceedance_probability(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
-    """Like :func:`simulate_costs`, but requires ``cfg.threshold`` to be set."""
-    if cfg.threshold is None:
-        raise ValueError("cfg.threshold must be set for exceedance estimation")
-    return simulate_costs(sys, cost, cfg)
 
 
 def _z_score(gap, stderr):

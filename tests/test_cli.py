@@ -84,15 +84,28 @@ class TestAnalyze:
     def test_plant_kind_rejected(self, benchmark_model):
         assert main(["analyze", benchmark_model]) == 1
 
-    @pytest.mark.parametrize("a,alpha,horizon", [(-1.0, 200.0, 1.0), (-1.0, -200.0, 10.0),
-                                                 (1.0, 0.0, 800.0), (0.5, 0.0, 400.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a,alpha,horizon", [(-1.0, 200.0, 1.0), (1.0, 0.0, 800.0),
+                                                 (0.5, 0.0, 400.0)])
     def test_overflow_exits_2(self, tmp_path, capsys, a, alpha, horizon):
         model = tmp_path / "overflow.json"
         save_system_model(model, scalar_system(a=a, v=1.0),
                           scalar_cost(alpha=alpha, horizon=horizon))
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert main(["analyze", str(model)]) == 2
-        assert "neither method applies" in capsys.readouterr().err
+        assert main(["analyze", str(model)]) == 2
+        assert "block exponential lost the variance" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_discounted_past_the_lyapunov_overflow(self, tmp_path):
+        # the Lyapunov route's terms would overflow, but the discount leaves
+        # the mean 0.5 / 400 + 0.5 / 402 up to e^{-4000}
+        model, out = tmp_path / "discounted.json", tmp_path / "report.json"
+        save_system_model(model, scalar_system(a=-1.0, v=1.0),
+                          scalar_cost(alpha=-200.0, horizon=10.0))
+        assert main(["analyze", str(model), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["method"] == "expm"
+        assert report["mean"] == pytest.approx(0.5 / 400 + 0.5 / 402, rel=1e-12)
+        assert main(["analyze", str(model), "--method", "lyapunov"]) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_variance_overflow_from_data_scale_exits_2(self, tmp_path, capsys):
@@ -100,10 +113,9 @@ class TestAnalyze:
         save_system_model(model, scalar_system(v=1.0, sigma0=1e160),
                           scalar_cost(alpha=0.0, horizon=1.0))
         assert main(["analyze", str(model)]) == 2
-        err = capsys.readouterr().err
-        assert "neither method applies" in err
-        assert "Lyapunov route lost the variance" in err
-        assert "block exponential lost the variance" in err
+        assert "block exponential lost the variance" in capsys.readouterr().err
+        assert main(["analyze", str(model), "--method", "lyapunov"]) == 2
+        assert "Lyapunov route lost the variance" in capsys.readouterr().err
 
     def test_string_entry_exits_1(self, scalar_model, capsys):
         path = pathlib.Path(scalar_model)
@@ -298,6 +310,24 @@ class TestTune:
 
     def test_malformed_init_exits_1(self, benchmark_model):
         assert main(["tune", benchmark_model, "--init", "1,2,3"]) == 1
+
+    def test_names_its_horizon(self, benchmark_model, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["tune", benchmark_model, "--max-iter", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["horizon"] == "inf"
+        assert "(objective = variance, horizon = inf)" in capsys.readouterr().out
+
+    def test_finite_horizon_plant_exits_1(self, tmp_path, capsys):
+        # tune optimises the infinite-horizon cost, so it must not report
+        # those values for a plant saved with a finite horizon
+        plant = LqgPlant(A=[[1.0, 0.0], [0.05, 1.0]], B=[[1.0], [0.0]], C=np.eye(2),
+                         Q=np.eye(2), R=np.eye(1), V=np.eye(2), W=0.01 * np.eye(2),
+                         alpha=-0.8)
+        path = tmp_path / "plant.json"
+        save_plant_model(path, plant, np.zeros(2), np.eye(2), horizon=5.0)
+        assert main(["tune", str(path)]) == 1
+        assert capsys.readouterr().err == ("input error: tune optimises the infinite-horizon "
+                                           "cost; the model's horizon is 5\n")
 
 
 class TestReproduceExample:

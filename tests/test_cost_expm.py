@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from lqgcost import (
     AccuracyError,
-    ConditionError,
     CostSpec,
     LtiSystem,
     SimConfig,
@@ -22,7 +21,7 @@ from lqgcost import (
     mat_exp,
     simulate_costs,
 )
-import lqgcost.cost_expm
+import lqgcost.cost_expm as ce
 from conftest import random_spd, random_system, scalar_cost, scalar_system
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -95,9 +94,13 @@ class TestCostStatsExpm:
         assert abs(emp.variance - stats.variance) < 4.0 * emp.variance_stderr
 
     def test_growth_guard(self):
+        # growth 310 is past BLOCK_GROWTH: the block at T / 2^k, doubled k times
         sys = scalar_system(a=-30.0)
-        with pytest.raises(AccuracyError):
-            cost_stats_expm(sys, scalar_cost(alpha=-0.5, horizon=10.0))
+        cost = scalar_cost(alpha=-0.5, horizon=10.0)
+        stats = cost_stats_expm(sys, cost)
+        lyap = cost_stats_lyapunov(sys, cost)
+        assert stats.branch.endswith("T * max|Re eig| = 310, 9 doublings")
+        assert_allclose([stats.mean, stats.variance], [lyap.mean, lyap.variance], rtol=1e-12)
 
     def test_frozen_high_precision_reference(self):
         # reference values computed once with 60-digit arithmetic for this
@@ -116,6 +119,36 @@ class TestCostStatsExpm:
             assert stats.mean == pytest.approx(mean_ref, rel=1e-12)
             assert stats.variance == pytest.approx(var_ref, rel=1e-12)
 
+    def test_frozen_reference_doubled(self, monkeypatch):
+        # the same instance with the block at T / 2^3, doubled three times
+        monkeypatch.setattr(ce, "BLOCK_GROWTH", 0.0)
+        mu0 = np.array([0.6, -0.3])
+        sys = LtiSystem(
+            A=[[-0.7, 0.9], [-0.4, -1.1]],
+            V=[[1.3, 0.4], [0.4, 0.8]],
+            mu0=mu0,
+            Sigma0=np.array([[0.9, 0.1], [0.1, 0.5]]) + np.outer(mu0, mu0),
+        )
+        stats = cost_stats_expm(sys, CostSpec(Q=[[1.1, -0.2], [-0.2, 0.7]], alpha=-0.35,
+                                              horizon=2.5))
+        assert stats.branch.endswith(", 3 doublings")
+        assert stats.mean == pytest.approx(1.757762513489323086379828, rel=1e-12)
+        assert stats.variance == pytest.approx(1.922175182928627403062113, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.3])
+    def test_compose_matches_the_longer_step(self, alpha, rng):
+        # every field of two composed steps of h against one step of 2h; the
+        # composed P, G and v read H and K
+        sys = random_system(3, rng)
+        cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=1.0)
+        h = 0.1
+        step = ce._segment(sys, cost, ce._block_exponential(sys, cost, h), h)
+        longer = ce._segment(sys, cost, ce._block_exponential(sys, cost, 2 * h), 2 * h)
+        composed = ce._compose(step, step, np.exp(2 * alpha * h))
+        for name in ("phi", "W", "P", "c", "G", "v", "H", "K"):
+            assert_allclose(getattr(composed, name), getattr(longer, name), rtol=1e-12,
+                            atol=1e-14 * np.abs(getattr(longer, name)).max(), err_msg=name)
+
     def test_mean_monotone_in_horizon_for_psd_weight(self, rng):
         sys = random_system(2, rng)
         q = random_spd(2, rng)
@@ -128,95 +161,124 @@ class TestGrowthExponent:
     @pytest.fixture
     def growth_calls(self, monkeypatch):
         calls = []
-        real = lqgcost.cost_expm._growth_exponent
+        real = ce._growth_exponent
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(lqgcost.cost_expm, "_growth_exponent", counting)
+        monkeypatch.setattr(ce, "_growth_exponent", counting)
         return calls
 
     def test_block_exponential_carries_growth(self, rng):
         sys = random_system(3, rng)
         cost = CostSpec(Q=random_spd(3, rng), alpha=-0.3, horizon=2.0)
-        blocks = block_exponential(sys, cost)
         re = np.linalg.eigvals(sys.A).real
         rate = max(np.abs(re).max(), np.abs(re - 0.6).max(), np.abs(re + 0.6).max())
-        assert blocks.growth == pytest.approx(2.0 * rate, rel=1e-12)
+        assert ce._growth_exponent(sys, cost) == pytest.approx(2.0 * rate, rel=1e-12)
+        assert cost_stats_expm(sys, cost).branch == (
+            f"finite horizon, block exponential, T * max|Re eig| = {2.0 * rate:.3g}, 0 doublings")
 
     def test_expm_route_computes_it_once(self, rng, growth_calls):
         sys = random_system(2, rng)
         cost_stats_expm(sys, CostSpec(Q=random_spd(2, rng), alpha=-0.3, horizon=1.0))
         assert len(growth_calls) == 1
 
-    @pytest.mark.parametrize("horizon", [1.0, 30.0])     # expm, then Lyapunov route
+    @pytest.mark.parametrize("horizon", [1.0, 30.0])     # one block, then doubling
     def test_auto_computes_it_once(self, horizon, rng, growth_calls):
         sys = random_system(2, rng, alpha_shifts=(-0.3, 0.3, -0.6))
         stats = auto_cost_stats(sys, CostSpec(Q=random_spd(2, rng), alpha=-0.3,
                                               horizon=horizon))
-        assert stats.method == ("expm" if horizon < 10.0 else "lyapunov")
+        assert stats.method == "expm"
+        assert stats.branch.endswith(" 0 doublings") == (horizon < 10.0)
         assert len(growth_calls) == 1
 
-    def test_fallback_warning_reports_growth(self, growth_calls):
-        sys = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], V=np.eye(2),
-                        mu0=np.zeros(2), Sigma0=np.eye(2))
-        cost = CostSpec(Q=np.eye(2), alpha=-0.5, horizon=30.0)
-        with pytest.warns(RuntimeWarning, match=r"T \* max\|Re eig\| = 30,"):
-            stats = auto_cost_stats(sys, cost)
-        assert len(growth_calls) == 1
-        assert "= 30 <=" in stats.conditions_checked[1].detail
+
+def _growth_29_cases():
+    """n = 40 at alpha = -0.3 and 0.2, seeds 0-2, each at the horizon that
+    makes T * max|Re eig(C)| = 29.3; then seed 1 at alpha = -0.3, T = 2, where
+    one block at T returns a variance that depends on the BLAS thread count
+    (3.2e8 on two OpenBLAS threads, a negative one on one; the value is
+    3.392e7).  The draws of ``_route_case(40, (), (-0.3, 0.2), default_rng(seed))``
+    in ``perfbench/workloads.py``, with the same rejection shifts."""
+    alphas = (-0.3, 0.2)
+    shifts = sorted({k * alpha for alpha in alphas for k in range(-2, 4)})
+    cases = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        sys = random_system(40, rng, alpha_shifts=shifts)
+        q = random_spd(40, rng)
+        re = np.linalg.eigvals(sys.A).real
+        for alpha in alphas:
+            rate = max(np.abs(re).max(), np.abs(re + 2 * alpha).max(),
+                       np.abs(re - 2 * alpha).max())
+            cases.append((sys, CostSpec(Q=q, alpha=alpha, horizon=29.3 / rate)))
+    cases.append((cases[2][0], CostSpec(Q=cases[2][1].Q, alpha=-0.3, horizon=2.0)))
+    return cases
 
 
-def _variance_lost_by_expm():
-    """n = 40, alpha = -0.3, T = 2 (growth 29.3), where the Lyapunov route's
-    variance is 3.392e7.  The draw of
-    ``_route_case(40, (), (-0.3, 0.2), np.random.default_rng(1))`` in
-    ``perfbench/workloads.py``, with the same rejection shifts."""
-    rng = np.random.default_rng(1)
-    shifts = sorted({k * alpha for alpha in (-0.3, 0.2) for k in range(-2, 4)})
-    sys = random_system(40, rng, alpha_shifts=shifts)
-    return sys, CostSpec(Q=random_spd(40, rng), alpha=-0.3, horizon=2.0)
-
-
-LOST_VARIANCE_CHILD = """
+GROWTH_29_CHILD = """
 import json
-import lqgcost.cost_expm as ce
-from lqgcost import AccuracyError, cost_stats_lyapunov
-from test_cost_expm import _variance_lost_by_expm
+from lqgcost import auto_cost_stats, cost_stats_expm, cost_stats_lyapunov
+from test_cost_expm import _growth_29_cases
 
-system, cost = _variance_lost_by_expm()
-try:
-    ce.cost_stats_expm(system, cost)
-    expm = "returned"
-except AccuracyError as exc:
-    expm = "AccuracyError: " + str(exc)
-lyap = cost_stats_lyapunov(system, cost)
-auto = {}
-for switch in (20.0, 50.0):      # Lyapunov route first, exponential route first
-    ce.AUTO_GROWTH_SWITCH = switch
-    stats = ce.auto_cost_stats(system, cost)
-    auto[switch] = [stats.method, (stats.mean, stats.variance) == (lyap.mean, lyap.variance),
-                    [c.name for c in stats.conditions_checked if c.name.endswith("fallback")]]
-print(json.dumps({"expm": expm, "lyapunov": lyap.variance, "auto": list(auto.values())}))
+rows = []
+for system, cost in _growth_29_cases():
+    expm, lyap, auto = (route(system, cost) for route in
+                        (cost_stats_expm, cost_stats_lyapunov, auto_cost_stats))
+    rows.append([expm.mean, expm.variance, lyap.mean, lyap.variance, expm.branch,
+                 auto.method, (auto.mean, auto.variance) == (expm.mean, expm.variance)])
+print(json.dumps(rows))
 """
 
 
-def test_expm_lost_variance_is_accuracy_error():
-    # The exponential route's raw variance here is rounding noise whose sign
-    # depends on how BLAS splits the 200 x 200 products: about -6.4e8 on one
-    # OpenBLAS thread, +3.2e8 on two.  The child process pins one thread, so
-    # the route takes its negative-variance path.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_growth_29_against_lyapunov(threads):
+    # Past BLOCK_GROWTH one block at T multiplies blocks growing like e^{29.3}
+    # by blocks decaying like e^{-29.3}; the doubled route must match the
+    # Lyapunov route whatever the BLAS thread count, which each child process
+    # pins before NumPy loads.
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]),
-               **{name: "1" for name in BLAS_THREADS})
-    done = subprocess.run([sys.executable, "-c", LOST_VARIANCE_CHILD], env=env,
+               **{name: threads for name in BLAS_THREADS})
+    done = subprocess.run([sys.executable, "-c", GROWTH_29_CHILD], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    out = json.loads(done.stdout)
-    assert out["expm"].startswith("AccuracyError: block exponential lost the variance")
-    assert out["lyapunov"] == pytest.approx(3.392e7, rel=1e-3)
-    assert out["auto"] == [["lyapunov", True, []], ["lyapunov", True, ["expm fallback"]]]
+    rows = json.loads(done.stdout)
+    assert len(rows) == 7
+    assert rows[-1][3] == pytest.approx(3.392e7, rel=1e-3)
+    for expm_mean, expm_var, lyap_mean, lyap_var, branch, method, same in rows:
+        assert branch.endswith(" 7 doublings"), branch
+        assert expm_mean == pytest.approx(lyap_mean, rel=1e-12)
+        assert expm_var == pytest.approx(lyap_var, rel=1e-12)
+        assert method == "expm" and same
+
+
+def _double_integrator_moments(alpha, horizon):
+    """Mean and variance of the cost of dx = [[0, 1], [0, 0]] x dt + dv with
+    V = Q = Sigma0 = I and mu0 = 0, by composite Gauss-Legendre rules on its
+    closed-form state moments: Sigma(t) = [[1 + t + t^2 + t^3/3, t + t^2/2],
+    [t + t^2/2, 1 + t]] and E[x(s) x(t)^T] = Sigma(s) [[1, 0], [t - s, 1]]
+    for s <= t.  Var = 4 int_0^T int_0^t e^{2 alpha (s + t)}
+    ||E[x(s) x(t)^T]||_F^2 ds dt."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(0.0, 1.0, 41)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (0.5 * (edges[:-1, None] + edges[1:, None]) + half * x).ravel()
+    wu = (half * w).ravel()                                   # a rule on [0, 1]
+
+    def sigma(t):
+        return 1 + t + t ** 2 + t ** 3 / 3, t + t ** 2 / 2, 1 + t
+
+    t = horizon * u
+    a, b, c = sigma(t)
+    mean = horizon * np.sum(wu * np.exp(2 * alpha * t) * (a + c))
+    s = t[:, None] * u[None, :]                               # s = t u' <= t
+    d = t[:, None] - s
+    a, b, c = sigma(s)
+    frob = (a + b * d) ** 2 + b ** 2 + (b + c * d) ** 2 + c ** 2
+    inner = t * np.sum(wu * np.exp(2 * alpha * (s + t[:, None])) * frob, axis=1)
+    return mean, 4.0 * horizon * np.sum(wu * inner)
 
 
 class TestAutoCostStats:
@@ -230,32 +292,55 @@ class TestAutoCostStats:
         stats = auto_cost_stats(sys, CostSpec(Q=np.eye(2), alpha=0.0, horizon=1.0))
         assert stats.method == "expm"
 
-    def test_large_growth_prefers_lyapunov(self):
-        sys = scalar_system(a=-30.0)
-        stats = auto_cost_stats(sys, scalar_cost(alpha=-0.5, horizon=10.0))
-        assert stats.method == "lyapunov"
-
-    def test_non_sylvester_beyond_comfort_zone_warns(self):
+    @pytest.mark.filterwarnings("error")
+    def test_non_sylvester_past_the_block_growth(self):
+        # growth 30 on a drift whose Lyapunov equations are all singular
         sys = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], V=np.eye(2),
                         mu0=np.zeros(2), Sigma0=np.eye(2))
-        cost = CostSpec(Q=np.eye(2), alpha=-0.5, horizon=30.0)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            stats = auto_cost_stats(sys, cost)
+        stats = auto_cost_stats(sys, CostSpec(Q=np.eye(2), alpha=-0.5, horizon=30.0))
         assert stats.method == "expm"
+        assert stats.branch.endswith("T * max|Re eig| = 30, 6 doublings")
+        assert_allclose([stats.mean, stats.variance], _double_integrator_moments(-0.5, 30.0),
+                        rtol=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_double_refusal_below_switch_names_both(self):
-        # growth 0: the exponential route runs first and the variance squares
-        # past the largest double; the nilpotent drift's Lyapunov equations
-        # are singular.  A fallback onto the Lyapunov route does not warn.
+    def test_variance_overflow_is_named(self):
+        # growth 0, but Sigma0 = 1e160 squares the variance past the largest double
         sys = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], V=np.eye(2),
                         mu0=np.zeros(2), Sigma0=np.eye(2) * 1e160)
         cost = CostSpec(Q=np.eye(2), alpha=0.0, horizon=1.0)
-        with pytest.raises(ConditionError, match="^neither method applies: the Lyapunov route "
-                           "refused [(].*failed A sylvester[)] and the exponential route "
-                           "refused [(]block exponential lost the variance") as err:
+        with pytest.raises(AccuracyError, match="^block exponential lost the variance.*overflows"):
             auto_cost_stats(sys, cost)
-        assert [(c.name, c.passed) for c in err.value.conditions] == [("A sylvester", False)]
+
+    def test_stiff_and_neutral_drift(self):
+        # growth 750; the Lyapunov route refuses the mode at 0.  The modes are
+        # independent: an Ornstein-Uhlenbeck one, and a Brownian one whose cost
+        # has mean q2 (s2 T + T^2 / 2) and variance
+        # (4 q2^2 / 3) [((s2 + T)^4 - s2^4) / 4 - s2^3 T].
+        q1, q2, s1, s2, t = 2.0, 0.7, 1.3, 0.4, 25.0
+        sys = LtiSystem(A=np.diag([-30.0, 0.0]), V=np.eye(2), mu0=np.zeros(2),
+                        Sigma0=np.diag([s1, s2]))
+        stats = auto_cost_stats(sys, CostSpec(Q=np.diag([q1, q2]), alpha=0.0, horizon=t))
+        decay = -np.expm1(-60.0 * t)
+        mean = q1 * (s1 * decay / 60.0 + t / 60.0 - decay / 3600.0) + q2 * (s2 * t + t * t / 2.0)
+        ou = cost_stats_lyapunov(LtiSystem(A=[[-30.0]], V=[[1.0]], mu0=[0.0], Sigma0=[[s1]]),
+                                 CostSpec(Q=[[q1]], alpha=0.0, horizon=t))
+        brownian = 4.0 * q2 ** 2 / 3.0 * (((s2 + t) ** 4 - s2 ** 4) / 4.0 - s2 ** 3 * t)
+        assert stats.mean == pytest.approx(mean, rel=1e-12)
+        assert stats.variance == pytest.approx(ou.variance + brownian, rel=1e-12)
+
+    @pytest.mark.parametrize("horizon", [2.0, 25.0])
+    def test_rotated_stiff_drift(self, horizon):
+        # growth 60 and 750 on U diag(-0.1, -30) U^T
+        u, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))
+        mu0 = np.array([1.0, -0.5])
+        sys = LtiSystem(A=u @ np.diag([-0.1, -30.0]) @ u.T, V=np.eye(2), mu0=mu0,
+                        Sigma0=np.eye(2) + np.outer(mu0, mu0))
+        cost = CostSpec(Q=np.eye(2), alpha=0.0, horizon=horizon)
+        expm, lyap = cost_stats_expm(sys, cost), cost_stats_lyapunov(sys, cost)
+        assert_allclose([expm.mean, expm.variance], [lyap.mean, lyap.variance], rtol=1e-12)
+        auto = auto_cost_stats(sys, cost)
+        assert (auto.method, auto.mean, auto.variance) == ("expm", expm.mean, expm.variance)
 
     def test_routes_agree(self, rng):
         sys = random_system(2, rng, alpha_shifts=(-0.3, 0.3, 0.6, 0.9))

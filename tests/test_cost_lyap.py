@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +16,12 @@ from lqgcost import (
     cost_stats_lyapunov,
     kalman_gain,
     optimal_gain,
+    solve_lyapunov,
+    solve_lyapunov_transposed,
     expected_cost_finite,
     expected_cost_infinite,
     variance_cost_finite,
     variance_cost_infinite,
-    variance_cost_infinite_unreduced,
 )
 from conftest import (
     cost_moments_by_quadrature,
@@ -127,6 +127,22 @@ class TestVarianceCostFinite:
         assert_allclose(variance_cost_finite(sys, cost), var_q, rtol=1e-4)
 
 
+def _variance_infinite_unreduced(sys, cost):
+    """The infinite-horizon variance before its algebraic reduction, which
+    uses the initial-condition offset Delta = Sigma0 - X[V; A] and so also
+    needs the unshifted noise equation solvable: with Y = Y[Q; A_1],
+    X_V = X[V; A] and X_2 = X[Delta; A_2] (notation of ``lqgcost.cost_lyap``),
+    2 tr((Delta Y)^2) - 2 (mu0^T Y mu0)^2 + 4 tr(Y X_V Q (2 X_2 - X_V / (4 alpha)))."""
+    alpha, eye = cost.alpha, np.eye(sys.dim)
+    y = solve_lyapunov_transposed(sys.A + alpha * eye, cost.Q)
+    xv = solve_lyapunov(sys.A, sys.V)
+    delta = sys.Sigma0 - xv
+    x2 = solve_lyapunov(sys.A + 2.0 * alpha * eye, delta)
+    dy = delta @ y
+    return (2.0 * np.trace(dy @ dy) - 2.0 * (sys.mu0 @ y @ sys.mu0) ** 2
+            + 4.0 * np.trace(y @ xv @ cost.Q @ (2.0 * x2 - xv / (4.0 * alpha))))
+
+
 class TestVarianceCostInfinite:
     def test_scalar_reference(self):
         sys = scalar_system()
@@ -150,7 +166,7 @@ class TestVarianceCostInfinite:
         for _ in range(10):
             sys = random_system(3, rng, alpha_shifts=(-0.35, -0.7))
             cost = CostSpec(Q=random_spd(3, rng), alpha=-0.35)
-            assert_allclose(variance_cost_infinite_unreduced(sys, cost),
+            assert_allclose(_variance_infinite_unreduced(sys, cost),
                             variance_cost_infinite(sys, cost), rtol=1e-9)
 
     def test_finite_horizon_limit(self, rng):
@@ -273,25 +289,31 @@ class TestCancellationGuard:
             expected_cost_finite(sys, cost)
         assert auto_cost_stats(sys, cost).method == "expm"
 
-    def test_auto_falls_back_to_expm_beyond_switch(self):
+    def test_auto_past_the_block_growth_where_lyapunov_refuses(self):
         # A - alpha I has the eigenvalue -1e-7: Y[Q; A_-1] is about 5e6 while
-        # its integral over T = 1 is about 1; growth 30 makes auto try Lyapunov first
+        # its integral over T = 1 is about 1.  The modes are independent, so
+        # the cost is the sum of one cost per mode: one block at growth 0.6
+        # for the first, the Lyapunov route for the second.
+        mu0 = np.array([1.0, -1.0])
         sys = LtiSystem(A=np.diag([-0.2 - 1e-7, -30.0]), V=np.eye(2),
-                        mu0=np.array([1.0, -1.0]), Sigma0=np.eye(2) * 2.0)
+                        mu0=mu0, Sigma0=np.eye(2) + np.outer(mu0, mu0))
         cost = CostSpec(Q=np.eye(2), alpha=-0.2, horizon=1.0)
         with pytest.raises(AccuracyError):
             cost_stats_lyapunov(sys, cost)
-        with pytest.warns(RuntimeWarning, match="accuracy check failed.*falling back"):
-            auto = auto_cost_stats(sys, cost)
-        expm = cost_stats_expm(sys, cost)
+        auto = auto_cost_stats(sys, cost)
+        scalar = CostSpec(Q=[[1.0]], alpha=-0.2, horizon=1.0)
+        slow = cost_stats_expm(LtiSystem(A=[[-0.2 - 1e-7]], V=[[1.0]], mu0=[1.0],
+                                         Sigma0=[[2.0]]), scalar)
+        fast = cost_stats_lyapunov(LtiSystem(A=[[-30.0]], V=[[1.0]], mu0=[-1.0],
+                                             Sigma0=[[2.0]]), scalar)
         assert auto.method == "expm"
-        assert (auto.mean, auto.variance) == (expm.mean, expm.variance)
-        assert any(c.name == "lyapunov fallback" and not c.passed
-                   for c in auto.conditions_checked)
+        assert_allclose([auto.mean, auto.variance],
+                        [slow.mean + fast.mean, slow.variance + fast.variance], rtol=1e-12)
 
 
 #: (a, alpha, T) of the scalar system dx = a x dt + dv, V = 1, x0 ~ N(0, 1),
-#: Q = 1, whose finite-horizon terms pass the largest double.
+#: Q = 1, whose finite-horizon Lyapunov terms pass the largest double.  At
+#: alpha = -200 the cost itself is finite.
 OVERFLOW_CASES = [(-1.0, 200.0, 1.0), (-1.0, -200.0, 10.0), (1.0, 0.0, 800.0), (0.5, 0.0, 400.0)]
 
 
@@ -308,13 +330,19 @@ class TestOverflowGuard:
             cost_stats_lyapunov(*_overflow_case(a, alpha, horizon))
 
     @pytest.mark.parametrize("a,alpha,horizon", OVERFLOW_CASES)
-    def test_auto_says_neither_method_applies(self, a, alpha, horizon):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            with pytest.raises(ConditionError, match="neither method applies.*overflow"):
-                auto_cost_stats(*_overflow_case(a, alpha, horizon))
-        assert [str(w.message)[:43] for w in record] == [
-            "Lyapunov accuracy check failed (finite-hori"]
+    def test_auto_names_the_overflow_or_returns_the_value(self, a, alpha, horizon):
+        sys, cost = _overflow_case(a, alpha, horizon)
+        if alpha > 0 or a > 0:
+            with pytest.raises(AccuracyError,
+                               match="^block exponential lost the variance.*overflows"):
+                auto_cost_stats(sys, cost)
+            return
+        # the mean is 0.5 / 400 + 0.5 / 402 up to e^{-4000}; past T = 0.2 the
+        # weight is below e^{-80}, and there the Lyapunov route forms no overflow
+        stats = auto_cost_stats(sys, cost)
+        short = cost_stats_lyapunov(sys, CostSpec(Q=cost.Q, alpha=alpha, horizon=0.2))
+        assert stats.mean == pytest.approx(0.5 / 400 + 0.5 / 402, rel=1e-12)
+        assert stats.variance == pytest.approx(short.variance, rel=1e-12)
 
     def test_mean_kept_where_only_the_variance_overflows(self):
         # A - alpha I = 199: the variance's e^{(A - alpha) T} term squares past
@@ -331,10 +359,7 @@ class TestOverflowGuard:
         assert expected_cost_finite(sys, cost) == pytest.approx(4.3233e159, rel=1e-4)
         for route, name in ((cost_stats_lyapunov, "Lyapunov route"),
                             (variance_cost_finite, "Lyapunov route"),
-                            (cost_stats_expm, "block exponential")):
+                            (cost_stats_expm, "block exponential"),
+                            (auto_cost_stats, "block exponential")):
             with pytest.raises(AccuracyError, match=f"^{name} lost the variance.*overflows"):
                 route(sys, cost)
-        with pytest.raises(ConditionError, match="^neither method applies: the Lyapunov route "
-                           "refused [(]Lyapunov route lost the variance.* and the exponential "
-                           "route refused [(]block exponential lost the variance"):
-            auto_cost_stats(sys, cost)

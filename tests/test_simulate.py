@@ -16,7 +16,6 @@ from lqgcost import (
     benchmark_plant,
     close_loop_full_state,
     evaluate_gain,
-    exceedance_probability,
     expected_cost_finite,
     optimal_gain,
     psd_factor,
@@ -264,24 +263,24 @@ class TestExceedance:
     def test_infinite_threshold(self):
         sys, cost = reference_case()
         cfg = SimConfig(dt=0.02, T=2.0, n_paths=5_000, seed=3, threshold=math.inf)
-        out = exceedance_probability(sys, cost, cfg)
+        out = simulate_costs(sys, cost, cfg)
         assert out.exceed_prob == 0.0 and out.exceed_count == 0
 
     def test_zero_threshold(self):
         sys, cost = reference_case()
         cfg = SimConfig(dt=0.02, T=2.0, n_paths=5_000, seed=3, threshold=0.0)
-        out = exceedance_probability(sys, cost, cfg)
+        out = simulate_costs(sys, cost, cfg)
         assert out.exceed_prob == 1.0
 
     def test_threshold_required(self):
         sys, cost = reference_case()
-        with pytest.raises(ValueError):
-            exceedance_probability(sys, cost, SimConfig(dt=0.02, T=2.0, n_paths=100))
+        out = simulate_costs(sys, cost, SimConfig(dt=0.02, T=2.0, n_paths=100))
+        assert out.exceed_prob is out.exceed_count is out.exceed_stderr is None
 
     def test_binomial_stderr(self):
         sys, cost = reference_case()
         cfg = SimConfig(dt=0.02, T=4.0, n_paths=20_000, seed=3, threshold=2.0)
-        out = exceedance_probability(sys, cost, cfg)
+        out = simulate_costs(sys, cost, cfg)
         p = out.exceed_prob
         assert out.exceed_stderr == pytest.approx(math.sqrt(p * (1 - p) / 20_000))
         assert out.exceed_prob == out.exceed_count / 20_000
