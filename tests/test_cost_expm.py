@@ -193,6 +193,21 @@ class TestGrowthExponent:
         assert stats.branch.endswith(" 0 doublings") == (horizon < 10.0)
         assert len(growth_calls) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_branch_reports_growth_past_the_block(self, growth_calls):
+        # growth 30 on the double integrator: reported once, on the branch
+        sys = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], V=np.eye(2),
+                        mu0=np.zeros(2), Sigma0=np.eye(2))
+        cost = CostSpec(Q=np.eye(2), alpha=-0.5, horizon=30.0)
+        assert ce._growth_exponent(sys, cost) == pytest.approx(30.0, rel=1e-12)
+        growth_calls.clear()
+        stats = auto_cost_stats(sys, cost)
+        assert len(growth_calls) == 1
+        assert stats.branch == ("finite horizon, block exponential, "
+                                "T * max|Re eig| = 30, 6 doublings")
+        assert [(c.name, c.passed, c.detail) for c in stats.conditions_checked] == [
+            ("finite horizon", True, "T = 30")]
+
 
 def _growth_29_cases():
     """n = 40 at alpha = -0.3 and 0.2, seeds 0-2, each at the horizon that
@@ -299,7 +314,6 @@ class TestAutoCostStats:
                         mu0=np.zeros(2), Sigma0=np.eye(2))
         stats = auto_cost_stats(sys, CostSpec(Q=np.eye(2), alpha=-0.5, horizon=30.0))
         assert stats.method == "expm"
-        assert stats.branch.endswith("T * max|Re eig| = 30, 6 doublings")
         assert_allclose([stats.mean, stats.variance], _double_integrator_moments(-0.5, 30.0),
                         rtol=1e-12)
 
