@@ -41,7 +41,7 @@ from scipy.linalg import expm
 
 from .cost_lyap import CostStats, _finalize_variance, _require_horizon, cost_stats_lyapunov
 from .exceptions import ConditionCheck
-from .linalg import symmetrize
+from .linalg import _doubling_count, _van_loan_steps, symmetrize
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
@@ -104,16 +104,6 @@ def _growth_exponent(sys, cost):
     return cost.horizon * rate
 
 
-def _doublings(a, cost):
-    """The least k with (||A||_1 + 2|alpha|) T / 2^k <= 1, taken from
-    logarithms so that neither the norm nor its product with T is formed.
-    Past BLOCK_GROWTH that product exceeds the growth, so k >= 4."""
-    mag, shift = np.abs(a), 2.0 * abs(cost.alpha)
-    scale = max(float(mag.max()), shift)        # > 0 past BLOCK_GROWTH
-    norm = float((mag / scale).sum(axis=0).max()) + shift / scale
-    return math.ceil(math.log2(scale) + math.log2(norm) + math.log2(cost.horizon))
-
-
 def block_exponential(sys: LtiSystem, cost: CostSpec):
     """e^{C T} partitioned into the blocks used by :func:`cost_stats_expm`."""
     _require_horizon(cost, infinite=False)
@@ -152,20 +142,14 @@ def _segment(sys, cost, blocks, h=None):
     v = 2.0 * np.trace(d @ d) - 4.0 * np.trace(c44t @ blocks.C15)
     if h is None:
         return _Segment(None, None, p, np.trace(d), g, v, None, None)
-    # Phi_s and W(s) at the six nodes s_i and at h, from the Van Loan block
-    # [[A, V], [0, -A^T]]; the nodes are symmetric, so Phi_{h - s_i} is the
-    # reversed stack.
-    n = sys.dim
+    # Phi_s and W(s) at the six nodes s_i and at h; the nodes are symmetric,
+    # so Phi_{h - s_i} is the reversed stack
     s = np.append(0.5 * h * (1.0 + _GL_NODES), h)
-    e = expm(s[:, None, None] * np.block([[sys.A, sys.V], [np.zeros((n, n)), -sys.A.T]]))
-    phis = e[:, :n, :n]
-    w_nodes = e[:6, :n, n:] @ phis[:6].transpose(0, 2, 1)
-    m = phis[5::-1] @ w_nodes
+    phis, ws = _van_loan_steps(sys.A, sys.V, s)
+    m = phis[5::-1] @ ws[:6]
     weights = 0.5 * h * _GL_WEIGHTS * np.exp(2.0 * cost.alpha * s[:6])
     k = symmetrize(np.tensordot(weights, m @ cost.Q @ m.transpose(0, 2, 1), axes=1))
-    phi = phis[6]
-    w = symmetrize(e[6, :n, n:] @ phi.T)
-    return _Segment(phi, w, p, np.trace(d), g, v, d @ phi.T, k)
+    return _Segment(phis[6], ws[6], p, np.trace(d), g, v, d @ phis[6].T, k)
 
 
 def _compose(s1, s2, om):
@@ -193,7 +177,8 @@ def cost_stats_expm(sys: LtiSystem, cost: CostSpec):
     h = T / 2^k, doubled k times (module docstring)."""
     _require_horizon(cost, infinite=False)
     growth = _growth_exponent(sys, cost)
-    k = 0 if growth <= BLOCK_GROWTH else _doublings(sys.A, cost)
+    k = 0 if growth <= BLOCK_GROWTH else _doubling_count(sys.A, cost.horizon,
+                                                         2.0 * abs(cost.alpha))
     h = math.ldexp(cost.horizon, -k)
     mu0, sigma0 = sys.mu0, sys.Sigma0
     # an overflow leaves a non-finite value, which _finalize_variance refuses

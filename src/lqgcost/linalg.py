@@ -12,6 +12,7 @@ override, and symmetry and (semi)definiteness are decided only here, at
 ``PSD_TOL``.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -93,8 +94,8 @@ def _require_symmetric(m, name):
     return symmetrize(m)
 
 
-def _require_psd(m, name):
-    w = np.linalg.eigvalsh(symmetrize(m))
+def _require_psd(m, name, w=None):
+    w = np.linalg.eigvalsh(symmetrize(m)) if w is None else w    # ascending eigenvalues
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     if w[0] < -PSD_TOL * scale:
         raise ConditionError(
@@ -454,6 +455,28 @@ def van_loan_integral(a1, q, a2, horizon):
     return expm(block * horizon)[:n1, n1:]
 
 
+def _doubling_count(a, t, shift=0.0):
+    """The least k >= 0 with (||A||_1 + shift) t / 2^k <= 1, from logarithms
+    so that neither the norm nor its product with t is formed."""
+    mag = np.abs(a)
+    scale = max(float(mag.max()), shift)
+    if scale == 0.0 or t == 0.0:
+        return 0
+    norm = float((mag / scale).sum(axis=0).max()) + shift / scale
+    return max(0, math.ceil(math.log2(scale) + math.log2(norm) + math.log2(t)))
+
+
+def _van_loan_steps(a, v, s):
+    """Stacks of e^{A s} and W(s) = sym(E_12 E_11^T) over the 1-d array s, where E
+    is the exponential of [[A, V], [0, -A^T]] s, taken for each s on its own in one
+    call (Van Loan, IEEE TAC 23(3), 1978).  Unvalidated; accurate while ||A||_1 s <= 1."""
+    n = a.shape[0]
+    e = expm(s[:, None, None] * np.block([[a, v], [np.zeros((n, n)), -a.T]]))
+    phi = e[:, :n, :n]
+    w = e[:, :n, n:] @ phi.transpose(0, 2, 1)
+    return phi, 0.5 * (w + w.transpose(0, 2, 1))
+
+
 def psd_factor(m):
     """Factor L with L L^T = M for a symmetric positive semidefinite M.
 
@@ -463,6 +486,6 @@ def psd_factor(m):
     robust for singular M where a Cholesky factorization would fail.
     """
     m = _require_symmetric(_as_square(m, "M"), "M")
-    _require_psd(m, "M")
     w, u = np.linalg.eigh(m)
+    _require_psd(m, "M", w)
     return u * np.sqrt(np.clip(w, 0.0, None))

@@ -10,8 +10,8 @@ the state stays Gaussian with
 where W(t) = integral_0^t e^{A s} V e^{A^T s} ds is the noise Gramian and
 Sigma(t1, t2) = E[x(t1) x(t2)^T].  One propagation gives e^{A t} and W(t)
 for any square A, with no spectral condition and no Lyapunov solve: at a
-step h = t / 2^k with ||A||_1 h <= 1 both come from one Van Loan block
-exponential, and k doublings
+step h = t / 2^k with ||A||_1 h <= 1, one exponential E = e^{[[A, V], [0, -A^T]] h}
+gives e^{A h} = E_11 and W(h) = sym(E_12 E_11^T), and k doublings
 
     W(2h) = W(h) + e^{A h} W(h) e^{A^T h},    e^{2 A h} = (e^{A h})^2
 
@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from .exceptions import AccuracyError
-from .linalg import _as_square, mat_exp, symmetrize, van_loan_integral
-from .systems import LtiSystem
+from .linalg import _as_square, _doubling_count, _van_loan_steps, mat_exp, symmetrize
+from .systems import LtiSystem, _square_of_size
 
 __all__ = ["mean_state", "second_moment", "cross_moment", "noise_gramian_finite"]
 
@@ -39,23 +39,13 @@ def _check_time(t):
 
 
 def _propagate(a, v, t):
-    """(e^{A t}, W(t)) for a finite t >= 0, by scaling and squaring.
-
-    The doubling count k is the least with ||A||_1 t / 2^k <= 1, taken from
-    logarithms so that neither ||A||_1 nor ||A||_1 t is formed; at k = 0 this
-    is one exponential and one Van Loan block at t.  Overflow is left to the
-    caller, which checks what it returns.
-    """
-    mag = np.abs(a)
-    scale = mag.max()
-    k = 0
-    if scale > 0.0 and t > 0.0:
-        norm = (mag / scale).sum(axis=0).max()      # ||A||_1 / scale, at least 1
-        k = max(0, math.ceil(math.log2(scale) + math.log2(norm) + math.log2(t)))
-    h = math.ldexp(t, -k)
+    """(e^{A t}, W(t)) for a finite t >= 0: one Van Loan exponential at t / 2^k,
+    k the least count with ||A||_1 t / 2^k <= 1, then k doublings.  Overflow is
+    left to the caller, which checks what it returns."""
+    k = _doubling_count(a, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = mat_exp(a, h)
-        w = symmetrize(phi @ van_loan_integral(-a, v, a.T, h))
+        phis, ws = _van_loan_steps(a, v, np.array([math.ldexp(t, -k)]))
+        phi, w = phis[0], ws[0]
         for _ in range(k):
             w = symmetrize(w + phi @ w @ phi.T)
             phi = phi @ phi
@@ -73,9 +63,11 @@ def mean_state(sys: LtiSystem, t):
 def noise_gramian_finite(a, v, t):
     """Noise Gramian W(t) = integral_0^t e^{A s} V e^{A^T s} ds for any square A.
 
-    Exactly symmetric; AccuracyError when it overflows double precision.
+    V must be symmetric and of A's size.  Exactly symmetric; AccuracyError
+    when it overflows double precision.
     """
     a = _as_square(a, "A")
+    v = _square_of_size(v, a.shape[0], "V")
     _check_time(t)
     return _require_finite(_propagate(a, v, t)[1], f"the noise Gramian at t = {t:g}")
 

@@ -47,8 +47,8 @@ from numpy.random import SFC64, Generator, SeedSequence
 
 from .cost_expm import auto_cost_stats
 from .exceptions import LqgCostError
-from .linalg import mat_exp, psd_factor
-from .moments import noise_gramian_finite
+from .linalg import psd_factor
+from .moments import _propagate, _require_finite
 from .systems import CostSpec, LtiSystem
 
 __all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "simulation_report"]
@@ -120,14 +120,11 @@ class EmpiricalCostStats:
 
 def _step_operators(sys, cfg):
     """Transition matrix and noise factor for one time step."""
-    n = sys.dim
     if cfg.scheme == "euler":
-        phi = np.eye(n) + sys.A * cfg.dt
-        noise_factor = psd_factor(sys.V) * math.sqrt(cfg.dt)
-    else:
-        phi = mat_exp(sys.A, cfg.dt)
-        noise_factor = psd_factor(noise_gramian_finite(sys.A, sys.V, cfg.dt))
-    return phi, noise_factor
+        return np.eye(sys.dim) + sys.A * cfg.dt, psd_factor(sys.V) * math.sqrt(cfg.dt)
+    phi, w = _propagate(sys.A, sys.V, cfg.dt)
+    _require_finite(np.hstack((phi, w)), f"the exact step at dt = {cfg.dt:g}")
+    return phi, psd_factor(w)
 
 
 def _cost_weights(cfg, alpha):

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad, quad_vec
 from scipy.linalg import expm
 
+import lqgcost.linalg
 from lqgcost import (
     CostSpec,
     JointGaussian,
@@ -27,6 +28,20 @@ from lqgcost import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230417)
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """The shapes of the matrices ``lqgcost.linalg`` exponentiates, in order."""
+    calls = []
+    real = lqgcost.linalg.expm
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(lqgcost.linalg, "expm", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------

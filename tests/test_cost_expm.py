@@ -22,6 +22,7 @@ from lqgcost import (
     simulate_costs,
 )
 import lqgcost.cost_expm as ce
+from lqgcost.moments import _propagate
 from conftest import random_spd, random_system, scalar_cost, scalar_system
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -148,6 +149,17 @@ class TestCostStatsExpm:
         for name in ("phi", "W", "P", "c", "G", "v", "H", "K"):
             assert_allclose(getattr(composed, name), getattr(longer, name), rtol=1e-12,
                             atol=1e-14 * np.abs(getattr(longer, name)).max(), err_msg=name)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.3])
+    def test_step_matches_the_state_propagation(self, alpha, rng):
+        # the segment's Phi and W at the step h are the moments' base step at
+        # h, to the bit: one Van Loan formulation serves both
+        sys = random_system(3, rng)
+        cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=1.0)
+        h = 0.1
+        step = ce._segment(sys, cost, ce._block_exponential(sys, cost, h), h)
+        phi, w = _propagate(sys.A, sys.V, h)
+        assert np.array_equal(step.phi, phi) and np.array_equal(step.W, w)
 
     def test_mean_monotone_in_horizon_for_psd_weight(self, rng):
         sys = random_system(2, rng)

@@ -599,3 +599,22 @@ class TestPsdFactor:
     def test_indefinite_rejected(self):
         with pytest.raises(ConditionError):
             psd_factor(np.diag([1.0, -0.5]))
+
+    def test_one_decomposition(self, monkeypatch):
+        # the semidefiniteness check reads the eigenvalues of the factor's own eigh
+        calls = []
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(a):
+                calls.append(name)
+                return real(a)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        psd_factor(np.diag([1.0, 0.0]))
+        with pytest.raises(ConditionError, match="min eigenvalue -5.000e-01"):
+            psd_factor(np.diag([1.0, -0.5]))
+        assert calls == ["eigh", "eigh"]

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from lqgcost import (
     AccuracyError,
+    ConditionError,
+    DimensionError,
     LtiSystem,
     cross_moment,
     mean_state,
@@ -13,6 +16,8 @@ from lqgcost import (
     second_moment,
     solve_lyapunov,
 )
+from lqgcost.linalg import _doubling_count
+from lqgcost.moments import _propagate
 from conftest import finite_integral_by_quadrature, random_spd, random_system, scalar_system
 
 
@@ -156,6 +161,30 @@ class TestNoiseGramianFinite:
     def test_time_checked(self, t):
         with pytest.raises(ValueError, match="time must be finite and >= 0"):
             noise_gramian_finite(np.eye(2), np.eye(2), t)
+
+    @pytest.mark.parametrize("v,error,message", [
+        ([[1.0, 2.0], [0.0, 1.0]], ConditionError, "V must be symmetric"),
+        ([[1.0, math.nan], [math.nan, 1.0]], ValueError, "V contains non-finite entries"),
+        (np.eye(3), DimensionError, "V must be 2x2, got \\(3, 3\\)"),
+        ([1.0, 1.0], DimensionError, "V must be 2-dimensional"),
+        (np.ones((2, 3)), DimensionError, "V must be square"),
+    ])
+    def test_noise_intensity_checked(self, v, error, message):
+        # as LtiSystem checks V; a non-symmetric V was symmetrized in silence
+        with pytest.raises(error, match=f"^{message}"):
+            noise_gramian_finite(-np.eye(2), v, 1.0)
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("t,doublings", [(0.3, 0), (7.0, 4)])
+    def test_one_exponential_per_base_step(self, t, doublings, rng, expm_calls):
+        # ||A||_1 = 2 puts t = 0.3 at the base step and t = 7 four doublings above it
+        a = rng.normal(size=(3, 3))
+        a *= 2.0 / np.abs(a).sum(axis=0).max()
+        assert _doubling_count(a, t) == doublings
+        phi, _ = _propagate(a, random_spd(3, rng), t)
+        assert expm_calls == [(1, 6, 6)]
+        assert_allclose(phi, expm(a * t), rtol=1e-12)
 
 
 class TestCrossMoment:

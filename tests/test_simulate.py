@@ -8,6 +8,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 from numpy.testing import assert_allclose
 
 from lqgcost import (
+    AccuracyError,
     CostSpec,
     EmpiricalCostStats,
     LtiSystem,
@@ -25,6 +26,8 @@ from lqgcost import (
 )
 from lqgcost import simulate as simulate_module
 from lqgcost.demo import _gain_report
+from lqgcost.linalg import _doubling_count
+from lqgcost.moments import _propagate
 from lqgcost.simulate import (BATCH_SIZE, _batch_stream, _cost_weights, _step_operators,
                               simulation_report)
 from conftest import random_spd, random_system, scalar_cost, scalar_system, set_usable_cpus
@@ -206,6 +209,30 @@ class TestSimulateCosts:
     def test_non_psd_initial_condition_rejected(self):
         with pytest.raises(Exception):
             LtiSystem(A=[[-1.0]], V=[[1.0]], mu0=[2.0], Sigma0=[[1.0]])
+
+
+class TestExactStep:
+    def test_one_exponential_at_the_base_step(self, rng, expm_calls):
+        # at ||A||_1 dt <= 1 the step's Phi and noise Gramian come from one
+        # stacked exponential of the Van Loan block, once per run
+        sys = random_system(3, rng)
+        cfg = SimConfig(dt=0.05, T=0.5, n_paths=8, seed=1)
+        assert _doubling_count(sys.A, cfg.dt) == 0
+        simulate_costs(sys, CostSpec(Q=random_spd(3, rng), alpha=-0.1, horizon=0.5), cfg)
+        assert expm_calls == [(1, 6, 6)]
+        phi, noise_factor = _step_operators(sys, cfg)
+        expected_phi, gramian = _propagate(sys.A, sys.V, cfg.dt)
+        assert np.array_equal(phi, expected_phi)
+        assert_allclose(noise_factor @ noise_factor.T, gramian, rtol=1e-12,
+                        atol=1e-14 * np.abs(gramian).max())
+
+    @pytest.mark.parametrize("v", [0.0, 1.0])
+    def test_overflow_named(self, v):
+        # e^{800} overflows; without noise only Phi does
+        sys = LtiSystem(A=[[1.0]], V=[[v]], mu0=[1.0], Sigma0=[[1.0]])
+        cfg = SimConfig(dt=800.0, T=1600.0, n_paths=10)
+        with pytest.raises(AccuracyError, match="the exact step at dt = 800 overflows"):
+            simulate_costs(sys, CostSpec(Q=[[1.0]], alpha=-1.0), cfg)
 
 
 class TestStepMatchesPathMajorLoop:

@@ -18,6 +18,7 @@ from lqgcost import (
     LqgPlant,
     LtiSystem,
     joint_quartic_expectation,
+    noise_gramian_finite,
     psd_factor,
     quartic_expectation,
 )
@@ -77,6 +78,7 @@ SYMMETRY_CHECKS = {
     "LqgPlant R": lambda m: _plant(r=m),
     "LqgPlant W": lambda m: _plant(w=m),
     "CostSpec Q": lambda m: CostSpec(Q=m),
+    "noise_gramian_finite V": lambda m: noise_gramian_finite(-np.eye(2), m, 1.0),
     "quartic_expectation P": lambda m: quartic_expectation(np.zeros(2), np.eye(2), m, np.eye(2)),
     "quartic_expectation Q": lambda m: quartic_expectation(np.zeros(2), np.eye(2), np.eye(2), m),
     "joint_quartic_expectation P": lambda m: joint_quartic_expectation(
