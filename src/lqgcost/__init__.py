@@ -39,16 +39,13 @@ from .exceptions import (
 )
 from .gaussian import (
     JointGaussian,
-    covariance_from_second_moment,
     joint_quartic_expectation,
     quartic_expectation,
-    second_moment_from_covariance,
 )
 from .linalg import (
     DriftFactor,
     SpectrumReport,
     classify_spectrum,
-    lyap_finite,
     mat_exp,
     psd_factor,
     solve_lyapunov,
@@ -114,7 +111,6 @@ __all__ = [
     "close_loop_output_feedback",
     "cost_stats_expm",
     "cost_stats_lyapunov",
-    "covariance_from_second_moment",
     "cross_moment",
     "default_assumption",
     "evaluate_gain",
@@ -124,7 +120,6 @@ __all__ = [
     "joint_quartic_expectation",
     "kalman_gain",
     "load_model",
-    "lyap_finite",
     "mat_exp",
     "mean_state",
     "minimize_variance",
@@ -136,7 +131,6 @@ __all__ = [
     "save_plant_model",
     "save_system_model",
     "second_moment",
-    "second_moment_from_covariance",
     "simulate_costs",
     "solve_lyapunov",
     "solve_lyapunov_transposed",

@@ -24,7 +24,9 @@ growth T * max|Re eig(C)|, so it is the route (k = 0) only up to
 ``BLOCK_GROWTH``.  Past it, h = T / 2^k with k the least count for which
 (||A||_1 + 2|alpha|) h <= 1, and the segment is doubled k times in closed form
 (scaling and squaring: C. F. Van Loan, IEEE Trans. Automat. Control 23(3),
-1978).  Doubling also reads x_h | x0 ~ N(Phi x0, W), and H and K in
+1978).  The route's kernel, :func:`block_exponential`, takes the one
+exponential, at T or at the base step h.  Doubling also reads
+x_h | x0 ~ N(Phi x0, W), and H and K in
 Cov(J, x_h^T B x_h | x0) = 2 tr(B K) + 4 x0^T H B Phi x0 for symmetric B:
 H = D Phi^T and K = integral_0^h e^{2 alpha s} Phi_{h-s} W(s) Q W(s) Phi_{h-s}^T ds,
 by 6-point Gauss-Legendre.  At k = 0 the final formulas read only P, c, G and
@@ -105,12 +107,14 @@ def _growth_exponent(sys, cost):
 
 
 def block_exponential(sys: LtiSystem, cost: CostSpec):
-    """e^{C T} partitioned into the blocks used by :func:`cost_stats_expm`."""
+    """e^{C T}, T the cost's horizon, partitioned into the blocks the route reads.
+
+    This is the kernel of :func:`cost_stats_expm`, which calls it once: with
+    its own cost when T is the step (no doubling), or with a cost whose
+    horizon is the base step h = T / 2^k.
+    """
     _require_horizon(cost, infinite=False)
-    return _block_exponential(sys, cost, cost.horizon)
-
-
-def _block_exponential(sys, cost, h):
+    h = cost.horizon
     e = expm(build_block_matrix(sys, cost) * h)
     n = sys.dim
     # The (4,4) block equals e^{A_2 h} analytically.  Numerically the big
@@ -180,10 +184,11 @@ def cost_stats_expm(sys: LtiSystem, cost: CostSpec):
     k = 0 if growth <= BLOCK_GROWTH else _doubling_count(sys.A, cost.horizon,
                                                          2.0 * abs(cost.alpha))
     h = math.ldexp(cost.horizon, -k)
+    step = cost if k == 0 else CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=h)
     mu0, sigma0 = sys.mu0, sys.Sigma0
     # an overflow leaves a non-finite value, which _finalize_variance refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        seg = _segment(sys, cost, _block_exponential(sys, cost, h), h if k else None)
+        seg = _segment(sys, cost, block_exponential(sys, step), h if k else None)
         for j in range(k):
             seg = _compose(seg, seg, np.exp(2.0 * cost.alpha * math.ldexp(h, j)))
         pc0 = seg.P @ (sigma0 - np.outer(mu0, mu0))

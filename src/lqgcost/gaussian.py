@@ -14,7 +14,6 @@ second-moment blocks S_ab = K_ab + mu_a mu_b^T:
 
 Carrying second moments rather than covariances through the API mirrors the
 rest of the library and avoids the classic second-moment/covariance mix-up.
-Conversion helpers are provided.
 """
 
 from dataclasses import dataclass
@@ -28,21 +27,7 @@ __all__ = [
     "JointGaussian",
     "quartic_expectation",
     "joint_quartic_expectation",
-    "second_moment_from_covariance",
-    "covariance_from_second_moment",
 ]
-
-
-def second_moment_from_covariance(cov, mu):
-    """E[x x^T] = K + mu mu^T."""
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    return np.asarray(cov, dtype=float) + np.outer(mu, mu)
-
-
-def covariance_from_second_moment(second, mu):
-    """K = E[x x^T] - mu mu^T."""
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    return np.asarray(second, dtype=float) - np.outer(mu, mu)
 
 
 def _square_symmetric(m, name):

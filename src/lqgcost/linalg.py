@@ -32,7 +32,6 @@ __all__ = [
     "classify_spectrum",
     "solve_lyapunov",
     "solve_lyapunov_transposed",
-    "lyap_finite",
     "van_loan_integral",
     "psd_factor",
     "symmetrize",
@@ -403,33 +402,6 @@ def solve_lyapunov(a, q):
 def solve_lyapunov_transposed(a, q):
     """Solve A^T X + X A + Q = 0 for X (the transposed companion equation)."""
     return DriftFactor(a).solve(q, transposed=True)
-
-
-def lyap_finite(a, q, t1, t2, solution=None):
-    """Integral of e^{A t} Q e^{A^T t} over [t1, t2] via the Lyapunov closed form.
-
-    Equals ``e^{A t1} X e^{A^T t1} - e^{A t2} X e^{A^T t2}`` where X solves
-    A X + X A^T + Q = 0.  Requires that equation to be uniquely solvable;
-    :func:`~lqgcost.moments.noise_gramian_finite` gives the integral over
-    [0, t] for any A.
-
-    ``solution`` may pass a precomputed X to avoid re-solving.
-    """
-    a = _as_square(a, "A")
-    q = _as_square(q, "Q")
-    if not (np.isfinite(t1) and np.isfinite(t2)):
-        raise ValueError("t1 and t2 must be finite")
-    if t1 > t2:
-        raise ValueError(f"need t1 <= t2, got t1={t1}, t2={t2}")
-    if t1 == t2:
-        return np.zeros_like(a)
-    x = solve_lyapunov(a, q) if solution is None else solution
-    e1 = mat_exp(a, t1)
-    e2 = mat_exp(a, t2)
-    out = e1 @ x @ e1.T - e2 @ x @ e2.T
-    if is_symmetric(q):
-        out = symmetrize(out)
-    return out
 
 
 def van_loan_integral(a1, q, a2, horizon):

@@ -58,9 +58,10 @@ BATCH_SIZE = 16384
 
 
 def _whole_number(name, value, least):
-    """``value`` as an int; ValueError unless it is a whole number >= ``least``."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and int(value) == value >= least):
+    """``value`` as an int; ValueError unless it is a whole number >= ``least``
+    (a bool is not)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and int(value) == value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 

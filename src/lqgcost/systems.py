@@ -207,6 +207,6 @@ class LqgPlant:
     def n_outputs(self):
         return self.C.shape[0]
 
-    def shifted_drift(self, k=1.0):
-        """A + k * alpha * I, the exponent-shifted drift."""
-        return self.A + k * self.alpha * np.eye(self.n_states)
+    def shifted_drift(self):
+        """A + alpha * I, the exponent-shifted drift."""
+        return self.A + self.alpha * np.eye(self.n_states)

@@ -54,7 +54,8 @@ class TuneOptions:
             raise ValueError(f"objective must be 'mean' or 'variance', got {self.objective!r}")
         if not (self.step_tol > 0 and self.grad_tol > 0):
             raise ValueError("tolerances must be positive")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
+        if (isinstance(self.max_iter, (bool, np.bool_)) or int(self.max_iter) != self.max_iter
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         self.max_iter = int(self.max_iter)
 

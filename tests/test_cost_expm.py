@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,12 @@ from lqgcost.moments import _propagate
 from conftest import random_spd, random_system, scalar_cost, scalar_system
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _step_segment(sys, cost, h):
+    """The record of one step h of ``cost``, from the route's kernel at h."""
+    step = CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=h)
+    return ce._segment(sys, cost, block_exponential(sys, step), h)
 
 
 class TestBuildBlockMatrix:
@@ -143,8 +150,8 @@ class TestCostStatsExpm:
         sys = random_system(3, rng)
         cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=1.0)
         h = 0.1
-        step = ce._segment(sys, cost, ce._block_exponential(sys, cost, h), h)
-        longer = ce._segment(sys, cost, ce._block_exponential(sys, cost, 2 * h), 2 * h)
+        step = _step_segment(sys, cost, h)
+        longer = _step_segment(sys, cost, 2 * h)
         composed = ce._compose(step, step, np.exp(2 * alpha * h))
         for name in ("phi", "W", "P", "c", "G", "v", "H", "K"):
             assert_allclose(getattr(composed, name), getattr(longer, name), rtol=1e-12,
@@ -157,9 +164,27 @@ class TestCostStatsExpm:
         sys = random_system(3, rng)
         cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=1.0)
         h = 0.1
-        step = ce._segment(sys, cost, ce._block_exponential(sys, cost, h), h)
+        step = _step_segment(sys, cost, h)
         phi, w = _propagate(sys.A, sys.V, h)
         assert np.array_equal(step.phi, phi) and np.array_equal(step.W, w)
+
+    @pytest.mark.parametrize("horizon", [1.0, 30.0])     # one block, then doubling
+    def test_one_block_exponential_per_call(self, horizon, rng, monkeypatch):
+        # the route reads the public kernel once, at T or at the base step
+        steps = []
+        real = ce.block_exponential
+
+        def counting(sys, cost):
+            steps.append(cost.horizon)
+            return real(sys, cost)
+
+        monkeypatch.setattr(ce, "block_exponential", counting)
+        sys = random_system(2, rng, alpha_shifts=(-0.3, 0.3, -0.6))
+        stats = cost_stats_expm(sys, CostSpec(Q=random_spd(2, rng), alpha=-0.3,
+                                              horizon=horizon))
+        k = int(stats.branch.rsplit(", ", 1)[1].split()[0])
+        assert (k == 0) == (horizon < 10.0)
+        assert steps == [math.ldexp(horizon, -k)]
 
     def test_mean_monotone_in_horizon_for_psd_weight(self, rng):
         sys = random_system(2, rng)

@@ -23,7 +23,6 @@ from lqgcost import (
     cost_stats_expm,
     cost_stats_lyapunov,
     cross_moment,
-    lyap_finite,
     mat_exp,
     noise_gramian_finite,
     optimal_gain,
@@ -37,7 +36,6 @@ from lqgcost import (
 )
 from lqgcost.lqg import close_loop_full_state
 from conftest import (
-    finite_integral_by_quadrature,
     lyapunov_by_quadrature,
     random_spd,
     random_stable,
@@ -522,39 +520,6 @@ class TestOneFactorPerEvaluation:
         assert variance(sys, cost) == cost_stats_lyapunov(sys, cost).variance
 
 
-class TestLyapFinite:
-    def test_empty_interval(self, rng):
-        a = random_stable(3, rng)
-        assert np.array_equal(lyap_finite(a, np.eye(3), 0.7, 0.7), np.zeros((3, 3)))
-
-    def test_zero_drift_rejected(self):
-        with pytest.raises(SingularLyapunovError):
-            lyap_finite(np.zeros((2, 2)), np.eye(2), 0.0, 1.0)
-
-    def test_scalar_value(self):
-        out = lyap_finite(np.array([[-1.0]]), np.array([[1.0]]), 0.0, 1.0)
-        assert_allclose(out, [[(1.0 - math.exp(-2.0)) / 2.0]], rtol=1e-12)
-
-    def test_matches_quadrature_and_block_route(self, rng):
-        a = random_stable_sylvester(3, rng)
-        q = random_spd(3, rng)
-        t = 1.3
-        direct = lyap_finite(a, q, 0.0, t)
-        assert_allclose(direct, finite_integral_by_quadrature(a, q, 0.0, t),
-                        rtol=1e-8, atol=1e-10)
-        # block-exponential route: integral_0^t e^{A s} Q e^{A^T s} ds equals
-        # e^{A t} times the van Loan block with A1 = -A, A2 = A^T
-        via_block = mat_exp(a, t) @ van_loan_integral(-a, q, a.T, t)
-        assert_allclose(direct, via_block, rtol=1e-9, atol=1e-11)
-
-    def test_interval_additivity(self, rng):
-        a = random_stable_sylvester(3, rng)
-        q = random_spd(3, rng)
-        whole = lyap_finite(a, q, 0.0, 2.0)
-        parts = lyap_finite(a, q, 0.0, 0.8) + lyap_finite(a, q, 0.8, 2.0)
-        assert_allclose(whole, parts, rtol=1e-10, atol=1e-12)
-
-
 class TestVanLoanIntegral:
     def test_constant_integrand(self):
         out = van_loan_integral(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), 2.0)
@@ -568,6 +533,15 @@ class TestVanLoanIntegral:
         out = van_loan_integral(np.array([[-1.0]]), np.array([[1.0]]),
                                 np.array([[-2.0]]), 1.0)
         assert_allclose(out, [[math.exp(-1.0) - math.exp(-2.0)]], rtol=1e-12)
+
+    def test_matches_the_noise_gramian(self, rng):
+        # integral_0^t e^{A s} Q e^{A^T s} ds is e^{A t} times the block with
+        # A1 = -A, A2 = A^T
+        a = random_stable_sylvester(3, rng)
+        q = random_spd(3, rng)
+        t = 1.3
+        via_block = mat_exp(a, t) @ van_loan_integral(-a, q, a.T, t)
+        assert_allclose(via_block, noise_gramian_finite(a, q, t), rtol=1e-9, atol=1e-11)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

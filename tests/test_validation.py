@@ -1,6 +1,7 @@
 """One decision per predicate: every type and kernel that checks symmetry or
 positive semidefiniteness accepts and refuses the same matrices, at
-``linalg.PSD_TOL``, and no function carries a tolerance of its own."""
+``linalg.PSD_TOL``, and no function carries a tolerance of its own.  Every
+count is refused when it is a bool, as the model loader refuses one."""
 
 import importlib
 import inspect
@@ -17,6 +18,8 @@ from lqgcost import (
     JointGaussian,
     LqgPlant,
     LtiSystem,
+    SimConfig,
+    TuneOptions,
     joint_quartic_expectation,
     noise_gramian_finite,
     psd_factor,
@@ -134,6 +137,21 @@ EMPTY = {
 def test_zero_size_matrix_named(name):
     with pytest.raises(DimensionError, match=f"^{name} must not be empty"):
         EMPTY[name]()
+
+
+COUNTS = {
+    "n_paths": lambda v: SimConfig(dt=0.1, T=1.0, n_paths=v),
+    "seed": lambda v: SimConfig(dt=0.1, T=1.0, n_paths=1, seed=v),
+    "threads": lambda v: SimConfig(dt=0.1, T=1.0, n_paths=1, threads=v),
+    "max_iter": lambda v: TuneOptions(f0=np.zeros((1, 2)), max_iter=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy bool"])
+@pytest.mark.parametrize("name", COUNTS)
+def test_boolean_count_refused(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        COUNTS[name](value)
 
 
 def test_psd_factor_clamps_what_it_admits():
