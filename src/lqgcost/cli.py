@@ -7,9 +7,10 @@ Subcommands::
                      [--threshold J] [--scheme {euler,exact}] [--out F]
     lqgcost synthesize PLANT [--full-state] [--out-model F] [--out F]
     lqgcost tune PLANT [--objective {mean,variance}] [--init "a,b,..."]
-                     [--max-iter N] [--out F]
+                     [--max-iter N] [--grad-tol G] [--out F]
     lqgcost reproduce-example [--paths N] [--assumption-file F] [--seed S]
-                     [--dt DT] [--T T] [--threshold J] [--out F]
+                     [--dt DT] [--T T] [--threshold J] [--scheme {euler,exact}]
+                     [--tune-iters N] [--out F]
 
 Every command prints a human-readable table on stdout and, with ``--out``,
 writes the same results as a structured JSON report: each ``cmd_*`` returns

@@ -43,7 +43,7 @@ from scipy.linalg import expm
 
 from .cost_lyap import CostStats, _finalize_variance, _require_horizon, cost_stats_lyapunov
 from .exceptions import ConditionCheck
-from .linalg import _doubling_count, _van_loan_steps, symmetrize
+from .linalg import _doubling_count, _require_shape, _van_loan_steps, symmetrize
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
@@ -80,7 +80,7 @@ _Segment = namedtuple("_Segment", "phi W P c G v H K")
 
 def build_block_matrix(sys: LtiSystem, cost: CostSpec):
     """Assemble the 5n x 5n block matrix C for the given system and cost."""
-    a, v, q = sys.A, sys.V, cost.Q
+    a, v, q = sys.A, sys.V, _require_shape(cost.Q, sys.A.shape, "Q")
     n = sys.dim
     eye = np.eye(n)
     a2p = a + 2.0 * cost.alpha * eye

@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import AccuracyError, ConditionCheck, ConditionError
-from .linalg import _difference, mat_exp, symmetrize, van_loan_integral
+from .linalg import _difference, _require_shape, mat_exp, symmetrize, van_loan_integral
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
@@ -205,6 +205,7 @@ class _Evaluation:
     """
 
     def __init__(self, sys, cost, with_variance):
+        _require_shape(cost.Q, sys.A.shape, "Q")
         self.fac = fac = sys.factor
         self.alpha, self.horizon = alpha, horizon = cost.alpha, cost.horizon
         self.checks = _conditions(fac, cost, with_variance)

@@ -20,18 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError
-from .linalg import _as_matrix, _as_square, _require_psd, _require_symmetric
+from .linalg import _as_matrix, _as_symmetric, _as_vector, _require_psd
 
 __all__ = [
     "JointGaussian",
     "quartic_expectation",
     "joint_quartic_expectation",
 ]
-
-
-def _square_symmetric(m, name):
-    return _require_symmetric(_as_square(m, name), name)
 
 
 @dataclass
@@ -45,29 +40,22 @@ class JointGaussian:
     K_yy: np.ndarray
 
     def __post_init__(self):
-        self.mu_x = np.asarray(self.mu_x, dtype=float).reshape(-1)
-        self.mu_y = np.asarray(self.mu_y, dtype=float).reshape(-1)
+        self.mu_x = _as_vector(self.mu_x, "mu_x")
+        self.mu_y = _as_vector(self.mu_y, "mu_y")
         nx, ny = self.mu_x.size, self.mu_y.size
-        self.K_xx = _square_symmetric(self.K_xx, "K_xx")
-        self.K_yy = _square_symmetric(self.K_yy, "K_yy")
-        self.K_xy = _as_matrix(self.K_xy, "K_xy")
-        if self.K_xx.shape != (nx, nx) or self.K_yy.shape != (ny, ny) or self.K_xy.shape != (nx, ny):
-            raise DimensionError(
-                f"covariance blocks {self.K_xx.shape}/{self.K_xy.shape}/{self.K_yy.shape} "
-                f"do not conform with mean sizes {nx}/{ny}"
-            )
+        self.K_xx = _as_symmetric(self.K_xx, "K_xx", nx)
+        self.K_yy = _as_symmetric(self.K_yy, "K_yy", ny)
+        self.K_xy = _as_matrix(self.K_xy, "K_xy", (nx, ny))
         _require_psd(np.block([[self.K_xx, self.K_xy], [self.K_xy.T, self.K_yy]]),
                      "joint covariance")
 
 
 def quartic_expectation(mu, second, p, q):
     """E[x^T P x * x^T Q x] for Gaussian x with mean mu and second moment E[x x^T]."""
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    s = _square_symmetric(second, "second moment")
-    p = _square_symmetric(p, "P")
-    q = _square_symmetric(q, "Q")
-    if s.shape[0] != mu.size or p.shape != s.shape or q.shape != s.shape:
-        raise DimensionError("mu, second moment, P and Q sizes do not conform")
+    mu = _as_vector(mu, "mu")
+    s = _as_symmetric(second, "second moment", mu.size)
+    p = _as_symmetric(p, "P", mu.size)
+    q = _as_symmetric(q, "Q", mu.size)
     _require_psd(s - np.outer(mu, mu), "second moment - mu mu^T")
     sp = s @ p
     sq = s @ q
@@ -80,11 +68,8 @@ def quartic_expectation(mu, second, p, q):
 
 def joint_quartic_expectation(jg: JointGaussian, p, q):
     """E[x^T P x * y^T Q y] for the jointly Gaussian pair ``jg``."""
-    p = _square_symmetric(p, "P")
-    q = _square_symmetric(q, "Q")
-    nx, ny = jg.mu_x.size, jg.mu_y.size
-    if p.shape != (nx, nx) or q.shape != (ny, ny):
-        raise DimensionError(f"P must be {nx}x{nx} and Q {ny}x{ny}, got {p.shape}, {q.shape}")
+    p = _as_symmetric(p, "P", jg.mu_x.size)
+    q = _as_symmetric(q, "Q", jg.mu_y.size)
     s_xx = jg.K_xx + np.outer(jg.mu_x, jg.mu_x)
     s_yy = jg.K_yy + np.outer(jg.mu_y, jg.mu_y)
     s_xy = jg.K_xy + np.outer(jg.mu_x, jg.mu_y)

@@ -10,9 +10,16 @@ equation on it reuses a single factorization.
 The kernels' tolerances are constants of this module, with no per-call
 override, and symmetry and (semi)definiteness are decided only here, at
 ``PSD_TOL``.
+
+Every input check of the package lives here too: ``_real_number`` and
+``_whole_number`` for settings (a bool, a string or NaN is no number), the
+``_as_*`` array checks, each to an expected shape, and ``_require_shape``
+for a cost's Q against its system.  Only model files are checked elsewhere,
+by :mod:`lqgcost.models`, whose errors name the file and the field.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -59,22 +66,75 @@ SHIFTS_KEPT = 16
 CANCELLATION_LIMIT = 1e6
 
 
-def _as_matrix(a, name="matrix"):
-    """Validate and return ``a`` as a finite, non-empty 2-d float array."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError(f"{name} must not be empty, got shape {arr.shape}")
+def _whole_number(name, value, least):
+    """``value`` as an int; ValueError unless it is a whole number >= ``least``
+    (a bool is not)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and int(value) == value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _real_number(name, value, least=-math.inf, strict=False, infinite=False):
+    """``value`` as a float; ValueError unless it is a real number (not a bool,
+    a string or NaN) above ``least`` when ``strict``, else at least ``least``,
+    and finite unless ``infinite``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        x = float(value)
+        if (x > least if strict else x >= least) and (infinite or math.isfinite(x)):
+            return x
+    bound = "" if least == -math.inf else f" {'>' if strict else '>='} {least:g}"
+    kind = "a number" if infinite else "a finite number"
+    raise ValueError(f"{name} must be {kind}{bound}, got {value!r}")
+
+
+def _require_shape(arr, shape, name):
+    """``arr``, of as many dimensions as ``shape``; DimensionError unless its
+    lengths are those of ``shape``, where a None length matches any."""
+    if arr.shape != shape and any(k not in (None, got) for k, got in zip(shape, arr.shape)):
+        want = "x".join("?" if k is None else str(k) for k in shape)
+        if len(shape) == 1:
+            want = f"of length {want}"
+        raise DimensionError(f"{name} must be {want}, got {arr.shape}")
+    return arr
+
+
+def _finite_array(a, name):
+    """``a`` as a float array; ValueError unless its entries are finite real
+    numbers (a bool or a string is not)."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got {arr.dtype} entries")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
-def _as_square(a, name="matrix"):
+def _as_vector(v, name, n=None):
+    """Validate and return ``v`` flattened to a finite float vector (of length ``n``)."""
+    arr = _finite_array(v, name).reshape(-1)
+    return arr if n is None else _require_shape(arr, (n,), name)
+
+
+def _as_matrix(a, name="matrix", shape=None):
+    """Validate and return ``a`` as a finite, non-empty 2-d float array (of
+    ``shape``, where a None length matches any)."""
+    arr = _finite_array(a, name)
+    if arr.ndim != 2:
+        raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DimensionError(f"{name} must not be empty, got shape {arr.shape}")
+    return arr if shape is None else _require_shape(arr, shape, name)
+
+
+def _as_square(a, name="matrix", n=None):
+    """:func:`_as_matrix` of a square ``a`` (n x n when ``n`` is given)."""
     arr = _as_matrix(a, name)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
+    if n is not None:
+        _require_shape(arr, (n, n), name)
     return arr
 
 
@@ -85,8 +145,10 @@ def is_symmetric(a):
         np.abs(a - a.T).max() <= PSD_TOL * max(np.abs(a).max(), 1.0))
 
 
-def _require_symmetric(m, name):
-    """The symmetric part of the square ``m``; ConditionError unless it is symmetric."""
+def _as_symmetric(m, name, n=None):
+    """The symmetric part of :func:`_as_square` of ``m``; ConditionError unless
+    ``m`` is symmetric."""
+    m = _as_square(m, name, n)
     if not is_symmetric(m):
         raise ConditionError(f"{name} must be symmetric",
                              conditions=[ConditionCheck(f"{name} symmetric", False)])
@@ -141,8 +203,7 @@ def mat_exp(a, t=1.0):
     ``scipy.linalg.expm``).  Exact identity for ``t == 0``.
     """
     a = _as_square(a, "A")
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    t = _real_number("t", t)
     if t == 0.0:
         return np.eye(a.shape[0])
     return expm(a * t)
@@ -343,10 +404,7 @@ class DriftFactor:
 
         Checks and errors as :func:`solve_lyapunov`.
         """
-        w = _as_square(w, "Q")
-        if w.shape != self.a.shape:
-            raise DimensionError(
-                f"A and Q must have equal shapes, got {self.a.shape} and {w.shape}")
+        w = _as_square(w, "Q", len(self.a))
         u = self.u
         z = self._solve_schur(u.T @ w @ u, shift, transposed, symmetric=False)
         x = u @ z @ u.T
@@ -412,12 +470,9 @@ def van_loan_integral(a1, q, a2, horizon):
     """
     a1 = _as_square(a1, "A1")
     a2 = _as_square(a2, "A2")
-    q = _as_matrix(q, "Q")
     n1, n2 = a1.shape[0], a2.shape[0]
-    if q.shape != (n1, n2):
-        raise DimensionError(f"Q must be {n1}x{n2} to conform with A1, A2; got {q.shape}")
-    if not np.isfinite(horizon) or horizon < 0:
-        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
+    q = _as_matrix(q, "Q", (n1, n2))
+    horizon = _real_number("horizon", horizon, 0.0)
     if horizon == 0.0:
         return np.zeros((n1, n2))
     block = np.zeros((n1 + n2, n1 + n2))
@@ -457,7 +512,7 @@ def psd_factor(m):
     they admit are clamped to zero.  Uses the symmetric eigendecomposition,
     robust for singular M where a Cholesky factorization would fail.
     """
-    m = _require_symmetric(_as_square(m, "M"), "M")
+    m = _as_symmetric(m, "M")
     w, u = np.linalg.eigh(m)
     _require_psd(m, "M", w)
     return u * np.sqrt(np.clip(w, 0.0, None))

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 
-from .exceptions import ConditionError, DimensionError, NumericalError, SynthesisError
-from .linalg import _as_matrix, _as_square, classify_spectrum, solve_lyapunov_transposed, symmetrize
+from .exceptions import ConditionError, NumericalError, SynthesisError
+from .linalg import (_as_matrix, _as_square, _as_symmetric, _require_pd, classify_spectrum,
+                     solve_lyapunov_transposed, symmetrize)
 from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON, _with_gain_terms
 
 __all__ = [
@@ -66,19 +67,20 @@ def solve_riccati(a, b, q, r):
     F = R^{-1} B^T X, restores the digits the subspace loses to rounding
     (D. L. Kleinman, IEEE Trans. Automat. Control 13(1), 1968).
 
-    Raises :class:`DimensionError` naming a mis-shaped argument, and
-    :class:`SynthesisError` when not exactly n eigenvalues lie in the left
-    half-plane, U_11 is singular, the Newton step fails, the residual exceeds
-    ``RICCATI_RESIDUAL_RTOL`` relative, or A - G X is not stable.
+    Raises :class:`DimensionError` naming a mis-shaped argument,
+    :class:`ConditionError` unless Q and R are symmetric and R is positive
+    definite (at ``linalg.PSD_TOL``, as :class:`~lqgcost.systems.LqgPlant`
+    checks them), and :class:`SynthesisError` when not exactly n eigenvalues
+    lie in the left half-plane, U_11 is singular, the Newton step fails, the
+    residual exceeds ``RICCATI_RESIDUAL_RTOL`` relative, or A - G X is not
+    stable.
     """
     a = _as_square(a, "A")
-    b = _as_matrix(b, "B")
-    q = symmetrize(_as_square(q, "Q"))
-    r = symmetrize(_as_square(r, "R"))
-    n, m = len(a), b.shape[1]
-    for name, arr, shape in (("B", b, (n, m)), ("Q", q, (n, n)), ("R", r, (m, m))):
-        if arr.shape != shape:
-            raise DimensionError(f"{name} must be {shape[0]}x{shape[1]}, got {arr.shape}")
+    n = len(a)
+    b = _as_matrix(b, "B", (n, None))
+    q = _as_symmetric(q, "Q", n)
+    r = _as_symmetric(r, "R", b.shape[1])
+    _require_pd(r, "R")
     gain_term = b @ np.linalg.solve(r, b.T)
     _, u, stable_dim = schur(np.block([[a, -gain_term], [-q, -a.T]]),
                              output="real", sort="lhp")
@@ -138,11 +140,7 @@ def close_loop_full_state(plant: LqgPlant, f, mu0, sigma0, horizon=INFINITE_HORI
     spec whose weight Q + F^T R F accounts for the input penalty u^T R u
     under the feedback law.
     """
-    f = _as_matrix(f, "F")
-    if f.shape != (plant.n_inputs, plant.n_states):
-        raise DimensionError(
-            f"F must be {plant.n_inputs}x{plant.n_states}, got {f.shape}"
-        )
+    f = _as_matrix(f, "F", (plant.n_inputs, plant.n_states))
     # no check depends on the gain: validate the plant's parts, then swap in F's
     sys = LtiSystem(A=plant.A, V=plant.V, mu0=mu0, Sigma0=sigma0)
     cost = CostSpec(Q=plant.Q, alpha=plant.alpha, horizon=horizon)
@@ -169,13 +167,9 @@ def close_loop_output_feedback(plant: LqgPlant, f, k, mu0, sigma0,
 
     ``mu0`` and ``sigma0`` describe the stacked initial state.
     """
-    f = _as_matrix(f, "F")
-    k = _as_matrix(k, "K")
     n = plant.n_states
-    if f.shape != (plant.n_inputs, n):
-        raise DimensionError(f"F must be {plant.n_inputs}x{n}, got {f.shape}")
-    if k.shape != (n, plant.n_outputs):
-        raise DimensionError(f"K must be {n}x{plant.n_outputs}, got {k.shape}")
+    f = _as_matrix(f, "F", (plant.n_inputs, n))
+    k = _as_matrix(k, "K", (n, plant.n_outputs))
     bf = plant.B @ f
     kc = k @ plant.C
     # row 1 is dx/dt = A x - B F xhat + v: the physical state sees the input

@@ -27,15 +27,11 @@ import math
 import numpy as np
 
 from .exceptions import AccuracyError
-from .linalg import _as_square, _doubling_count, _van_loan_steps, mat_exp, symmetrize
-from .systems import LtiSystem, _square_of_size
+from .linalg import (_as_square, _as_symmetric, _doubling_count, _real_number, _van_loan_steps,
+                     mat_exp, symmetrize)
+from .systems import LtiSystem
 
 __all__ = ["mean_state", "second_moment", "cross_moment", "noise_gramian_finite"]
-
-
-def _check_time(t):
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
 
 
 def _propagate(a, v, t):
@@ -54,7 +50,7 @@ def _propagate(a, v, t):
 
 def mean_state(sys: LtiSystem, t):
     """Mean of the state at time t: e^{A t} mu0 (AccuracyError on overflow)."""
-    _check_time(t)
+    t = _real_number("t", t, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         out = mat_exp(sys.A, t) @ sys.mu0
     return _require_finite(out, f"mu(t) at t = {t:g}")
@@ -67,14 +63,14 @@ def noise_gramian_finite(a, v, t):
     when it overflows double precision.
     """
     a = _as_square(a, "A")
-    v = _square_of_size(v, a.shape[0], "V")
-    _check_time(t)
+    v = _as_symmetric(v, "V", len(a))
+    t = _real_number("t", t, 0.0)
     return _require_finite(_propagate(a, v, t)[1], f"the noise Gramian at t = {t:g}")
 
 
 def second_moment(sys: LtiSystem, t):
     """Second moment Sigma(t) = E[x(t) x(t)^T], exactly symmetric (AccuracyError on overflow)."""
-    _check_time(t)
+    t = _real_number("t", t, 0.0)
     phi, w = _propagate(sys.A, sys.V, t)
     with np.errstate(over="ignore", invalid="ignore"):
         out = symmetrize(phi @ sys.Sigma0 @ phi.T + w)
@@ -89,8 +85,8 @@ def _require_finite(m, what):
 
 def cross_moment(sys: LtiSystem, t1, t2):
     """Cross moment Sigma(t1, t2) = E[x(t1) x(t2)^T] for any drift (AccuracyError on overflow)."""
-    _check_time(t1)
-    _check_time(t2)
+    t1 = _real_number("t1", t1, 0.0)
+    t2 = _real_number("t2", t2, 0.0)
     if t1 > t2:
         return cross_moment(sys, t2, t1).T
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,7 +36,6 @@ one worker runs per CPU this process may use, up to one per batch.
 """
 
 import math
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -47,7 +46,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 
 from .cost_expm import auto_cost_stats
 from .exceptions import LqgCostError
-from .linalg import psd_factor
+from .linalg import _real_number, _require_shape, _whole_number, psd_factor
 from .moments import _propagate, _require_finite
 from .systems import CostSpec, LtiSystem
 
@@ -55,15 +54,6 @@ __all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "simulation_repo
 
 #: Paths per random stream; fixed so that results never depend on threading.
 BATCH_SIZE = 16384
-
-
-def _whole_number(name, value, least):
-    """``value`` as an int; ValueError unless it is a whole number >= ``least``
-    (a bool is not)."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and int(value) == value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -84,16 +74,13 @@ class SimConfig:
     threads: int = None
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"T must be positive and finite, got {self.T}")
-        if not math.isfinite(float(self.T) / float(self.dt)):
-            raise ValueError(f"T/dt must be finite, got T = {self.T}, dt = {self.dt}")
+        self.dt = _real_number("dt", self.dt, 0.0, strict=True)
+        self.T = _real_number("T", self.T, 0.0, strict=True)
+        _real_number("T/dt", self.T / self.dt)
         self.n_paths = _whole_number("n_paths", self.n_paths, 1)
         self.seed = _whole_number("seed", self.seed, 0)
-        if self.threshold is not None and math.isnan(self.threshold):
-            raise ValueError("threshold must not be NaN")
+        if self.threshold is not None:
+            self.threshold = _real_number("threshold", self.threshold, infinite=True)
         if self.scheme not in ("euler", "exact"):
             raise ValueError(f"scheme must be 'euler' or 'exact', got {self.scheme!r}")
         if self.threads is not None:
@@ -196,6 +183,7 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
     T with exp(2 alpha T) negligible.  Populates the exceedance fields when
     ``cfg.threshold`` is set.
     """
+    _require_shape(cost.Q, sys.A.shape, "Q")
     steps = cfg.n_steps
     if abs(cfg.T / cfg.dt - steps) > 1e-6:
         warnings.warn(

@@ -19,8 +19,11 @@ Positive ``alpha`` acts as a prescribed degree of stability, negative
 An :class:`LqgPlant` is the controlled and observed plant that
 :mod:`lqgcost.lqg` reduces to the autonomous form.
 
-Symmetry and (semi)definiteness are checked by :mod:`lqgcost.linalg`, at
-its ``PSD_TOL``, and refused with ConditionError.
+Every input check lives in :mod:`lqgcost.linalg`: shapes and finiteness
+(DimensionError, ValueError), numbers such as ``alpha`` and ``horizon``
+(ValueError for a bool, a string or NaN) and symmetry and
+(semi)definiteness, at its ``PSD_TOL`` (ConditionError).  A cost's Q fits a
+system when it is the system's n x n; the routes that meet the two check it.
 
 ``LtiSystem`` and ``CostSpec`` are immutable values: each copies its inputs
 when it is built, its fields cannot be reassigned and its arrays are
@@ -35,29 +38,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DimensionError
-from .linalg import (DriftFactor, _as_matrix, _as_square, _require_pd, _require_psd,
-                     _require_symmetric)
+from .linalg import (DriftFactor, _as_matrix, _as_square, _as_symmetric, _as_vector,
+                     _real_number, _require_pd, _require_psd)
 
 __all__ = ["LtiSystem", "CostSpec", "LqgPlant", "INFINITE_HORIZON"]
 
 INFINITE_HORIZON = math.inf
-
-
-def _as_vector(v, n, name):
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.shape != (n,):
-        raise DimensionError(f"{name} must have length {n}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _square_of_size(m, n, name):
-    m = _as_square(m, name)
-    if m.shape != (n, n):
-        raise DimensionError(f"{name} must be {n}x{n}, got {m.shape}")
-    return _require_symmetric(m, name)
 
 
 def _set_fields(obj, **values):
@@ -87,10 +73,10 @@ class LtiSystem:
     def __post_init__(self):
         a = _as_square(self.A, "A").copy()
         n = a.shape[0]
-        v = _square_of_size(self.V, n, "V")
+        v = _as_symmetric(self.V, "V", n)
         _require_psd(v, "V")
-        mu0 = _as_vector(self.mu0, n, "mu0").copy()
-        sigma0 = _square_of_size(self.Sigma0, n, "Sigma0")
+        mu0 = _as_vector(self.mu0, "mu0", n).copy()
+        sigma0 = _as_symmetric(self.Sigma0, "Sigma0", n)
         _require_psd(sigma0 - np.outer(mu0, mu0), "Sigma0 - mu0 mu0^T")
         _set_fields(self, A=a, V=v, mu0=mu0, Sigma0=sigma0)
 
@@ -122,13 +108,9 @@ class CostSpec:
     horizon: float = INFINITE_HORIZON
 
     def __post_init__(self):
-        q = _require_symmetric(_as_square(self.Q, "Q"), "Q")
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha):
-            raise ValueError("alpha must be finite")
-        horizon = float(self.horizon)
-        if horizon != INFINITE_HORIZON and not horizon > 0:
-            raise ValueError(f"finite horizon must be positive, got {horizon}")
+        q = _as_symmetric(self.Q, "Q")
+        alpha = _real_number("alpha", self.alpha)
+        horizon = _real_number("horizon", self.horizon, 0.0, strict=True, infinite=True)
         _set_fields(self, Q=q, alpha=alpha, horizon=horizon)
 
     @property
@@ -176,24 +158,18 @@ class LqgPlant:
     def __post_init__(self):
         self.A = _as_square(self.A, "A")
         n = self.A.shape[0]
-        self.B = _as_matrix(self.B, "B")
-        if self.B.shape[0] != n:
-            raise DimensionError(f"B must have {n} rows, got {self.B.shape}")
-        self.C = _as_matrix(self.C, "C")
-        if self.C.shape[1] != n:
-            raise DimensionError(f"C must have {n} columns, got {self.C.shape}")
+        self.B = _as_matrix(self.B, "B", (n, None))
+        self.C = _as_matrix(self.C, "C", (None, n))
         m, p = self.B.shape[1], self.C.shape[0]
-        self.Q = _square_of_size(self.Q, n, "Q")
+        self.Q = _as_symmetric(self.Q, "Q", n)
         _require_psd(self.Q, "Q")
-        self.R = _square_of_size(self.R, m, "R")
+        self.R = _as_symmetric(self.R, "R", m)
         _require_pd(self.R, "R")
-        self.V = _square_of_size(self.V, n, "V")
+        self.V = _as_symmetric(self.V, "V", n)
         _require_psd(self.V, "V")
-        self.W = _square_of_size(self.W, p, "W")
+        self.W = _as_symmetric(self.W, "W", p)
         _require_pd(self.W, "W")
-        self.alpha = float(self.alpha)
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        self.alpha = _real_number("alpha", self.alpha)
 
     @property
     def n_states(self):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .cost_lyap import SHIFTED_STABLE, CostStats, _infinite_objective_gradient, cost_stats_lyapunov
 from .exceptions import ConditionError, InfeasibleGainError
+from .linalg import _real_number, _whole_number
 from .lqg import _regain_full_state, close_loop_full_state
 from .systems import LqgPlant
 
@@ -52,12 +53,9 @@ class TuneOptions:
         self.f0 = np.asarray(self.f0, dtype=float)
         if self.objective not in ("mean", "variance"):
             raise ValueError(f"objective must be 'mean' or 'variance', got {self.objective!r}")
-        if not (self.step_tol > 0 and self.grad_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if (isinstance(self.max_iter, (bool, np.bool_)) or int(self.max_iter) != self.max_iter
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
-        self.max_iter = int(self.max_iter)
+        self.step_tol = _real_number("step_tol", self.step_tol, 0.0, strict=True)
+        self.grad_tol = _real_number("grad_tol", self.grad_tol, 0.0, strict=True)
+        self.max_iter = _whole_number("max_iter", self.max_iter, 1)
 
 
 #: Armijo sufficient-decrease constant of the line search.

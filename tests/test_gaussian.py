@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -53,6 +55,20 @@ class TestQuarticExpectation:
         vals = np.einsum("ij,jk,ik->i", x, p, x) * np.einsum("ij,jk,ik->i", x, q, x)
         stderr = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - analytic) < 4.0 * stderr
+
+
+class TestNonFiniteMean:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_quartic_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="^mu contains non-finite entries"):
+            quartic_expectation([bad, 0.0], np.eye(2), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("name", ["mu_x", "mu_y"])
+    def test_joint_mean_rejected(self, name):
+        means = {"mu_x": [0.0, 0.0], "mu_y": [0.0, 0.0]}
+        means[name][0] = math.nan
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+            JointGaussian(**means, K_xx=np.eye(2), K_xy=np.zeros((2, 2)), K_yy=np.eye(2))
 
 
 class TestJointQuarticExpectation:

@@ -44,6 +44,10 @@ def benchmark_plant():
 
 
 class TestSolveRiccati:
+    def test_singular_r_refused(self):
+        with pytest.raises(ConditionError, match="^R must be positive definite"):
+            solve_riccati(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+
     def test_scalar_closed_form(self):
         x = solve_riccati(np.array([[1.0]]), np.array([[1.0]]),
                           np.array([[1.0]]), np.array([[1.0]]))

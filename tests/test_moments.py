@@ -159,7 +159,7 @@ class TestNoiseGramianFinite:
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
     def test_time_checked(self, t):
-        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+        with pytest.raises(ValueError, match="^t must be a finite number >= 0"):
             noise_gramian_finite(np.eye(2), np.eye(2), t)
 
     @pytest.mark.parametrize("v,error,message", [

@@ -171,6 +171,16 @@ class TestTuneOptions:
         with pytest.raises(ValueError):
             TuneOptions(f0=np.zeros((1, 2)), objective="median")
 
+    @pytest.mark.parametrize("field", ["step_tol", "grad_tol"])
+    def test_infinite_tolerance_rejected(self, field):
+        # an infinite grad_tol would report convergence before the first step
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number > 0"):
+            TuneOptions(f0=np.zeros((1, 2)), **{field: math.inf})
+
+    def test_infinite_max_iter_rejected(self):
+        with pytest.raises(ValueError, match="^max_iter must be an integer >= 1"):
+            TuneOptions(f0=np.zeros((1, 2)), max_iter=math.inf)
+
 
 def random_plant(n, m, rng):
     """Seeded n-state, m-input plant with a stabilizing gain away from the mean optimum,

@@ -1,10 +1,15 @@
 """One decision per predicate: every type and kernel that checks symmetry or
 positive semidefiniteness accepts and refuses the same matrices, at
 ``linalg.PSD_TOL``, and no function carries a tolerance of its own.  Every
-count is refused when it is a bool, as the model loader refuses one."""
+public input is checked as the model loader checks a file: a count
+(``COUNTS``) refuses a bool, a real number (``REALS``) refuses a bool, a
+string and NaN, and an array (``ARRAYS``) bool or string entries, each with
+a ValueError naming the input.  Every route that meets a system and a cost
+refuses a Q that is not the system's n x n."""
 
 import importlib
 import inspect
+import math
 import pkgutil
 
 import numpy as np
@@ -20,10 +25,25 @@ from lqgcost import (
     LtiSystem,
     SimConfig,
     TuneOptions,
+    auto_cost_stats,
+    block_exponential,
+    cost_stats_expm,
+    cost_stats_lyapunov,
+    cross_moment,
+    expected_cost_finite,
+    expected_cost_infinite,
     joint_quartic_expectation,
+    mat_exp,
+    mean_state,
     noise_gramian_finite,
     psd_factor,
     quartic_expectation,
+    second_moment,
+    simulate_costs,
+    solve_riccati,
+    van_loan_integral,
+    variance_cost_finite,
+    variance_cost_infinite,
 )
 from lqgcost.linalg import PSD_TOL
 
@@ -54,8 +74,8 @@ def _system(v=np.eye(2), sigma0=np.eye(2)):
     return LtiSystem(A=-np.eye(2), V=v, mu0=np.zeros(2), Sigma0=sigma0)
 
 
-def _plant(q=np.eye(2), r=np.eye(2), v=np.eye(2), w=np.eye(2)):
-    return LqgPlant(A=-np.eye(2), B=np.eye(2), C=np.eye(2), Q=q, R=r, V=v, W=w)
+def _plant(q=np.eye(2), r=np.eye(2), v=np.eye(2), w=np.eye(2), alpha=0.0):
+    return LqgPlant(A=-np.eye(2), B=np.eye(2), C=np.eye(2), Q=q, R=r, V=v, W=w, alpha=alpha)
 
 
 def _joint(k):
@@ -86,6 +106,8 @@ SYMMETRY_CHECKS = {
     "quartic_expectation Q": lambda m: quartic_expectation(np.zeros(2), np.eye(2), np.eye(2), m),
     "joint_quartic_expectation P": lambda m: joint_quartic_expectation(
         _joint(np.eye(2)), m, np.eye(2)),
+    "solve_riccati Q": lambda m: solve_riccati(-np.eye(2), np.eye(2), m, np.eye(2)),
+    "solve_riccati R": lambda m: solve_riccati(-np.eye(2), np.eye(2), np.eye(2), m),
 }
 
 
@@ -152,6 +174,88 @@ COUNTS = {
 def test_boolean_count_refused(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
         COUNTS[name](value)
+
+
+def _tune_options(**settings):
+    return TuneOptions(f0=np.zeros((1, 2)), **settings)
+
+
+def _sim_config(**settings):
+    return SimConfig(**{"dt": 0.1, "T": 1.0, "n_paths": 1, **settings})
+
+
+# each real setting: the name its error gives and a call that sets it
+REALS = {
+    "CostSpec alpha": ("alpha", lambda v: CostSpec(Q=np.eye(2), alpha=v)),
+    "CostSpec horizon": ("horizon", lambda v: CostSpec(Q=np.eye(2), horizon=v)),
+    "LqgPlant alpha": ("alpha", lambda v: _plant(alpha=v)),
+    "SimConfig dt": ("dt", lambda v: _sim_config(dt=v)),
+    "SimConfig T": ("T", lambda v: _sim_config(T=v)),
+    "SimConfig threshold": ("threshold", lambda v: _sim_config(threshold=v)),
+    "TuneOptions step_tol": ("step_tol", lambda v: _tune_options(step_tol=v)),
+    "TuneOptions grad_tol": ("grad_tol", lambda v: _tune_options(grad_tol=v)),
+    "mat_exp t": ("t", lambda v: mat_exp(-np.eye(2), v)),
+    "van_loan_integral horizon": ("horizon", lambda v: van_loan_integral(
+        -np.eye(2), np.eye(2), -np.eye(2), v)),
+    "mean_state t": ("t", lambda v: mean_state(_system(), v)),
+    "second_moment t": ("t", lambda v: second_moment(_system(), v)),
+    "cross_moment t1": ("t1", lambda v: cross_moment(_system(), v, 1.0)),
+    "cross_moment t2": ("t2", lambda v: cross_moment(_system(), 1.0, v)),
+    "noise_gramian_finite t": ("t", lambda v: noise_gramian_finite(-np.eye(2), np.eye(2), v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", math.nan],
+                         ids=["bool", "numpy bool", "string", "nan"])
+@pytest.mark.parametrize("setting", REALS)
+def test_non_number_refused(setting, value):
+    name, build = REALS[setting]
+    with pytest.raises(ValueError, match=f"^{name} must be a "):
+        build(value)
+
+
+# each array input: the name its error gives and a call that passes a 2x2 in it
+ARRAYS = {
+    "LtiSystem A": ("A", lambda m: LtiSystem(A=m, V=np.eye(2), mu0=np.zeros(2),
+                                             Sigma0=np.eye(2))),
+    "LtiSystem mu0": ("mu0", lambda m: LtiSystem(A=-np.eye(2), V=np.eye(2), mu0=m[0],
+                                                 Sigma0=np.eye(2))),
+    "CostSpec Q": ("Q", lambda m: CostSpec(Q=m)),
+    "mat_exp": ("A", mat_exp),
+    "quartic_expectation mu": ("mu", lambda m: quartic_expectation(
+        m[0], np.eye(2), np.eye(2), np.eye(2))),
+}
+
+
+@pytest.mark.parametrize("entries", [np.eye(2, dtype=bool), [["1", "0"], ["0", "1"]]],
+                         ids=["bool", "string"])
+@pytest.mark.parametrize("array", ARRAYS)
+def test_non_number_entries_refused(array, entries):
+    name, build = ARRAYS[array]
+    with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
+        build(entries)
+
+
+# each route that meets a system and a cost, and the horizons it takes
+COST_ROUTES = {
+    "cost_stats_lyapunov": (cost_stats_lyapunov, (2.0, math.inf)),
+    "cost_stats_expm": (cost_stats_expm, (2.0,)),
+    "auto_cost_stats": (auto_cost_stats, (2.0, math.inf)),
+    "block_exponential": (block_exponential, (2.0,)),
+    "expected_cost_finite": (expected_cost_finite, (2.0,)),
+    "expected_cost_infinite": (expected_cost_infinite, (math.inf,)),
+    "variance_cost_finite": (variance_cost_finite, (2.0,)),
+    "variance_cost_infinite": (variance_cost_infinite, (math.inf,)),
+    "simulate_costs": (lambda sys, cost: simulate_costs(sys, cost, _sim_config()), (2.0,)),
+}
+
+
+@pytest.mark.parametrize("route", COST_ROUTES)
+def test_cost_of_wrong_size_refused(route):
+    call, horizons = COST_ROUTES[route]
+    for horizon in horizons:
+        with pytest.raises(DimensionError, match=r"^Q must be 2x2, got \(3, 3\)"):
+            call(_system(), CostSpec(Q=np.eye(3), alpha=-0.5, horizon=horizon))
 
 
 def test_psd_factor_clamps_what_it_admits():
