@@ -34,13 +34,12 @@ At a finite horizon the identities for Y_T and for the state covariance
 Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A] subtract terms that
 can be far larger than their result; when a term exceeds the result by more
 than ``linalg.CANCELLATION_LIMIT`` the evaluation raises :class:`AccuracyError`
-instead of returning a value that has lost most of its digits.  Every term
-of a finite-horizon evaluation is at most a fourth power of its largest
-exponential, e^{rho T} with rho = max(max Re eig(A) + |alpha|, alpha) (for
-the mean alone, max(max Re eig(A), alpha)); past ``OVERFLOW_EXPONENT`` the
-evaluation raises :class:`AccuracyError` before it forms one.  An overflow
-from the data's scale instead (say Sigma0 = 1e160) leaves a variance that
-is not finite, which raises :class:`AccuracyError` as well.
+instead of returning a value that has lost most of its digits.  Overflow
+follows the one rule of :mod:`lqgcost.linalg`: the scalar exponentials are
+inf past the largest double, and a mean, variance or cross-term weight that
+is not finite raises :class:`AccuracyError`, whether the terms grow (A = 1,
+T = 800) or the data are large (Sigma0 = 1e160).  Forming e^{(A - alpha I) T}
+as e^{-alpha T} e^{A T} makes inf times 0 of a few finite variances.
 
 One formula serves every alpha, zero included; nothing divides by alpha.  With
 phi_r(T) = integral_0^T e^{r t} dt = expm1(r T) / r (T at r = 0) the mean's
@@ -56,7 +55,8 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import AccuracyError, ConditionCheck, ConditionError
-from .linalg import _difference, _require_shape, mat_exp, symmetrize, van_loan_integral
+from .linalg import (_difference, _require_finite, _require_shape, mat_exp, symmetrize,
+                     van_loan_integral)
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
@@ -75,10 +75,6 @@ SHIFTED_STABLE = "A+1a stable"
 #: Raw variances in [-VARIANCE_CLAMP_RTOL * (1 + mean^2), 0) clamp to zero.
 VARIANCE_CLAMP_RTOL = 1e-8
 
-#: Largest rho * T a finite-horizon evaluation accepts (module docstring):
-#: e^{4 rho T} stays below the largest double.
-OVERFLOW_EXPONENT = math.log(np.finfo(float).max) / 4.0
-
 
 @dataclass
 class CostStats:
@@ -96,10 +92,18 @@ class CostStats:
         return math.sqrt(self.variance)
 
 
+def _exp(x, fn=math.exp):
+    """``fn(x)``, ``math.exp`` or ``math.expm1``, but inf past the largest double."""
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
+
+
 def _phi(rate, horizon):
     """integral_0^T e^{rate t} dt, exactly T at rate = 0."""
     x = rate * horizon
-    return horizon if x == 0.0 else math.expm1(x) / rate
+    return horizon if x == 0.0 else _exp(x, math.expm1) / rate
 
 
 def _conditions(fac, cost, with_variance):
@@ -143,28 +147,14 @@ def _finalize_variance(raw, mean, route):
     """The raw variance, clamped at zero against rounding; :class:`AccuracyError`,
     naming ``route``, when the mean or the raw variance is not finite (a term
     overflowed) or the raw variance is negative beyond the clamp."""
-    if not (math.isfinite(mean) and math.isfinite(raw)):
-        problem = (f"the mean came out {mean:.6e} and the raw variance {raw:.6e}; "
-                   "a term overflows double precision")
-    elif raw >= 0.0:
+    _require_finite(f"{route} lost the variance: the mean came out {mean:.6e} and the raw "
+                    f"variance {raw:.6e}; a term", mean, raw)
+    if raw >= 0.0:
         return raw
-    elif raw >= -VARIANCE_CLAMP_RTOL * (1.0 + mean * mean):
+    if raw >= -VARIANCE_CLAMP_RTOL * (1.0 + mean * mean):
         return 0.0
-    else:
-        problem = f"it came out {raw:.6e} < 0 beyond the rounding allowance"
-    raise AccuracyError(f"{route} lost the variance: {problem}")
-
-
-def _require_no_overflow(fac, cost, with_variance):
-    """AccuracyError when rho * T passes OVERFLOW_EXPONENT (module docstring)."""
-    abscissa = fac.eigenvalues.real.max()
-    shift = abs(cost.alpha) if with_variance else 0.0
-    exponent = max(abscissa + shift, cost.alpha) * cost.horizon
-    if exponent > OVERFLOW_EXPONENT:
-        raise AccuracyError(
-            f"finite-horizon terms overflow: their largest exponential is e^({exponent:.4g}) "
-            f"and its fourth power passes the largest double (limit e^{OVERFLOW_EXPONENT:.4g})"
-        )
+    raise AccuracyError(f"{route} lost the variance: it came out {raw:.6e} < 0 "
+                        "beyond the rounding allowance")
 
 
 def _transposed_finite(y_inf, e_t, name):
@@ -211,25 +201,28 @@ class _Evaluation:
         self.checks = _conditions(fac, cost, with_variance)
         self.branch = "infinite horizon" if cost.is_infinite else "finite horizon"
         u = fac.u
-        self.q, self.s, self.v = (u.T @ m @ u for m in (cost.Q, sys.Sigma0, sys.V))
-        self.mu0 = sys.mu0 @ u
-        self.y = fac._solve_schur(self.q, shift=alpha, transposed=True)
-        if cost.is_infinite:
-            self.mean = float(np.trace((self.s - self.v / (2.0 * alpha)) @ self.y))
-            return
-        _require_no_overflow(fac, cost, with_variance)
-        self.xv = xv = fac._solve_schur(self.v)
-        self.e0 = e0 = mat_exp(fac.t, horizon)
-        # Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A], written as a difference
-        sig_t = _difference(e0 @ (self.s - xv) @ e0.T, -xv, "Sigma_T")
-        g = math.exp(2.0 * alpha * horizon)
-        self.mean = float(np.trace(
-            (self.s - g * sig_t + _phi(2.0 * alpha, horizon) * self.v) @ self.y))
+        # an overflow leaves a value that is not finite, which _require_finite refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.q, self.s, self.v = (u.T @ m @ u for m in (cost.Q, sys.Sigma0, sys.V))
+            self.mu0 = sys.mu0 @ u
+            self.y = fac._solve_schur(self.q, shift=alpha, transposed=True)
+            if cost.is_infinite:
+                mean = float(np.trace((self.s - self.v / (2.0 * alpha)) @ self.y))
+            else:
+                self.xv = xv = fac._solve_schur(self.v)
+                self.e0 = e0 = mat_exp(fac.t, horizon)
+                # Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A], as a difference
+                sig_t = _difference(e0 @ (self.s - xv) @ e0.T, -xv, "Sigma_T")
+                g = _exp(2.0 * alpha * horizon)
+                mean = float(np.trace(
+                    (self.s - g * sig_t + _phi(2.0 * alpha, horizon) * self.v) @ self.y))
+        self.mean = _require_finite("Lyapunov route lost the mean: a term", mean)
 
     @cached_property
     def x2(self):
         alpha = self.alpha
-        return self.fac._solve_schur(self.s - self.v / (4.0 * alpha), shift=2.0 * alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.fac._solve_schur(self.s - self.v / (4.0 * alpha), shift=2.0 * alpha)
 
     @cached_property
     def raw_variance(self):
@@ -248,16 +241,19 @@ class _Evaluation:
         fac, q, alpha, t, e0, xv = self.fac, self.q, self.alpha, self.horizon, self.e0, self.xv
         delta = symmetrize(s - xv)
         # e^{(A +- alpha I) T} = e^{+-alpha T} e^{A T}
-        e_p = math.exp(alpha * t) * e0
+        e_p = _exp(alpha * t) * e0
         y_t = _transposed_finite(y, e_p, "Y_T of A+1a")
         # (e^{4aT} Y_T[Q; A_-1] - Y_T[Q; A_1]) / (4a), by parts (module docstring)
         y_of_y = fac._solve_schur(y, shift=-alpha, transposed=True)
-        y_of_y_t = _transposed_finite(y_of_y, math.exp(-alpha * t) * e0, "Y_T of A-1a, weight Y_1")
-        weighted = _phi(4.0 * alpha, t) * y - math.exp(4.0 * alpha * t) * y_of_y_t
+        y_of_y_t = _transposed_finite(y_of_y, _exp(-alpha * t) * e0, "Y_T of A-1a, weight Y_1")
+        weighted = _phi(4.0 * alpha, t) * y - _exp(4.0 * alpha * t) * y_of_y_t
         x2d = fac._solve_schur(delta, shift=2.0 * alpha)
         eye = np.eye(len(q))
         r_1, r_3 = fac.t + alpha * eye, fac.t + 3.0 * alpha * eye
-        cross = van_loan_integral(r_3, x2d @ e_p.T @ q, r_1, t)
+        weight = x2d @ e_p.T @ q
+        # van_loan_integral refuses a non-finite input as the caller's error
+        _require_finite("Lyapunov route lost the variance: its cross term", r_3, weight)
+        cross = van_loan_integral(r_3, weight, r_1, t)
         mid = xv @ weighted + 2.0 * x2d @ y_t - 2.0 * cross
         return float(
             2.0 * np.trace((delta @ y_t) @ (delta @ y_t))

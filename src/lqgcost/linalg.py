@@ -12,10 +12,14 @@ override, and symmetry and (semi)definiteness are decided only here, at
 ``PSD_TOL``.
 
 Every input check of the package lives here too: ``_real_number`` and
-``_whole_number`` for settings (a bool, a string or NaN is no number), the
-``_as_*`` array checks, each to an expected shape, and ``_require_shape``
-for a cost's Q against its system.  Only model files are checked elsewhere,
-by :mod:`lqgcost.models`, whose errors name the file and the field.
+``_whole_number`` for settings (a bool, a string, NaN or an int past the
+largest double is no number), the ``_as_*`` array checks, each to an
+expected shape, and ``_require_shape`` for a cost's Q against its system.
+Only model files are checked elsewhere, by :mod:`lqgcost.models`, whose
+errors name the file and the field.
+
+So does the one overflow rule: compute under ``np.errstate(over="ignore",
+invalid="ignore")``, then ``_require_finite`` refuses what is not finite.
 """
 
 import math
@@ -66,26 +70,44 @@ SHIFTS_KEPT = 16
 CANCELLATION_LIMIT = 1e6
 
 
+def _as_float(value):
+    """``value`` as a float, or NaN unless it is a real number (not a bool)
+    that a float holds: an int past the largest double is NaN too."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
+
+
 def _whole_number(name, value, least):
     """``value`` as an int; ValueError unless it is a whole number >= ``least``
-    (a bool is not)."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and int(value) == value >= least):
+    (a bool is not) that a float holds."""
+    if not (math.isfinite(_as_float(value)) and int(value) == value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
 def _real_number(name, value, least=-math.inf, strict=False, infinite=False):
     """``value`` as a float; ValueError unless it is a real number (not a bool,
-    a string or NaN) above ``least`` when ``strict``, else at least ``least``,
-    and finite unless ``infinite``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        x = float(value)
-        if (x > least if strict else x >= least) and (infinite or math.isfinite(x)):
-            return x
+    a string, NaN or an int past the largest double) above ``least`` when
+    ``strict``, else at least ``least``, and finite unless ``infinite``."""
+    x = _as_float(value)
+    if (x > least if strict else x >= least) and (infinite or math.isfinite(x)):
+        return x
     bound = "" if least == -math.inf else f" {'>' if strict else '>='} {least:g}"
     kind = "a number" if infinite else "a finite number"
     raise ValueError(f"{name} must be {kind}{bound}, got {value!r}")
+
+
+def _require_finite(what, value, *more):
+    """``value``, or AccuracyError ("``what`` overflows double precision") when an
+    entry of ``value`` or ``more`` (numbers or arrays) is not finite."""
+    for v in (value, *more):
+        if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+            raise AccuracyError(f"{what} overflows double precision")
+    return value
 
 
 def _require_shape(arr, shape, name):

@@ -31,8 +31,8 @@ import numpy as np
 from scipy.linalg import schur
 
 from .exceptions import ConditionError, NumericalError, SynthesisError
-from .linalg import (_as_matrix, _as_square, _as_symmetric, _require_pd, classify_spectrum,
-                     solve_lyapunov_transposed, symmetrize)
+from .linalg import (_as_matrix, _as_square, _as_symmetric, _require_finite, _require_pd,
+                     classify_spectrum, solve_lyapunov_transposed, symmetrize)
 from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON, _with_gain_terms
 
 __all__ = [
@@ -141,18 +141,26 @@ def close_loop_full_state(plant: LqgPlant, f, mu0, sigma0, horizon=INFINITE_HORI
     under the feedback law.
     """
     f = _as_matrix(f, "F", (plant.n_inputs, plant.n_states))
-    # no check depends on the gain: validate the plant's parts, then swap in F's
-    sys = LtiSystem(A=plant.A, V=plant.V, mu0=mu0, Sigma0=sigma0)
-    cost = CostSpec(Q=plant.Q, alpha=plant.alpha, horizon=horizon)
-    return _regain_full_state(plant, sys, cost, f)
+    return _regain_full_state(plant, *_open_loop(plant, mu0, sigma0, horizon), f)
+
+
+def _open_loop(plant, mu0, sigma0, horizon=INFINITE_HORIZON):
+    """The validated system and cost of ``plant`` with no feedback.  No check
+    depends on the gain, so :func:`_regain_full_state` swaps any gain's terms in."""
+    return (LtiSystem(A=plant.A, V=plant.V, mu0=mu0, Sigma0=sigma0),
+            CostSpec(Q=plant.Q, alpha=plant.alpha, horizon=horizon))
 
 
 def _regain_full_state(plant, sys, cost, f):
     """Copies of a validated loop of ``plant`` with the gain-dependent A - B F and
     Q + F^T R F of ``f`` (a finite float array of the gain's shape) swapped in;
-    the copied system factors its own drift."""
-    return _with_gain_terms(sys, cost, plant.A - plant.B @ f,
-                            symmetrize(plant.Q + f.T @ plant.R @ f))
+    the copied system factors its own drift.  AccuracyError when either
+    overflows double precision."""
+    # an overflow leaves a value that is not finite, which _require_finite refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, q = plant.A - plant.B @ f, symmetrize(plant.Q + f.T @ plant.R @ f)
+    _require_finite("the closed loop A - B F, Q + F^T R F", a, q)
+    return _with_gain_terms(sys, cost, a, q)
 
 
 def close_loop_output_feedback(plant: LqgPlant, f, k, mu0, sigma0,

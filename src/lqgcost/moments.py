@@ -26,9 +26,8 @@ import math
 
 import numpy as np
 
-from .exceptions import AccuracyError
-from .linalg import (_as_square, _as_symmetric, _doubling_count, _real_number, _van_loan_steps,
-                     mat_exp, symmetrize)
+from .linalg import (_as_square, _as_symmetric, _doubling_count, _real_number, _require_finite,
+                     _van_loan_steps, mat_exp, symmetrize)
 from .systems import LtiSystem
 
 __all__ = ["mean_state", "second_moment", "cross_moment", "noise_gramian_finite"]
@@ -53,7 +52,7 @@ def mean_state(sys: LtiSystem, t):
     t = _real_number("t", t, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         out = mat_exp(sys.A, t) @ sys.mu0
-    return _require_finite(out, f"mu(t) at t = {t:g}")
+    return _require_finite(f"mu(t) at t = {t:g}", out)
 
 
 def noise_gramian_finite(a, v, t):
@@ -65,7 +64,7 @@ def noise_gramian_finite(a, v, t):
     a = _as_square(a, "A")
     v = _as_symmetric(v, "V", len(a))
     t = _real_number("t", t, 0.0)
-    return _require_finite(_propagate(a, v, t)[1], f"the noise Gramian at t = {t:g}")
+    return _require_finite(f"the noise Gramian at t = {t:g}", _propagate(a, v, t)[1])
 
 
 def second_moment(sys: LtiSystem, t):
@@ -74,13 +73,7 @@ def second_moment(sys: LtiSystem, t):
     phi, w = _propagate(sys.A, sys.V, t)
     with np.errstate(over="ignore", invalid="ignore"):
         out = symmetrize(phi @ sys.Sigma0 @ phi.T + w)
-    return _require_finite(out, f"Sigma(t) at t = {t:g}")
-
-
-def _require_finite(m, what):
-    if not np.all(np.isfinite(m)):
-        raise AccuracyError(f"{what} overflows double precision")
-    return m
+    return _require_finite(f"Sigma(t) at t = {t:g}", out)
 
 
 def cross_moment(sys: LtiSystem, t1, t2):
@@ -91,4 +84,4 @@ def cross_moment(sys: LtiSystem, t1, t2):
         return cross_moment(sys, t2, t1).T
     with np.errstate(over="ignore", invalid="ignore"):
         out = second_moment(sys, t1) @ mat_exp(sys.A.T, t2 - t1)
-    return _require_finite(out, f"Sigma(t1, t2) at t1 = {t1:g}, t2 = {t2:g}")
+    return _require_finite(f"Sigma(t1, t2) at t1 = {t1:g}, t2 = {t2:g}", out)

@@ -33,6 +33,8 @@ the initial state, then one (n, count) block per step, coordinate-major.
 Results are therefore bit-identical for a given (seed, n_paths, dt, T,
 scheme) no matter how many worker threads execute the batches.  By default
 one worker runs per CPU this process may use, up to one per batch.
+Overflow follows the one rule of :mod:`lqgcost.linalg`, set again in each
+worker: a step, cost, moment or second moment that is not finite raises.
 """
 
 import math
@@ -46,8 +48,8 @@ from numpy.random import SFC64, Generator, SeedSequence
 
 from .cost_expm import auto_cost_stats
 from .exceptions import LqgCostError
-from .linalg import _real_number, _require_shape, _whole_number, psd_factor
-from .moments import _propagate, _require_finite
+from .linalg import _real_number, _require_finite, _require_shape, _whole_number, psd_factor
+from .moments import _propagate
 from .systems import CostSpec, LtiSystem
 
 __all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "simulation_report"]
@@ -111,7 +113,8 @@ def _step_operators(sys, cfg):
     if cfg.scheme == "euler":
         return np.eye(sys.dim) + sys.A * cfg.dt, psd_factor(sys.V) * math.sqrt(cfg.dt)
     phi, w = _propagate(sys.A, sys.V, cfg.dt)
-    _require_finite(np.hstack((phi, w)), f"the exact step at dt = {cfg.dt:g}")
+    # psd_factor refuses a non-finite W as the caller's error
+    _require_finite(f"the exact step at dt = {cfg.dt:g}", phi, w)
     return phi, psd_factor(w)
 
 
@@ -181,7 +184,7 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
     The integration horizon is ``cfg.T`` (rounded to a whole number of steps);
     for an infinite-horizon ``cost`` this truncates the integral, so choose
     T with exp(2 alpha T) negligible.  Populates the exceedance fields when
-    ``cfg.threshold`` is set.
+    ``cfg.threshold`` is set.  AccuracyError on overflow (module docstring).
     """
     _require_shape(cost.Q, sys.A.shape, "Q")
     steps = cfg.n_steps
@@ -192,55 +195,50 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
             RuntimeWarning,
             stacklevel=2,
         )
-    phi, noise_factor = _step_operators(sys, cfg)
-    init_factor = psd_factor(sys.initial_covariance())
-    weights = _cost_weights(cfg, cost.alpha)
-    lam, u = np.linalg.eigh(cost.Q)
-    state_op, noise_op = u.T @ phi @ u, u.T @ noise_factor
-    z_mean0, z_init = u.T @ sys.mu0, u.T @ init_factor
-
-    n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
-    sizes = [min(BATCH_SIZE, cfg.n_paths - b * BATCH_SIZE) for b in range(n_batches)]
-
-    def task(b):
-        return _run_batch(b, sizes[b], cfg.seed, z_mean0, z_init, state_op, noise_op, lam, u,
-                          weights)
-
-    threads = min(n_batches, cfg.threads or _usable_cpus())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(task, range(n_batches)))
-    else:
-        results = [task(b) for b in range(n_batches)]
-
-    costs = np.concatenate([r[0] for r in results])
-    second_final = sum(r[1] for r in results) / cfg.n_paths
-
     n = cfg.n_paths
-    mean = float(costs.mean())
-    if n > 1:
-        if np.ptp(costs) == 0.0:
-            # identical samples (deterministic system); numpy's blocked mean
-            # can be an ulp off, which would leak through the squares below
-            mean = float(costs[0])
-            variance = 0.0
-        else:
-            variance = float(costs.var(ddof=1))
-        centered = costs - mean
-        m4 = float(np.mean(centered ** 4))
-        mean_stderr = math.sqrt(variance / n)
-        var_of_var = max(0.0, (m4 - (n - 3) / (n - 1) * variance ** 2) / n)
-        variance_stderr = math.sqrt(var_of_var)
-    else:
-        variance = 0.0
-        mean_stderr = float("inf")
-        variance_stderr = float("inf")
+    n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
+    sizes = [min(BATCH_SIZE, n - b * BATCH_SIZE) for b in range(n_batches)]
+    # an overflow leaves a value that is not finite, which _require_finite refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, noise_factor = _step_operators(sys, cfg)
+        init_factor = psd_factor(sys.initial_covariance())
+        weights = _cost_weights(cfg, cost.alpha)
+        lam, u = np.linalg.eigh(cost.Q)
+        state_op, noise_op = u.T @ phi @ u, u.T @ noise_factor
+        z_mean0, z_init = u.T @ sys.mu0, u.T @ init_factor
 
+        def task(b):
+            # errstate is a context variable, which a pool thread does not inherit
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _run_batch(b, sizes[b], cfg.seed, z_mean0, z_init, state_op, noise_op,
+                                  lam, u, weights)
+
+        threads = min(n_batches, cfg.threads or _usable_cpus())
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(task, range(n_batches)))
+        else:
+            results = [task(b) for b in range(n_batches)]
+
+        costs = np.concatenate([r[0] for r in results])
+        second_final = sum(r[1] for r in results) / n
+        mean, variance, excess = costs.mean(), 0.0, 0.0
+        if n > 1:
+            if np.ptp(costs) == 0.0:
+                # identical samples (deterministic system); numpy's blocked mean
+                # can be an ulp off, which would leak through the squares below
+                mean = costs[0]
+            else:
+                variance = costs.var(ddof=1)
+            m4 = np.mean((costs - mean) ** 4)
+            excess = (m4 - (n - 3) / (n - 1) * variance ** 2) / n
+    _require_finite("the sampled costs, their moments or the final second moment",
+                    costs, second_final, mean, variance, excess)
     stats = EmpiricalCostStats(
-        mean=mean,
-        variance=variance,
-        mean_stderr=mean_stderr,
-        variance_stderr=variance_stderr,
+        mean=float(mean),
+        variance=float(variance),
+        mean_stderr=math.sqrt(variance / n) if n > 1 else math.inf,
+        variance_stderr=math.sqrt(max(0.0, excess)) if n > 1 else math.inf,
         n_paths=n,
         second_moment_final=second_final,
     )

@@ -143,7 +143,8 @@ class LqgPlant:
 
     dx/dt = A x + B u + v,   y = C x + w, with process noise intensity V,
     measurement noise intensity W, cost weights Q (state) and R (input),
-    and cost exponent alpha.
+    and cost exponent alpha.  Building it validates and copies the arrays,
+    so a later write to the caller's arrays does not reach the plant.
     """
 
     A: np.ndarray
@@ -156,10 +157,10 @@ class LqgPlant:
     alpha: float = 0.0
 
     def __post_init__(self):
-        self.A = _as_square(self.A, "A")
+        self.A = _as_square(self.A, "A").copy()
         n = self.A.shape[0]
-        self.B = _as_matrix(self.B, "B", (n, None))
-        self.C = _as_matrix(self.C, "C", (None, n))
+        self.B = _as_matrix(self.B, "B", (n, None)).copy()
+        self.C = _as_matrix(self.C, "C", (None, n)).copy()
         m, p = self.B.shape[1], self.C.shape[0]
         self.Q = _as_symmetric(self.Q, "Q", n)
         _require_psd(self.Q, "Q")

@@ -11,8 +11,9 @@ Alg. 6.1 and Sec. 3.5), which takes a step whose value ties within rounding
 on its exact slope (Hager & Zhang, SIAM J. Optim. 16(1), 2005), and restarts
 from steepest descent when a line search along a BFGS direction fails.  A
 gain that fails only the route's "A+1a stable" check (at
-DEFAULT_SPECTRAL_TOL) is infinitely bad, which confines the search to the
-stabilizing set without any constraint machinery.  The mean and variance
+DEFAULT_SPECTRAL_TOL), or whose loop or objective overflows double
+precision, is infinitely bad, which confines the search to the stabilizing
+set without any constraint machinery.  The mean and variance
 reported at the final gain come from the last accepted evaluation (for the
 mean objective plus the one variance solve its evaluations skip), so the
 final gain is not factored again.
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost_lyap import SHIFTED_STABLE, CostStats, _infinite_objective_gradient, cost_stats_lyapunov
-from .exceptions import ConditionError, InfeasibleGainError
-from .linalg import _real_number, _whole_number
-from .lqg import _regain_full_state, close_loop_full_state
+from .exceptions import AccuracyError, ConditionError, InfeasibleGainError
+from .linalg import _as_matrix, _real_number, _whole_number
+from .lqg import _open_loop, _regain_full_state, close_loop_full_state
 from .systems import LqgPlant
 
 __all__ = [
@@ -110,16 +111,18 @@ def evaluate_gain(plant: LqgPlant, f, mu0, sigma0) -> CostStats:
 
     Raises :class:`InfeasibleGainError` when the only condition failed is the
     Lyapunov route's "A+1a stable" (every Re eig(A + alpha I - B F) below
-    -DEFAULT_SPECTRAL_TOL), :class:`ConditionError` when another one is.
+    -DEFAULT_SPECTRAL_TOL), :class:`ConditionError` when another one is, and
+    :class:`AccuracyError` when the loop or a statistic overflows double
+    precision.
     """
     return _evaluate(cost_stats_lyapunov, *close_loop_full_state(plant, f, mu0, sigma0))
 
 
 def objective_value(plant, f, mu0, sigma0, objective):
-    """Objective at gain ``f``; +inf where :func:`evaluate_gain` raises InfeasibleGainError."""
-    f = np.asarray(f, dtype=float)
-    return _value_and_gradient(plant, close_loop_full_state(plant, f, mu0, sigma0), f,
-                               objective)[0]
+    """Objective at gain ``f``; +inf where :func:`evaluate_gain` raises
+    InfeasibleGainError or AccuracyError (the loop or the objective overflows)."""
+    f = _as_matrix(f, "F", (plant.n_inputs, plant.n_states))
+    return _value_and_gradient(plant, _open_loop(plant, mu0, sigma0), f, objective)[0]
 
 
 def finite_difference_gradient(func, f, fd_step, stencil=2):
@@ -151,11 +154,12 @@ def finite_difference_gradient(func, f, fd_step, stencil=2):
 def _value_and_gradient(plant, loop, f, objective):
     """Objective at gain ``f`` of a validated ``loop`` of ``plant``, its gradient
     with respect to ``f`` and the evaluation they come from (its ``mean`` and
-    ``variance``); ``(inf, None, None)`` for an infeasible gain."""
+    ``variance``); ``(inf, None, None)`` for an infeasible gain: one whose shifted
+    loop is not stable, or whose loop or objective overflows double precision."""
     try:
         value, d_a, d_q, evaluation = _evaluate(_infinite_objective_gradient,
                                                 *_regain_full_state(plant, *loop, f), objective)
-    except InfeasibleGainError:
+    except (InfeasibleGainError, AccuracyError):
         return math.inf, None, None
     # chain rule through A - B F and Q + F^T R F
     return value, -plant.B.T @ d_a + 2.0 * plant.R @ f @ d_q, evaluation
@@ -164,7 +168,7 @@ def _value_and_gradient(plant, loop, f, objective):
 def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneResult:
     """BFGS on the chosen analytic objective over the gain entries.
 
-    Starts from ``opts.f0`` (which must stabilize the shifted loop) with a
+    Starts from ``opts.f0`` (which must be feasible) with a
     first step of length 1 along the normalized negative gradient, then
     scales the inverse-Hessian approximation to (s^T y / y^T y) I and updates
     it by BFGS, skipping pairs with s^T y <= 0.  Each step backtracks from 1
@@ -172,7 +176,7 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
     with a finite value is followed by the minimiser of the quadratic through
     the value and slope at ``F`` and the trial's value, clamped to
     [0.1, 0.5] times the trial step (Nocedal & Wright, eq. 3.58; Dennis &
-    Schnabel 1983, Alg. A6.3.1); a destabilizing trial (value +inf) halves.
+    Schnabel 1983, Alg. A6.3.1); an infeasible trial (value +inf) halves.
     An Armijo target that rounds to the current value accepts nothing; a
     trial whose value ties it (``_TIE_RTOL``) is accepted when its slope s
     meets the approximate Wolfe conditions 0.9 s_0 <= s <= -0.8 s_0 (s_0 the
@@ -199,7 +203,8 @@ def minimize_variance(plant: LqgPlant, mu0, sigma0, opts: TuneOptions) -> TuneRe
     f = opts.f0.copy()
     value, grad, evaluation = evaluate(f)
     if grad is None:
-        raise InfeasibleGainError("initial gain f0 does not stabilize the shifted closed loop")
+        raise InfeasibleGainError("initial gain f0 is infeasible: the shifted closed loop is "
+                                  "not stable or the objective overflows double precision")
 
     trace = [(0, value)]
     h = None        # inverse-Hessian approximation over the flattened gain, from the first update

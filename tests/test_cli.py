@@ -117,6 +117,20 @@ class TestAnalyze:
         assert main(["analyze", str(model), "--method", "lyapunov"]) == 2
         assert "Lyapunov route lost the variance" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sys,cost", [
+        # stiff: e^{-alpha T} = e^{2000} times e^{A T} = 0 leaves NaN in the variance
+        (scalar_system(a=-30.0, v=1.0, mu0=1.0, sigma0=2.0),
+         scalar_cost(alpha=-10.0, horizon=200.0)),
+        # data scale: the mean, 1e310 (1 - e^{-2}) / 2, passes the largest double
+        (scalar_system(v=1.0, sigma0=1e300), scalar_cost(q=1e10, alpha=0.0, horizon=1.0)),
+    ], ids=["stiff", "data scale"])
+    def test_lyapunov_overflow_exits_2(self, tmp_path, capsys, sys, cost):
+        model = tmp_path / "model.json"
+        save_system_model(model, sys, cost)
+        assert main(["analyze", str(model), "--method", "lyapunov"]) == 2
+        assert "Lyapunov route lost the" in capsys.readouterr().err
+
     def test_string_entry_exits_1(self, scalar_model, capsys):
         path = pathlib.Path(scalar_model)
         doc = json.loads(path.read_text())

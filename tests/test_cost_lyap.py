@@ -313,7 +313,8 @@ class TestCancellationGuard:
 
 #: (a, alpha, T) of the scalar system dx = a x dt + dv, V = 1, x0 ~ N(0, 1),
 #: Q = 1, whose finite-horizon Lyapunov terms pass the largest double.  At
-#: alpha = -200 the cost itself is finite.
+#: alpha = -200 the cost itself is finite, but the route forms
+#: e^{(a - alpha) T} = e^{-alpha T} e^{a T}, whose first factor overflows.
 OVERFLOW_CASES = [(-1.0, 200.0, 1.0), (-1.0, -200.0, 10.0), (1.0, 0.0, 800.0), (0.5, 0.0, 400.0)]
 
 
@@ -325,7 +326,7 @@ def _overflow_case(a, alpha, horizon):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowGuard:
     @pytest.mark.parametrize("a,alpha,horizon", OVERFLOW_CASES)
-    def test_named_error_before_any_overflow(self, a, alpha, horizon):
+    def test_overflow_refused_with_a_named_error(self, a, alpha, horizon):
         with pytest.raises(AccuracyError, match="overflow"):
             cost_stats_lyapunov(*_overflow_case(a, alpha, horizon))
 
@@ -345,12 +346,13 @@ class TestOverflowGuard:
         assert stats.variance == pytest.approx(short.variance, rel=1e-12)
 
     def test_mean_kept_where_only_the_variance_overflows(self):
-        # A - alpha I = 199: the variance's e^{(A - alpha) T} term squares past
-        # the largest double, the mean forms no such term
+        # A - alpha I = 199: the variance's largest exponential is e^{199},
+        # which is finite, so the route returns the exponential route's variance
         sys, cost = _overflow_case(-1.0, -200.0, 1.0)
         assert expected_cost_finite(sys, cost) == 0.002493781094527363
-        with pytest.raises(AccuracyError, match="overflow"):
-            cost_stats_lyapunov(sys, cost)
+        stats, reference = cost_stats_lyapunov(sys, cost), cost_stats_expm(sys, cost)
+        assert_allclose([stats.mean, stats.variance], [reference.mean, reference.variance],
+                        rtol=1e-12)
 
     def test_overflow_from_the_data_scale_raises_on_both_routes(self):
         # e^{rho T} is small, but Sigma0 = 1e160 squares past the largest double

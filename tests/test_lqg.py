@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, solve_continuous_are
 
 from lqgcost import (
+    AccuracyError,
     ConditionCheck,
     ConditionError,
     CostSpec,
@@ -241,6 +242,19 @@ class TestKalmanGain:
         assert info.value.conditions == [ConditionCheck(f"{name} > 0", False)]
 
 
+class TestLqgPlant:
+    def test_caller_arrays_are_copied(self):
+        arrays = {name: np.array(m, dtype=float) for name, m in
+                  (("A", [[1.0, 0.0], [0.05, 1.0]]), ("B", [[1.0], [0.0]]), ("C", np.eye(2)),
+                   ("Q", np.eye(2)), ("R", np.eye(1)), ("V", np.eye(2)), ("W", np.eye(2)))}
+        plant = LqgPlant(**arrays, alpha=-0.8)
+        pristine = {name: m.copy() for name, m in arrays.items()}
+        for m in arrays.values():
+            m *= 2.0
+        for name, m in pristine.items():
+            assert np.array_equal(getattr(plant, name), m), name
+
+
 class TestCloseLoopFullState:
     def test_zero_gain_identity(self):
         plant = benchmark_plant()
@@ -262,6 +276,13 @@ class TestCloseLoopFullState:
         f = np.array([[0.3, -0.2]])
         _, cost = close_loop_full_state(plant, f, np.zeros(2), np.zeros((2, 2)))
         assert_allclose(cost.Q, plant.Q, atol=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_loop_named(self):
+        # a stabilizing gain whose weight F^T R F = 1e314 passes the largest double
+        with pytest.raises(AccuracyError, match="^the closed loop .* overflows double precision"):
+            close_loop_full_state(benchmark_plant(), [[1e155, 1e157]], np.zeros(2),
+                                  np.zeros((2, 2)))
 
 
 class TestCloseLoopOutputFeedback:

@@ -1,0 +1,98 @@
+"""One overflow rule: every public analytic entry point computes, then refuses
+a value that is not finite with :class:`AccuracyError`, and none lets a
+RuntimeWarning or a bare OverflowError through.
+
+Two kinds of overflow are covered.  Exponential growth: the scalar state
+grows as e^{t}, so at t = 800 every moment and cost passes the largest
+double.  The data's scale: the cost of Sigma0 = 1e300 weighed by Q = 1e10 on
+a decaying state, and the moments of a drift with no growth at all,
+e^{A t} = I + A t with A's one entry 1e200.  An infinite-horizon cost needs
+a stable shifted drift, which forms no exponential, so only the data's scale
+can overflow it.
+"""
+
+import numpy as np
+import pytest
+
+from lqgcost import (
+    AccuracyError,
+    CostSpec,
+    LtiSystem,
+    SimConfig,
+    auto_cost_stats,
+    cost_stats_expm,
+    cost_stats_lyapunov,
+    cross_moment,
+    expected_cost_finite,
+    expected_cost_infinite,
+    mean_state,
+    noise_gramian_finite,
+    second_moment,
+    simulate_costs,
+    variance_cost_finite,
+    variance_cost_infinite,
+)
+
+GROWING = LtiSystem(A=[[1.0]], V=[[1.0]], mu0=[1.0], Sigma0=[[2.0]])
+HEAVY = LtiSystem(A=[[-1.0]], V=[[1.0]], mu0=[0.0], Sigma0=[[1e300]])
+SHEAR = LtiSystem(A=[[0.0, 1e200], [0.0, 0.0]], V=np.eye(2), mu0=[0.0, 1e150],
+                  Sigma0=np.diag([1.0, 1e300]))
+
+#: Per kind: the system and finite-horizon cost, the infinite-horizon cost
+#: (None where none overflows), the system and time of the moments, and the
+#: simulation.
+KINDS = {
+    "growth": (GROWING, CostSpec(Q=[[1.0]], horizon=800.0), None, GROWING, 800.0,
+               SimConfig(dt=1.0, T=800.0, n_paths=4)),
+    "data scale": (HEAVY, CostSpec(Q=[[1e10]], horizon=1.0), CostSpec(Q=[[1e10]], alpha=-0.5),
+                   SHEAR, 1.0, SimConfig(dt=0.1, T=1.0, n_paths=4)),
+}
+
+FINITE = {
+    "expected_cost_finite": expected_cost_finite,
+    "variance_cost_finite": variance_cost_finite,
+    "cost_stats_lyapunov": cost_stats_lyapunov,
+    "cost_stats_expm": cost_stats_expm,
+    "auto_cost_stats": auto_cost_stats,
+}
+INFINITE = {
+    "expected_cost_infinite": expected_cost_infinite,
+    "variance_cost_infinite": variance_cost_infinite,
+    "cost_stats_lyapunov": cost_stats_lyapunov,
+    "auto_cost_stats": auto_cost_stats,
+}
+MOMENTS = {
+    "mean_state": lambda sys, t: mean_state(sys, t),
+    "second_moment": lambda sys, t: second_moment(sys, t),
+    "cross_moment": lambda sys, t: cross_moment(sys, t, t + 1.0),
+    "noise_gramian_finite": lambda sys, t: noise_gramian_finite(sys.A, sys.V, t),
+}
+
+
+def _calls():
+    for kind, (sys, finite, infinite, moment_sys, t, cfg) in KINDS.items():
+        for name, route in FINITE.items():
+            yield pytest.param(route, sys, finite, id=f"{kind}-{name}-finite")
+        for name, route in INFINITE.items() if infinite is not None else ():
+            yield pytest.param(route, sys, infinite, id=f"{kind}-{name}-infinite")
+        for name, moment in MOMENTS.items():
+            yield pytest.param(moment, moment_sys, t, id=f"{kind}-{name}")
+        yield pytest.param(lambda sys, cost, cfg=cfg: simulate_costs(sys, cost, cfg), sys, finite,
+                           id=f"{kind}-simulate_costs")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call,first,second", _calls())
+def test_overflow_raises_accuracy_error(call, first, second):
+    with pytest.raises(AccuracyError, match="overflows double precision"):
+        call(first, second)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulated_moments_overflow():
+    # costs near 1e80 are finite, but the square of their variance, which its
+    # standard error needs, passes the largest double
+    sys = LtiSystem(A=[[-1.0]], V=[[1.0]], mu0=[0.0], Sigma0=[[1e80]])
+    cfg = SimConfig(dt=0.1, T=1.0, n_paths=64)
+    with pytest.raises(AccuracyError, match="their moments .* overflows double precision"):
+        simulate_costs(sys, CostSpec(Q=[[1.0]], alpha=0.0), cfg)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lqgcost import (
+    AccuracyError,
     ConditionError,
     InfeasibleGainError,
     LtiSystem,
@@ -82,6 +83,17 @@ class TestStabilityThreshold:
             assert objective_value(plant, self.BAND_GAIN, ZERO2, ZERO22, objective) == math.inf
         with pytest.raises(InfeasibleGainError):
             evaluate_gain(plant, self.BAND_GAIN, ZERO2, ZERO22)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_loop_is_infeasible():
+    # stabilizing, but F^T R F = 1e314 passes the largest double
+    plant, f = benchmark_plant(), np.array([[1e155, 1e157]])
+    assert np.linalg.eigvals(plant.shifted_drift() - plant.B @ f).real.max() < 0.0
+    for objective in ("mean", "variance"):
+        assert objective_value(plant, f, ZERO2, ZERO22, objective) == math.inf
+    with pytest.raises(AccuracyError, match="^the closed loop .* overflows double precision"):
+        evaluate_gain(plant, f, ZERO2, ZERO22)
 
 
 class TestDivergingCost:

@@ -3,8 +3,9 @@ positive semidefiniteness accepts and refuses the same matrices, at
 ``linalg.PSD_TOL``, and no function carries a tolerance of its own.  Every
 public input is checked as the model loader checks a file: a count
 (``COUNTS``) refuses a bool, a real number (``REALS``) refuses a bool, a
-string and NaN, and an array (``ARRAYS``) bool or string entries, each with
-a ValueError naming the input.  Every route that meets a system and a cost
+string and NaN, both refuse an int past the largest double, and an array
+(``ARRAYS``) refuses bool or string entries, each with a ValueError naming
+the input.  Every route that meets a system and a cost
 refuses a Q that is not the system's n x n."""
 
 import importlib
@@ -212,6 +213,14 @@ def test_non_number_refused(setting, value):
     name, build = REALS[setting]
     with pytest.raises(ValueError, match=f"^{name} must be a "):
         build(value)
+
+
+@pytest.mark.parametrize("setting", [*COUNTS, *REALS])
+def test_int_past_the_largest_double_refused(setting):
+    # float() cannot hold it: the setting's ValueError, not an OverflowError
+    name, build = (setting, COUNTS[setting]) if setting in COUNTS else REALS[setting]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build(10 ** 400)
 
 
 # each array input: the name its error gives and a call that passes a 2x2 in it
