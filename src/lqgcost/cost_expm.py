@@ -35,7 +35,6 @@ rounding, or a mean or variance that overflows, raises :class:`AccuracyError`.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,8 @@ from scipy.linalg import expm
 
 from .cost_lyap import CostStats, _finalize_variance, _require_horizon, cost_stats_lyapunov
 from .exceptions import ConditionCheck
-from .linalg import _doubling_count, _require_shape, _van_loan_steps, symmetrize
+from .linalg import _require_shape, symmetrize
+from .moments import _compose, _doubling_count, _Segment, _van_loan_steps
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
@@ -72,10 +72,6 @@ class BlockExpResult:
     C14: np.ndarray
     C15: np.ndarray
     C44: np.ndarray
-
-
-#: The moments of one segment (module docstring), quadratic in its start x0.
-_Segment = namedtuple("_Segment", "phi W P c G v H K")
 
 
 def build_block_matrix(sys: LtiSystem, cost: CostSpec):
@@ -154,26 +150,6 @@ def _segment(sys, cost, blocks, h=None):
     weights = 0.5 * h * _GL_WEIGHTS * np.exp(2.0 * cost.alpha * s[:6])
     k = symmetrize(np.tensordot(weights, m @ cost.Q @ m.transpose(0, 2, 1), axes=1))
     return _Segment(phis[6], ws[6], p, np.trace(d), g, v, d @ phis[6].T, k)
-
-
-def _compose(s1, s2, om):
-    """The record of segment s1 followed by s2, with om = e^{2 alpha (length of s1)}."""
-    pw = s2.P @ s1.W
-    phi1t, phi2t = s1.phi.T, s2.phi.T
-    w1 = s2.phi @ s1.W
-    return _Segment(
-        phi=s2.phi @ s1.phi,
-        W=symmetrize(w1 @ phi2t + s2.W),
-        P=symmetrize(s1.P + om * (phi1t @ s2.P @ s1.phi)),
-        c=s1.c + om * (np.trace(pw) + s2.c),
-        G=symmetrize(s1.G + om * om * (phi1t @ (s2.G + pw @ s2.P) @ s1.phi)
-                     + 2.0 * om * symmetrize(s1.H @ s2.P @ s1.phi)),
-        v=(s1.v + om * om * (4.0 * np.trace(s2.G @ s1.W) + s2.v + 2.0 * np.trace(pw @ pw))
-           + 4.0 * om * np.trace(s2.P @ s1.K)),
-        H=s1.H @ phi2t + om * (phi1t @ (s2.H + pw @ phi2t)),
-        K=symmetrize(s2.phi @ s1.K @ phi2t
-                     + om * (s2.K + 2.0 * symmetrize(w1 @ s2.H) + w1 @ s2.P @ w1.T)),
-    )
 
 
 def cost_stats_expm(sys: LtiSystem, cost: CostSpec):

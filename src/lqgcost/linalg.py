@@ -214,8 +214,9 @@ def _difference(first, second, name):
 
 
 def symmetrize(a):
-    """Return the symmetric part (a + a^T) / 2."""
-    return 0.5 * (a + a.T)
+    """Return the symmetric part (a + a^T) / 2, halved before it is summed so
+    that entries near the largest double do not overflow."""
+    return 0.5 * a + 0.5 * a.T
 
 
 def mat_exp(a, t=1.0):
@@ -502,28 +503,6 @@ def van_loan_integral(a1, q, a2, horizon):
     block[:n1, n1:] = q
     block[n1:, n1:] = a2
     return expm(block * horizon)[:n1, n1:]
-
-
-def _doubling_count(a, t, shift=0.0):
-    """The least k >= 0 with (||A||_1 + shift) t / 2^k <= 1, from logarithms
-    so that neither the norm nor its product with t is formed."""
-    mag = np.abs(a)
-    scale = max(float(mag.max()), shift)
-    if scale == 0.0 or t == 0.0:
-        return 0
-    norm = float((mag / scale).sum(axis=0).max()) + shift / scale
-    return max(0, math.ceil(math.log2(scale) + math.log2(norm) + math.log2(t)))
-
-
-def _van_loan_steps(a, v, s):
-    """Stacks of e^{A s} and W(s) = sym(E_12 E_11^T) over the 1-d array s, where E
-    is the exponential of [[A, V], [0, -A^T]] s, taken for each s on its own in one
-    call (Van Loan, IEEE TAC 23(3), 1978).  Unvalidated; accurate while ||A||_1 s <= 1."""
-    n = a.shape[0]
-    e = expm(s[:, None, None] * np.block([[a, v], [np.zeros((n, n)), -a.T]]))
-    phi = e[:, :n, :n]
-    w = e[:, :n, n:] @ phi.transpose(0, 2, 1)
-    return phi, 0.5 * (w + w.transpose(0, 2, 1))
 
 
 def psd_factor(m):

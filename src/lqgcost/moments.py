@@ -19,18 +19,42 @@ carry them to t (C. F. Van Loan, "Computing integrals involving the matrix
 exponential", IEEE Trans. Automat. Control 23(3), 1978).  Each doubling adds
 positive semidefinite terms, so nothing cancels on stiff, unstable or
 non-normal drifts.  A moment that overflows double precision raises
-:class:`AccuracyError`.
+:class:`AccuracyError`.  The cost segment's record and its composition, which
+:mod:`lqgcost.cost_expm` doubles by the same scaling and squaring, live here too.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
+from scipy.linalg import expm
 
-from .linalg import (_as_square, _as_symmetric, _doubling_count, _real_number, _require_finite,
-                     _van_loan_steps, mat_exp, symmetrize)
+from .linalg import _as_square, _as_symmetric, _real_number, _require_finite, mat_exp, symmetrize
 from .systems import LtiSystem
 
 __all__ = ["mean_state", "second_moment", "cross_moment", "noise_gramian_finite"]
+
+
+def _doubling_count(a, t, shift=0.0):
+    """The least k >= 0 with (||A||_1 + shift) t / 2^k <= 1, from logarithms
+    so that neither the norm nor its product with t is formed."""
+    mag = np.abs(a)
+    scale = max(float(mag.max()), shift)
+    if scale == 0.0 or t == 0.0:
+        return 0
+    norm = float((mag / scale).sum(axis=0).max()) + shift / scale
+    return max(0, math.ceil(math.log2(scale) + math.log2(norm) + math.log2(t)))
+
+
+def _van_loan_steps(a, v, s):
+    """Stacks of e^{A s} and W(s) = sym(E_12 E_11^T) over the 1-d array s, where E
+    is the exponential of [[A, V], [0, -A^T]] s, taken for each s on its own in one
+    call (Van Loan, IEEE TAC 23(3), 1978).  Unvalidated; accurate while ||A||_1 s <= 1."""
+    n = a.shape[0]
+    e = expm(s[:, None, None] * np.block([[a, v], [np.zeros((n, n)), -a.T]]))
+    phi = e[:, :n, :n]
+    w = e[:, :n, n:] @ phi.transpose(0, 2, 1)
+    return phi, 0.5 * (w + w.transpose(0, 2, 1))
 
 
 def _propagate(a, v, t):
@@ -45,6 +69,31 @@ def _propagate(a, v, t):
             w = symmetrize(w + phi @ w @ phi.T)
             phi = phi @ phi
     return phi, w
+
+
+#: The record of one cost segment, quadratic in its start x0; its fields are
+#: defined in :mod:`lqgcost.cost_expm`'s docstring.
+_Segment = namedtuple("_Segment", "phi W P c G v H K")
+
+
+def _compose(s1, s2, om):
+    """The record of segment s1 followed by s2, with om = e^{2 alpha (length of s1)}."""
+    pw = s2.P @ s1.W
+    phi1t, phi2t = s1.phi.T, s2.phi.T
+    w1 = s2.phi @ s1.W
+    return _Segment(
+        phi=s2.phi @ s1.phi,
+        W=symmetrize(w1 @ phi2t + s2.W),
+        P=symmetrize(s1.P + om * (phi1t @ s2.P @ s1.phi)),
+        c=s1.c + om * (np.trace(pw) + s2.c),
+        G=symmetrize(s1.G + om * om * (phi1t @ (s2.G + pw @ s2.P) @ s1.phi)
+                     + 2.0 * om * symmetrize(s1.H @ s2.P @ s1.phi)),
+        v=(s1.v + om * om * (4.0 * np.trace(s2.G @ s1.W) + s2.v + 2.0 * np.trace(pw @ pw))
+           + 4.0 * om * np.trace(s2.P @ s1.K)),
+        H=s1.H @ phi2t + om * (phi1t @ (s2.H + pw @ phi2t)),
+        K=symmetrize(s2.phi @ s1.K @ phi2t
+                     + om * (s2.K + 2.0 * symmetrize(w1 @ s2.H) + w1 @ s2.P @ w1.T)),
+    )
 
 
 def mean_state(sys: LtiSystem, t):

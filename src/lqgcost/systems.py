@@ -22,7 +22,8 @@ An :class:`LqgPlant` is the controlled and observed plant that
 Every input check lives in :mod:`lqgcost.linalg`: shapes and finiteness
 (DimensionError, ValueError), numbers such as ``alpha`` and ``horizon``
 (ValueError for a bool, a string or NaN) and symmetry and
-(semi)definiteness, at its ``PSD_TOL`` (ConditionError).  A cost's Q fits a
+(semi)definiteness, at its ``PSD_TOL`` (ConditionError).  A Sigma0 - mu0 mu0^T
+that overflows double precision is AccuracyError.  A cost's Q fits a
 system when it is the system's n x n; the routes that meet the two check it.
 
 ``LtiSystem`` and ``CostSpec`` are immutable values: each copies its inputs
@@ -39,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (DriftFactor, _as_matrix, _as_square, _as_symmetric, _as_vector,
-                     _real_number, _require_pd, _require_psd)
+                     _real_number, _require_finite, _require_pd, _require_psd)
 
 __all__ = ["LtiSystem", "CostSpec", "LqgPlant", "INFINITE_HORIZON"]
 
@@ -77,7 +78,9 @@ class LtiSystem:
         _require_psd(v, "V")
         mu0 = _as_vector(self.mu0, "mu0", n).copy()
         sigma0 = _as_symmetric(self.Sigma0, "Sigma0", n)
-        _require_psd(sigma0 - np.outer(mu0, mu0), "Sigma0 - mu0 mu0^T")
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0 = sigma0 - np.outer(mu0, mu0)
+        _require_psd(_require_finite("Sigma0 - mu0 mu0^T", c0), "Sigma0 - mu0 mu0^T")
         _set_fields(self, A=a, V=v, mu0=mu0, Sigma0=sigma0)
 
     @property

@@ -51,7 +51,7 @@ class TuneOptions:
     max_iter: int = 2000
 
     def __post_init__(self):
-        self.f0 = np.asarray(self.f0, dtype=float)
+        self.f0 = _as_matrix(self.f0, "f0")
         if self.objective not in ("mean", "variance"):
             raise ValueError(f"objective must be 'mean' or 'variance', got {self.objective!r}")
         self.step_tol = _real_number("step_tol", self.step_tol, 0.0, strict=True)

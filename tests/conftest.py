@@ -15,7 +15,9 @@ import pytest
 from scipy.integrate import quad, quad_vec
 from scipy.linalg import expm
 
+import lqgcost.cost_expm
 import lqgcost.linalg
+import lqgcost.moments
 from lqgcost import (
     CostSpec,
     JointGaussian,
@@ -32,7 +34,8 @@ def rng():
 
 @pytest.fixture
 def expm_calls(monkeypatch):
-    """The shapes of the matrices ``lqgcost.linalg`` exponentiates, in order."""
+    """The shapes of the matrices ``lqgcost`` exponentiates, in order: every
+    module of the package that binds SciPy's ``expm`` is counted."""
     calls = []
     real = lqgcost.linalg.expm
 
@@ -40,7 +43,8 @@ def expm_calls(monkeypatch):
         calls.append(m.shape)
         return real(m)
 
-    monkeypatch.setattr(lqgcost.linalg, "expm", counting)
+    for module in (lqgcost.linalg, lqgcost.moments, lqgcost.cost_expm):
+        monkeypatch.setattr(module, "expm", counting)
     return calls
 
 

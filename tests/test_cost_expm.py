@@ -23,7 +23,7 @@ from lqgcost import (
     simulate_costs,
 )
 import lqgcost.cost_expm as ce
-from lqgcost.moments import _propagate
+from lqgcost.moments import _compose, _doubling_count, _propagate
 from conftest import random_spd, random_system, scalar_cost, scalar_system
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -152,7 +152,7 @@ class TestCostStatsExpm:
         h = 0.1
         step = _step_segment(sys, cost, h)
         longer = _step_segment(sys, cost, 2 * h)
-        composed = ce._compose(step, step, np.exp(2 * alpha * h))
+        composed = _compose(step, step, np.exp(2 * alpha * h))
         for name in ("phi", "W", "P", "c", "G", "v", "H", "K"):
             assert_allclose(getattr(composed, name), getattr(longer, name), rtol=1e-12,
                             atol=1e-14 * np.abs(getattr(longer, name)).max(), err_msg=name)
@@ -167,6 +167,20 @@ class TestCostStatsExpm:
         step = _step_segment(sys, cost, h)
         phi, w = _propagate(sys.A, sys.V, h)
         assert np.array_equal(step.phi, phi) and np.array_equal(step.W, w)
+
+    @pytest.mark.parametrize("doublings", range(3, 10))
+    def test_doubled_step_matches_the_state_propagation(self, doublings, rng):
+        # at alpha = 0 the route's doublings of its base segment are
+        # _propagate's doublings of (Phi, W), to the bit
+        sys = random_system(3, rng)
+        cost = CostSpec(Q=random_spd(3, rng), alpha=0.0, horizon=1.0)
+        t = 0.75 * math.ldexp(1.0, doublings) / np.abs(sys.A).sum(axis=0).max()
+        assert _doubling_count(sys.A, t) == doublings
+        seg = _step_segment(sys, cost, math.ldexp(t, -doublings))
+        for _ in range(doublings):
+            seg = _compose(seg, seg, 1.0)
+        phi, w = _propagate(sys.A, sys.V, t)
+        assert np.array_equal(seg.phi, phi) and np.array_equal(seg.W, w)
 
     @pytest.mark.parametrize("horizon", [1.0, 30.0])     # one block, then doubling
     def test_one_block_exponential_per_call(self, horizon, rng, monkeypatch):

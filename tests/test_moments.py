@@ -16,8 +16,7 @@ from lqgcost import (
     second_moment,
     solve_lyapunov,
 )
-from lqgcost.linalg import _doubling_count
-from lqgcost.moments import _propagate
+from lqgcost.moments import _doubling_count, _propagate
 from conftest import finite_integral_by_quadrature, random_spd, random_system, scalar_system
 
 

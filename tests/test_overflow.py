@@ -8,7 +8,8 @@ double.  The data's scale: the cost of Sigma0 = 1e300 weighed by Q = 1e10 on
 a decaying state, and the moments of a drift with no growth at all,
 e^{A t} = I + A t with A's one entry 1e200.  An infinite-horizon cost needs
 a stable shifted drift, which forms no exponential, so only the data's scale
-can overflow it.
+can overflow it.  The input boundary neither overflows on data near the
+largest double nor lets an overflowed initial covariance through.
 """
 
 import numpy as np
@@ -86,6 +87,24 @@ def _calls():
 def test_overflow_raises_accuracy_error(call, first, second):
     with pytest.raises(AccuracyError, match="overflows double precision"):
         call(first, second)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("build,field", [
+    (lambda: LtiSystem(A=[[-1.0]], V=[[1e308]], mu0=[0.0], Sigma0=[[1.0]]), "V"),
+    (lambda: CostSpec(Q=np.full((2, 2), 1e308)), "Q"),
+], ids=["LtiSystem V", "CostSpec Q"])
+def test_largest_doubles_stored(build, field):
+    # symmetrizing halves before it adds, so entries past half the largest
+    # double stay finite
+    assert (getattr(build(), field) == 1e308).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_initial_covariance_overflow_named():
+    # Sigma0 - mu0 mu0^T = 1e300 - 1e400 is negative, not an -inf to check
+    with pytest.raises(AccuracyError, match=r"^Sigma0 - mu0 mu0\^T overflows double precision"):
+        LtiSystem(A=[[-1.0]], V=[[1.0]], mu0=[1e200], Sigma0=[[1e300]])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -26,8 +26,7 @@ from lqgcost import (
 )
 from lqgcost import simulate as simulate_module
 from lqgcost.demo import _gain_report
-from lqgcost.linalg import _doubling_count
-from lqgcost.moments import _propagate
+from lqgcost.moments import _doubling_count, _propagate
 from lqgcost.simulate import (BATCH_SIZE, _batch_stream, _cost_weights, _step_operators,
                               simulation_report)
 from conftest import random_spd, random_system, scalar_cost, scalar_system, set_usable_cpus

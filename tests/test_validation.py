@@ -245,6 +245,18 @@ def test_non_number_entries_refused(array, entries):
         build(entries)
 
 
+@pytest.mark.parametrize("f0,error,message", [
+    ([[10 ** 400, 0.0]], ValueError, "must hold real numbers"),
+    ([["1.5", "2"]], ValueError, "must hold real numbers"),
+    ([[math.nan, 0.0]], ValueError, "contains non-finite entries"),
+    (np.zeros((1, 1, 2)), DimensionError, "must be 2-dimensional"),
+], ids=["int past the largest double", "string", "nan", "3-d"])
+def test_initial_gain_checked(f0, error, message):
+    # refused when the options are built, under its own name
+    with pytest.raises(error, match=f"^f0 {message}"):
+        TuneOptions(f0=f0)
+
+
 # each route that meets a system and a cost, and the horizons it takes
 COST_ROUTES = {
     "cost_stats_lyapunov": (cost_stats_lyapunov, (2.0, math.inf)),
