@@ -15,12 +15,11 @@ either horizon, uses the system's factor (``sys.factor``, the
 shared with every other evaluation of it, whatever its alpha or horizon),
 maps Q, V, Sigma0 and mu0 into that basis once and stays there: each X and Y
 above is one quasi-triangular back-substitution on R + k alpha I, each
-exponential e^{A_k T} = e^{k alpha T} e^{A T} comes from the one n x n
-exponential of R, the Van Loan block of the variance's cross term is taken on
-R + k alpha I, and every trace is read in the basis, where it has the same
-value.  The solvability and stability conditions read the eigenvalues of R
-plus k*alpha.  Only the tuner's gradient maps anything back out (dJ/dA and
-dJ/dQ).
+exponential e^{A_k T} is the n x n exponential of R + k alpha I, the Van
+Loan block of the variance's cross term is taken on R + k alpha I, and every
+trace is read in the basis, where it has the same value.  The solvability
+and stability conditions read the eigenvalues of R plus k*alpha.  Only the
+tuner's gradient maps anything back out (dJ/dA and dJ/dQ).
 
 Validity requirements (checked, and reported in ``conditions_checked``):
 
@@ -38,8 +37,7 @@ instead of returning a value that has lost most of its digits.  Overflow
 follows the one rule of :mod:`lqgcost.linalg`: the scalar exponentials are
 inf past the largest double, and a mean, variance or cross-term weight that
 is not finite raises :class:`AccuracyError`, whether the terms grow (A = 1,
-T = 800) or the data are large (Sigma0 = 1e160).  Forming e^{(A - alpha I) T}
-as e^{-alpha T} e^{A T} makes inf times 0 of a few finite variances.
+T = 800) or the data are large (Sigma0 = 1e160).
 
 One formula serves every alpha, zero included; nothing divides by alpha.  With
 phi_r(T) = integral_0^T e^{r t} dt = expm1(r T) / r (T at r = 0) the mean's
@@ -184,10 +182,10 @@ class _Evaluation:
     (:meth:`DriftFactor._solve_schur`), the exponentials are taken on R + s I,
     and every trace is read in the basis, where it has the same value.
 
-    ``y`` is Y~[Q; A_1] at either horizon.  At a finite
-    horizon ``xv`` is X~[V; A] and ``e0`` is e^{R T}.  At the infinite
-    horizon ``x2`` is X_2~ = (X[Sigma0; A_2] - X[V; A_2] / (4 alpha))~, one
-    solve by linearity, made the first time ``raw_variance`` asks for it.
+    ``y`` is Y~[Q; A_1] at either horizon.  At a finite horizon ``xv`` is
+    X~[V; A] and ``e_p`` is e^{(R + alpha I) T}.  At the infinite horizon
+    ``x2`` is X_2~ = (X[Sigma0; A_2] - X[V; A_2] / (4 alpha))~, one solve by
+    linearity, made the first time ``raw_variance`` asks for it.
 
     Building it runs the route's checks (``checks``), raises
     :class:`ConditionError` when one fails, and computes ``mean``;
@@ -210,12 +208,15 @@ class _Evaluation:
                 mean = float(np.trace((self.s - self.v / (2.0 * alpha)) @ self.y))
             else:
                 self.xv = xv = fac._solve_schur(self.v)
-                self.e0 = e0 = mat_exp(fac.t, horizon)
-                # Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T} + X[V; A], as a difference
-                sig_t = _difference(e0 @ (self.s - xv) @ e0.T, -xv, "Sigma_T")
-                g = _exp(2.0 * alpha * horizon)
+                # each e^{(A + s I) T} is its own exponential: e^{s T} e^{A T}
+                # would make inf times 0 of a finite product
+                self.e_p = e_p = mat_exp(fac._at(alpha).t_s, horizon)
+                # e^{2 alpha T} Sigma_T, with Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T}
+                # + X[V; A], as a difference
+                sig_t = _difference(e_p @ (self.s - xv) @ e_p.T,
+                                    -_exp(2.0 * alpha * horizon) * xv, "Sigma_T")
                 mean = float(np.trace(
-                    (self.s - g * sig_t + _phi(2.0 * alpha, horizon) * self.v) @ self.y))
+                    (self.s - sig_t + _phi(2.0 * alpha, horizon) * self.v) @ self.y))
         self.mean = _require_finite("Lyapunov route lost the mean: a term", mean)
 
     @cached_property
@@ -238,22 +239,20 @@ class _Evaluation:
                 - 2.0 * (mu0 @ y @ mu0) ** 2
                 + 4.0 * np.trace(self.x2 @ y @ self.v @ y)
             )
-        fac, q, alpha, t, e0, xv = self.fac, self.q, self.alpha, self.horizon, self.e0, self.xv
+        fac, q, alpha, t, e_p, xv = self.fac, self.q, self.alpha, self.horizon, self.e_p, self.xv
         delta = symmetrize(s - xv)
-        # e^{(A +- alpha I) T} = e^{+-alpha T} e^{A T}
-        e_p = _exp(alpha * t) * e0
+        e_m = e_p if alpha == 0.0 else mat_exp(fac._at(-alpha).t_s, t)
         y_t = _transposed_finite(y, e_p, "Y_T of A+1a")
         # (e^{4aT} Y_T[Q; A_-1] - Y_T[Q; A_1]) / (4a), by parts (module docstring)
         y_of_y = fac._solve_schur(y, shift=-alpha, transposed=True)
-        y_of_y_t = _transposed_finite(y_of_y, _exp(-alpha * t) * e0, "Y_T of A-1a, weight Y_1")
+        y_of_y_t = _transposed_finite(y_of_y, e_m, "Y_T of A-1a, weight Y_1")
         weighted = _phi(4.0 * alpha, t) * y - _exp(4.0 * alpha * t) * y_of_y_t
         x2d = fac._solve_schur(delta, shift=2.0 * alpha)
-        eye = np.eye(len(q))
-        r_1, r_3 = fac.t + alpha * eye, fac.t + 3.0 * alpha * eye
+        r_3 = fac.t + 3.0 * alpha * np.eye(len(q))
         weight = x2d @ e_p.T @ q
         # van_loan_integral refuses a non-finite input as the caller's error
         _require_finite("Lyapunov route lost the variance: its cross term", r_3, weight)
-        cross = van_loan_integral(r_3, weight, r_1, t)
+        cross = van_loan_integral(r_3, weight, fac._at(alpha).t_s, t)
         mid = xv @ weighted + 2.0 * x2d @ y_t - 2.0 * cross
         return float(
             2.0 * np.trace((delta @ y_t) @ (delta @ y_t))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_matrix, _as_symmetric, _as_vector, _require_psd
+from .linalg import _as_matrix, _as_symmetric, _as_vector, _require_finite, _require_psd
 
 __all__ = [
     "JointGaussian",
@@ -56,26 +56,32 @@ def quartic_expectation(mu, second, p, q):
     s = _as_symmetric(second, "second moment", mu.size)
     p = _as_symmetric(p, "P", mu.size)
     q = _as_symmetric(q, "Q", mu.size)
-    _require_psd(s - np.outer(mu, mu), "second moment - mu mu^T")
-    sp = s @ p
-    sq = s @ q
-    return (
-        np.trace(sp) * np.trace(sq)
-        + 2.0 * np.trace(sp @ sq)
-        - 2.0 * (mu @ p @ mu) * (mu @ q @ mu)
-    )
+    # an overflow leaves a value that is not finite, which _require_finite refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _require_finite("second moment - mu mu^T", s - np.outer(mu, mu))
+        _require_psd(cov, "second moment - mu mu^T")
+        sp = s @ p
+        sq = s @ q
+        value = (
+            np.trace(sp) * np.trace(sq)
+            + 2.0 * np.trace(sp @ sq)
+            - 2.0 * (mu @ p @ mu) * (mu @ q @ mu)
+        )
+    return _require_finite("the quartic expectation", value)
 
 
 def joint_quartic_expectation(jg: JointGaussian, p, q):
     """E[x^T P x * y^T Q y] for the jointly Gaussian pair ``jg``."""
     p = _as_symmetric(p, "P", jg.mu_x.size)
     q = _as_symmetric(q, "Q", jg.mu_y.size)
-    s_xx = jg.K_xx + np.outer(jg.mu_x, jg.mu_x)
-    s_yy = jg.K_yy + np.outer(jg.mu_y, jg.mu_y)
-    s_xy = jg.K_xy + np.outer(jg.mu_x, jg.mu_y)
-    s_yx = s_xy.T
-    return (
-        np.trace(s_xx @ p) * np.trace(s_yy @ q)
-        + 2.0 * np.trace(s_yx @ p @ s_xy @ q)
-        - 2.0 * (jg.mu_x @ p @ jg.mu_x) * (jg.mu_y @ q @ jg.mu_y)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_xx = jg.K_xx + np.outer(jg.mu_x, jg.mu_x)
+        s_yy = jg.K_yy + np.outer(jg.mu_y, jg.mu_y)
+        s_xy = jg.K_xy + np.outer(jg.mu_x, jg.mu_y)
+        s_yx = s_xy.T
+        value = (
+            np.trace(s_xx @ p) * np.trace(s_yy @ q)
+            + 2.0 * np.trace(s_yx @ p @ s_xy @ q)
+            - 2.0 * (jg.mu_x @ p @ jg.mu_x) * (jg.mu_y @ q @ jg.mu_y)
+        )
+    return _require_finite("the joint quartic expectation", value)

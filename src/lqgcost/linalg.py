@@ -14,9 +14,9 @@ override, and symmetry and (semi)definiteness are decided only here, at
 Every input check of the package lives here too: ``_real_number`` and
 ``_whole_number`` for settings (a bool, a string, NaN or an int past the
 largest double is no number), the ``_as_*`` array checks, each to an
-expected shape, and ``_require_shape`` for a cost's Q against its system.
-Only model files are checked elsewhere, by :mod:`lqgcost.models`, whose
-errors name the file and the field.
+expected shape and holding such numbers only, and ``_require_shape`` for a
+cost's Q against its system.  Model files pass the same checks;
+:mod:`lqgcost.models` checks only the file's structure.
 
 So does the one overflow rule: compute under ``np.errstate(over="ignore",
 invalid="ignore")``, then ``_require_finite`` refuses what is not finite.
@@ -122,32 +122,46 @@ def _require_shape(arr, shape, name):
 
 
 def _finite_array(a, name):
-    """``a`` as a float array; ValueError unless its entries are finite real
-    numbers (a bool or a string is not)."""
-    arr = np.asarray(a)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must hold real numbers, got {arr.dtype} entries")
-    arr = arr.astype(float, copy=False)
+    """``a`` as a float array; ValueError unless it is a regular (not ragged)
+    array of finite entries, each a real number by :func:`_as_float`'s rule:
+    a bool, a string or an int past the largest double is none.  An int or
+    float ndarray passes by its dtype, its entries unread."""
+    if isinstance(a, np.ndarray) and a.dtype.kind in "iuf":
+        arr = np.asarray(a, dtype=float)
+    else:
+        try:
+            np.shape(a)
+        except ValueError:
+            raise ValueError(f"{name} must be a rectangular array, got a ragged one") from None
+        entries = np.array(a, dtype=object)
+        arr = np.array([_as_float(x) for x in entries.flat]).reshape(entries.shape)
+        for x, f in zip(entries.flat, arr.flat):
+            if f != f and x == x:       # NaN from no number, not from a NaN
+                raise ValueError(f"{name} must hold real numbers, got {x!r}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
+def _as_array(a, name, shape):
+    """:func:`_finite_array` of ``a``, non-empty, with as many dimensions as
+    ``shape`` and its lengths, where a None length matches any."""
+    arr = _finite_array(a, name)
+    if arr.ndim != len(shape):
+        raise DimensionError(f"{name} must be {len(shape)}-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DimensionError(f"{name} must not be empty, got shape {arr.shape}")
+    return _require_shape(arr, shape, name)
+
+
 def _as_vector(v, name, n=None):
-    """Validate and return ``v`` flattened to a finite float vector (of length ``n``)."""
-    arr = _finite_array(v, name).reshape(-1)
-    return arr if n is None else _require_shape(arr, (n,), name)
+    """:func:`_as_array` of a 1-d ``v`` (of length ``n``)."""
+    return _as_array(v, name, (n,))
 
 
 def _as_matrix(a, name="matrix", shape=None):
-    """Validate and return ``a`` as a finite, non-empty 2-d float array (of
-    ``shape``, where a None length matches any)."""
-    arr = _finite_array(a, name)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError(f"{name} must not be empty, got shape {arr.shape}")
-    return arr if shape is None else _require_shape(arr, shape, name)
+    """:func:`_as_array` of a 2-d ``a`` (of ``shape``)."""
+    return _as_array(a, name, shape or (None, None))
 
 
 def _as_square(a, name="matrix", n=None):

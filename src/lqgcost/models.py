@@ -24,11 +24,11 @@ and saving both walk it.  The two kinds::
       "horizon": "inf" | T        # optional, "inf" when left out
     }
 
-Unknown and missing fields are rejected at every level.  Arrays hold finite
-JSON numbers only (no strings, no booleans) in the shape the declared n/m/p
-give.  Floats are written with shortest round-trip precision (up to 17
-significant digits), so save followed by load reproduces every matrix entry
-bit-for-bit.
+Unknown and missing fields are rejected at every level.  Arrays and numbers
+pass the checks of :mod:`lqgcost.linalg`, arrays in the shape the declared
+n/m/p give, each error as ModelFormatError naming the file and the field.
+Floats are written with shortest round-trip precision (up to 17 significant
+digits), so save followed by load reproduces every matrix entry bit-for-bit.
 """
 
 import json
@@ -38,6 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exceptions import ModelFormatError
+from .linalg import _as_array, _real_number
 from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON
 
 __all__ = ["ModelDocument", "load_model", "save_system_model", "save_plant_model",
@@ -63,8 +64,6 @@ _SCHEMA = {
 #: Fields a file may leave out, with the value they then read as.
 _DEFAULTS = {"plant": {"horizon": "inf"}}
 
-_LARGEST = np.finfo(float).max
-
 
 @dataclass
 class ModelDocument:
@@ -79,44 +78,30 @@ class ModelDocument:
     horizon: float = INFINITE_HORIZON
 
 
-def _is_number(x):
-    """A finite JSON number: an int or a float, not a bool, within double range."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _LARGEST
+def _checked(check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a linalg validator, with its ValueError raised
+    as ModelFormatError; the name it gives carries the file and the field."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
 
 
 def _parse_array(value, shape, where):
-    """A vector or matrix field: nested lists of finite JSON numbers in ``shape``."""
-    def numbers(v):
-        return all(numbers(x) for x in v) if isinstance(v, list) else _is_number(v)
-
-    if not numbers(value):
-        raise ModelFormatError(f"{where} must hold finite JSON numbers only")
-    try:
-        arr = np.array(value, dtype=float)
-    except ValueError:          # ragged nesting
-        arr = None
-    if arr is None or arr.shape != shape:
-        want = "x".join(map(str, shape)) if len(shape) == 2 else f"of length {shape[0]}"
-        got = "a ragged array" if arr is None else f"shape {arr.shape}"
-        raise ModelFormatError(f"{where} must be {want}, got {got}")
-    return arr
+    """A vector or matrix field of ``shape``, by linalg's array check."""
+    return _checked(_as_array, value, where, shape)
 
 
 def _parse_scalar(value, spec, where):
-    """A "dim", "number" or "horizon" field."""
+    """A "dim", "number" or "horizon" field; a number by linalg's check."""
     if spec == "dim":
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ModelFormatError(f"{where} must be a positive integer")
         return value
     if spec == "number":
-        if not _is_number(value):
-            raise ModelFormatError(f"{where} must be a finite number")
-        return float(value)
-    if value == "inf":
-        return INFINITE_HORIZON
-    if not (_is_number(value) and value > 0):
-        raise ModelFormatError(f"{where} must be a positive finite number or \"inf\"")
-    return float(value)
+        return _checked(_real_number, where, value)
+    return INFINITE_HORIZON if value == "inf" else _checked(_real_number, where, value, 0.0,
+                                                            strict=True)
 
 
 def _parse(raw, kind, path, dims, prefix=""):

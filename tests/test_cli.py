@@ -119,17 +119,29 @@ class TestAnalyze:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sys,cost", [
-        # stiff: e^{-alpha T} = e^{2000} times e^{A T} = 0 leaves NaN in the variance
-        (scalar_system(a=-30.0, v=1.0, mu0=1.0, sigma0=2.0),
-         scalar_cost(alpha=-10.0, horizon=200.0)),
         # data scale: the mean, 1e310 (1 - e^{-2}) / 2, passes the largest double
         (scalar_system(v=1.0, sigma0=1e300), scalar_cost(q=1e10, alpha=0.0, horizon=1.0)),
-    ], ids=["stiff", "data scale"])
+    ], ids=["data scale"])
     def test_lyapunov_overflow_exits_2(self, tmp_path, capsys, sys, cost):
         model = tmp_path / "model.json"
         save_system_model(model, sys, cost)
         assert main(["analyze", str(model), "--method", "lyapunov"]) == 2
         assert "Lyapunov route lost the" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lyapunov_route_on_a_stiff_discounted_model(self, tmp_path):
+        # e^{-alpha T} = e^{2000} times e^{A T} = e^{-6000} would be inf * 0;
+        # each shift's own exponential is finite.  Past T = 200 the weight is
+        # e^{-4000}, so the values are the infinite horizon's, Y = 1/80 and
+        # X_2 = 2.025/100
+        model, out = tmp_path / "stiff.json", tmp_path / "report.json"
+        save_system_model(model, scalar_system(a=-30.0, v=1.0, mu0=1.0, sigma0=2.0),
+                          scalar_cost(alpha=-10.0, horizon=200.0))
+        assert main(["analyze", str(model), "--method", "lyapunov", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["method"] == "lyapunov"
+        assert_allclose([report["mean"], report["variance"]], [0.025625, 9.5015625e-4],
+                        rtol=1e-12)
 
     def test_string_entry_exits_1(self, scalar_model, capsys):
         path = pathlib.Path(scalar_model)
@@ -137,7 +149,7 @@ class TestAnalyze:
         doc["A"] = [["-1.5"]]
         path.write_text(json.dumps(doc))
         assert main(["analyze", scalar_model]) == 1
-        assert "A must hold finite JSON numbers only" in capsys.readouterr().err
+        assert ": A must hold real numbers, got '-1.5'" in capsys.readouterr().err
 
     def test_boolean_schema_version_exits_1(self, scalar_model, capsys):
         path = pathlib.Path(scalar_model)
@@ -245,6 +257,17 @@ class TestSimulate:
         assert report["analytic"]["horizon"] == 2.0 and report["agreement"] is None
         stdout = capsys.readouterr().out
         assert "agreement cannot be assessed" in stdout and "PASS" not in stdout
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_analytic_comparison_unavailable(self, tmp_path, capsys):
+        # the block route refuses the variance of Sigma0 = 1e160; the sample stands
+        model = tmp_path / "huge_sigma0.json"
+        save_system_model(model, scalar_system(v=1.0, sigma0=1e160),
+                          scalar_cost(alpha=0.0, horizon=1.0))
+        assert main(["simulate", str(model), "--paths", "1", "--dt", "0.1", "--T", "1"]) == 0
+        stdout = capsys.readouterr().out
+        assert ("analytic comparison unavailable: block exponential lost the variance"
+                in stdout)
 
 
 class TestSynthesize:
@@ -377,7 +400,7 @@ class TestReproduceExample:
         assumption.write_text(json.dumps({"V": [["2", 0.0], [0.0, 2.0]]}))
         assert main(["reproduce-example", "--paths", "100", "--T", "2", "--tune-iters", "5",
                      "--assumption-file", str(assumption)]) == 1
-        assert "V must hold finite JSON numbers only" in capsys.readouterr().err
+        assert ": V must hold real numbers, got '2'" in capsys.readouterr().err
 
     def test_bad_assumption_file_exits_1(self, tmp_path):
         assumption = tmp_path / "assume.json"

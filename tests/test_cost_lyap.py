@@ -23,6 +23,7 @@ from lqgcost import (
     variance_cost_finite,
     variance_cost_infinite,
 )
+from lqgcost.cost_lyap import VARIANCE_CLAMP_RTOL, _finalize_variance
 from conftest import (
     cost_moments_by_quadrature,
     mean_by_quadrature,
@@ -245,6 +246,14 @@ class TestCostStatsLyapunov:
         stats = cost_stats_lyapunov(sys, scalar_cost(alpha=-0.5))
         assert stats.variance >= 0.0
 
+    @pytest.mark.parametrize("mean", [0.0, 3.0])
+    def test_negative_raw_variance_clamped_or_refused(self, mean):
+        allowance = VARIANCE_CLAMP_RTOL * (1.0 + mean * mean)
+        assert _finalize_variance(-0.5 * allowance, mean, "Lyapunov route") == 0.0
+        assert _finalize_variance(-allowance, mean, "Lyapunov route") == 0.0
+        with pytest.raises(AccuracyError, match="^Lyapunov route lost the variance: .* < 0"):
+            _finalize_variance(-2.0 * allowance, mean, "Lyapunov route")
+
 
 def _output_feedback_loop_with_near_singular_shift():
     """40-state output-feedback loop whose drift A - alpha I has an eigenvalue
@@ -314,7 +323,7 @@ class TestCancellationGuard:
 #: (a, alpha, T) of the scalar system dx = a x dt + dv, V = 1, x0 ~ N(0, 1),
 #: Q = 1, whose finite-horizon Lyapunov terms pass the largest double.  At
 #: alpha = -200 the cost itself is finite, but the route forms
-#: e^{(a - alpha) T} = e^{-alpha T} e^{a T}, whose first factor overflows.
+#: e^{(a - alpha) T} = e^{1990}, which overflows.
 OVERFLOW_CASES = [(-1.0, 200.0, 1.0), (-1.0, -200.0, 10.0), (1.0, 0.0, 800.0), (0.5, 0.0, 400.0)]
 
 

@@ -510,7 +510,11 @@ class TestOneFactorPerEvaluation:
 
         monkeypatch.setattr(lqgcost.cost_lyap, "mat_exp", counting)
         stats = cost_stats_lyapunov(sys, cost)
-        assert len(calls) == 1 and stats.branch == "finite horizon"
+        # one exponential per shift of R the route reads: alpha and -alpha,
+        # which are one shift at alpha = 0
+        assert len(calls) == 2 and stats.branch == "finite horizon"
+        cost_stats_lyapunov(sys, CostSpec(Q=cost.Q, horizon=1.2))
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("alpha,horizon", [(0.25, 1.5), (0.0, 0.8), (-0.4, math.inf)])
     def test_variance_functions_match_combined_exactly(self, alpha, horizon, rng):

@@ -176,5 +176,34 @@ class TestArraysHoldNumbersOnly:
             holder = bad_doc[outer[0]] if outer else bad_doc
             holder[name] = [bad] if name == "mu0" else [[bad]]
             path.write_text(json.dumps(bad_doc))
-            with pytest.raises(ModelFormatError, match=f": {field} must hold finite JSON numbers"):
+            with pytest.raises(ModelFormatError, match=f": {field} must hold real numbers, got "):
                 load_model(path)
+
+
+class TestOneVerdict:
+    """A model file and the library refuse the same input with the same
+    message, the file's after its ``path: `` prefix."""
+
+    # each refused input: the field of a 2-state system it sits in, and its value
+    REFUSED = {
+        "bool among floats": ("A", [[True, 1.5], [0.0, -1.0]]),
+        "string entry": ("A", [["-1.0", 0.0], [0.0, -1.0]]),
+        "ragged matrix": ("A", [[-1.0, 0.0], [0.0]]),
+        "2-d mean": ("mu0", [[0.0], [0.0]]),
+        "int past the largest double": ("A", [[-(10 ** 400), 0.0], [0.0, -1.0]]),
+        "nan": ("A", [[math.nan, 0.0], [0.0, -1.0]]),
+    }
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_file_and_library_refuse_alike(self, tmp_path, case):
+        field, value = self.REFUSED[case]
+        arrays = {"A": [[-1.0, 0.0], [0.0, -1.0]], "V": [[1.0, 0.0], [0.0, 1.0]],
+                  "mu0": [0.0, 0.0], "Sigma0": [[1.0, 0.0], [0.0, 1.0]], field: value}
+        with pytest.raises(ValueError) as library:
+            LtiSystem(**arrays)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"schema_version": 1, "kind": "system", "n": 2, **arrays,
+                                    "cost": {"Q": arrays["V"], "alpha": -0.5, "horizon": "inf"}}))
+        with pytest.raises(ModelFormatError) as from_file:
+            load_model(path)
+        assert str(from_file.value) == f"{path}: {library.value}"

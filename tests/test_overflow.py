@@ -8,8 +8,9 @@ double.  The data's scale: the cost of Sigma0 = 1e300 weighed by Q = 1e10 on
 a decaying state, and the moments of a drift with no growth at all,
 e^{A t} = I + A t with A's one entry 1e200.  An infinite-horizon cost needs
 a stable shifted drift, which forms no exponential, so only the data's scale
-can overflow it.  The input boundary neither overflows on data near the
-largest double nor lets an overflowed initial covariance through.
+can overflow it.  The quartic expectations overflow on the data's scale
+alone.  The input boundary neither overflows on data near the largest double
+nor lets an overflowed initial covariance through.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from lqgcost import (
     AccuracyError,
     CostSpec,
+    JointGaussian,
     LtiSystem,
     SimConfig,
     auto_cost_stats,
@@ -26,8 +28,10 @@ from lqgcost import (
     cross_moment,
     expected_cost_finite,
     expected_cost_infinite,
+    joint_quartic_expectation,
     mean_state,
     noise_gramian_finite,
+    quartic_expectation,
     second_moment,
     simulate_costs,
     variance_cost_finite,
@@ -69,6 +73,19 @@ MOMENTS = {
     "noise_gramian_finite": lambda sys, t: noise_gramian_finite(sys.A, sys.V, t),
 }
 
+#: Each quartic expectation's call on its two first arguments, which overflow:
+#: a second moment whose square passes the largest double, a mean whose square
+#: does, leaving second - mu mu^T = -inf, and a joint pair's such mean.
+QUARTIC = {
+    "quartic_expectation-second moment": (
+        lambda mu, second: quartic_expectation(mu, second, [[1.0]], [[1.0]]), [0.0], [[1e200]]),
+    "quartic_expectation-mean": (
+        lambda mu, second: quartic_expectation(mu, second, [[1.0]], [[1.0]]), [1e200], [[1e300]]),
+    "joint_quartic_expectation-mean": (
+        lambda jg, p: joint_quartic_expectation(jg, p, [[1.0]]),
+        JointGaussian([1e200], [0.0], [[1.0]], [[0.0]], [[1.0]]), [[1.0]]),
+}
+
 
 def _calls():
     for kind, (sys, finite, infinite, moment_sys, t, cfg) in KINDS.items():
@@ -80,6 +97,8 @@ def _calls():
             yield pytest.param(moment, moment_sys, t, id=f"{kind}-{name}")
         yield pytest.param(lambda sys, cost, cfg=cfg: simulate_costs(sys, cost, cfg), sys, finite,
                            id=f"{kind}-simulate_costs")
+    for name, (call, first, second) in QUARTIC.items():
+        yield pytest.param(call, first, second, id=name)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

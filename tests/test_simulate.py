@@ -328,6 +328,18 @@ class TestSimulationReport:
         report = simulation_report(sys, CostSpec(Q=np.eye(2), alpha=0.0, horizon=20.0), cfg)
         assert report["agreement"]["within_4_stderr"] is True
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_analytic_route_refused(self):
+        # Sigma0 = 1e160 squares past the largest double in the variance, but
+        # one sampled path stays finite: the report keeps the sample and says
+        # why it has no analytic value
+        sys = scalar_system(a=-1.0, v=1.0, mu0=0.0, sigma0=1e160)
+        cfg = SimConfig(dt=0.1, T=1.0, n_paths=1)
+        report = simulation_report(sys, scalar_cost(alpha=0.0, horizon=1.0), cfg)
+        assert report["analytic"] is None and report["agreement"] is None
+        assert "block exponential lost the variance" in report["analytic_error"]
+        assert report["empirical"]["n_paths"] == 1
+
     def test_study_row_at_simulated_horizon(self):
         # both study loops are open-loop unstable, so the cost over [20, inf)
         # still weighs: the simulation is judged at T = 20, the tuner's

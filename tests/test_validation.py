@@ -4,8 +4,8 @@ positive semidefiniteness accepts and refuses the same matrices, at
 public input is checked as the model loader checks a file: a count
 (``COUNTS``) refuses a bool, a real number (``REALS``) refuses a bool, a
 string and NaN, both refuse an int past the largest double, and an array
-(``ARRAYS``) refuses bool or string entries, each with a ValueError naming
-the input.  Every route that meets a system and a cost
+(``ARRAYS``) refuses bool or string entries, even one among floats, each
+with a ValueError naming the input.  Every route that meets a system and a cost
 refuses a Q that is not the system's n x n."""
 
 import importlib
@@ -236,8 +236,9 @@ ARRAYS = {
 }
 
 
-@pytest.mark.parametrize("entries", [np.eye(2, dtype=bool), [["1", "0"], ["0", "1"]]],
-                         ids=["bool", "string"])
+@pytest.mark.parametrize("entries", [np.eye(2, dtype=bool), [["1", "0"], ["0", "1"]],
+                                     [[True, 1.5], [0.0, 1.0]], [[1.0, "0"], [0.0, 1.0]]],
+                         ids=["bool", "string", "bool among floats", "string among floats"])
 @pytest.mark.parametrize("array", ARRAYS)
 def test_non_number_entries_refused(array, entries):
     name, build = ARRAYS[array]
