@@ -132,10 +132,9 @@ def cmd_simulate(args):
     result = simulation_report(system, cost, cfg)
     empirical, analytic, agreement = result["empirical"], result["analytic"], result["agreement"]
 
-    effective_t = cfg.n_steps * cfg.dt
     print(f"simulate {args.model}")
     print(f"  scheme = {cfg.scheme}, paths = {cfg.n_paths}, dt = {_fmt(cfg.dt)}, "
-          f"T = {_fmt(effective_t)}, seed = {cfg.seed}")
+          f"T = {_fmt(cfg.horizon)}, seed = {cfg.seed}")
     for name in ("mean", "variance"):
         print(f"  empirical {name:<8s} = {_fmt(empirical[name])}"
               f"  (stderr {_fmt(empirical[name + '_stderr'])})")
@@ -156,7 +155,7 @@ def cmd_simulate(args):
 
     return {
         "command": "simulate",
-        "config": {"dt": cfg.dt, "T": effective_t, "n_paths": cfg.n_paths, "seed": cfg.seed,
+        "config": {"dt": cfg.dt, "T": cfg.horizon, "n_paths": cfg.n_paths, "seed": cfg.seed,
                    "scheme": cfg.scheme, "threshold": cfg.threshold},
         **result,
     }

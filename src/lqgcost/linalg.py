@@ -81,11 +81,24 @@ def _as_float(value):
     return math.nan
 
 
+def _shown(value):
+    """repr of a refused ``value`` for a message; an int of more than 20 digits
+    shows its first 20 and its digit count."""
+    if not isinstance(value, int) or -10 ** 20 < value < 10 ** 20:
+        return repr(value)
+    v = abs(value)
+    # the bit length puts the digit count within one; Python refuses str() of
+    # an int past 4300 digits, so it is not counted from the text
+    digits = int(v.bit_length() * math.log10(2.0)) + 1
+    digits += (v >= 10 ** digits) - (v < 10 ** (digits - 1))
+    return f"{'-' if value < 0 else ''}{v // 10 ** (digits - 20)}... ({digits} digits)"
+
+
 def _whole_number(name, value, least):
     """``value`` as an int; ValueError unless it is a whole number >= ``least``
     (a bool is not) that a float holds."""
     if not (math.isfinite(_as_float(value)) and int(value) == value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
     return int(value)
 
 
@@ -98,7 +111,7 @@ def _real_number(name, value, least=-math.inf, strict=False, infinite=False):
         return x
     bound = "" if least == -math.inf else f" {'>' if strict else '>='} {least:g}"
     kind = "a number" if infinite else "a finite number"
-    raise ValueError(f"{name} must be {kind}{bound}, got {value!r}")
+    raise ValueError(f"{name} must be {kind}{bound}, got {_shown(value)}")
 
 
 def _require_finite(what, value, *more):
@@ -137,7 +150,7 @@ def _finite_array(a, name):
         arr = np.array([_as_float(x) for x in entries.flat]).reshape(entries.shape)
         for x, f in zip(entries.flat, arr.flat):
             if f != f and x == x:       # NaN from no number, not from a NaN
-                raise ValueError(f"{name} must hold real numbers, got {x!r}")
+                raise ValueError(f"{name} must hold real numbers, got {_shown(x)}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -380,11 +393,12 @@ class DriftFactor:
     def _at(self, shift):
         data = self._shifted.get(shift)
         if data is None:
-            if len(self._shifted) == SHIFTS_KEPT:
-                del self._shifted[next(iter(self._shifted))]
             t_s = self.t + shift * np.eye(len(self.t))
             data = self._shifted[shift] = _Shifted(
                 _classify(self.eigenvalues + shift, DEFAULT_SPECTRAL_TOL), t_s, _fro(t_s))
+            # trimmed after every insert, so racing inserts cannot outgrow the bound
+            for old in list(self._shifted)[:-SHIFTS_KEPT]:
+                self._shifted.pop(old, None)
         return data
 
     def spectrum(self, shift=0.0):

@@ -23,7 +23,8 @@ stacked buffer.  The cost x^T Q x = sum_i lam_i z_i^2 is accumulated as
 sum_k w_k z_k^2 per coordinate, and lam is applied once at the end: a step is
 one draw, one product and three elementwise operations.  No factor of Q is
 needed, so indefinite and singular weights are sampled like any other.  The
-final second moment is formed from x = U z.
+final second moment is formed from x = U z.  One function, ``_chain``, builds
+Phi, L, the initial covariance's factor L0 and the weights w_k.
 
 Determinism: paths are processed in fixed-size batches, and batch b draws
 from its own stream, SFC64 seeded by ``SeedSequence(seed, spawn_key=(b,))``
@@ -31,8 +32,8 @@ from its own stream, SFC64 seeded by ``SeedSequence(seed, spawn_key=(b,))``
 the seed and the batch index.  The batch first draws an (n, count) block for
 the initial state, then one (n, count) block per step, coordinate-major.
 Results are therefore bit-identical for a given (seed, n_paths, dt, T,
-scheme) no matter how many worker threads execute the batches.  By default
-one worker runs per CPU this process may use, up to one per batch.
+scheme) no matter how many workers of the run's one thread pool execute the
+batches: by default one per CPU this process may use, up to one per batch.
 Overflow follows the one rule of :mod:`lqgcost.linalg`, set again in each
 worker: a step, cost, moment or second moment that is not finite raises.
 """
@@ -50,7 +51,7 @@ from .cost_expm import auto_cost_stats
 from .exceptions import LqgCostError
 from .linalg import _real_number, _require_finite, _require_shape, _whole_number, psd_factor
 from .moments import _propagate
-from .systems import CostSpec, LtiSystem
+from .systems import CostSpec, LtiSystem, _set_fields
 
 __all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "simulation_report"]
 
@@ -58,9 +59,9 @@ __all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "simulation_repo
 BATCH_SIZE = 16384
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters.
+    """Simulation parameters, an immutable value.
 
     ``threshold`` (not NaN) enables exceedance counting.  ``threads`` (by
     default one per usable CPU) only distributes batches over workers and
@@ -76,21 +77,27 @@ class SimConfig:
     threads: int = None
 
     def __post_init__(self):
-        self.dt = _real_number("dt", self.dt, 0.0, strict=True)
-        self.T = _real_number("T", self.T, 0.0, strict=True)
-        _real_number("T/dt", self.T / self.dt)
-        self.n_paths = _whole_number("n_paths", self.n_paths, 1)
-        self.seed = _whole_number("seed", self.seed, 0)
-        if self.threshold is not None:
-            self.threshold = _real_number("threshold", self.threshold, infinite=True)
+        dt = _real_number("dt", self.dt, 0.0, strict=True)
+        t = _real_number("T", self.T, 0.0, strict=True)
+        _real_number("T/dt", t / dt)
+        n_paths = _whole_number("n_paths", self.n_paths, 1)
+        seed = _whole_number("seed", self.seed, 0)
+        threshold = (None if self.threshold is None
+                     else _real_number("threshold", self.threshold, infinite=True))
         if self.scheme not in ("euler", "exact"):
             raise ValueError(f"scheme must be 'euler' or 'exact', got {self.scheme!r}")
-        if self.threads is not None:
-            self.threads = _whole_number("threads", self.threads, 1)
+        threads = None if self.threads is None else _whole_number("threads", self.threads, 1)
+        _set_fields(self, dt=dt, T=t, n_paths=n_paths, seed=seed, threshold=threshold,
+                    threads=threads)
 
     @property
     def n_steps(self):
         return max(1, int(round(self.T / self.dt)))
+
+    @property
+    def horizon(self):
+        """The simulated horizon, ``n_steps * dt``: ``T`` rounded to a whole number of steps."""
+        return self.n_steps * self.dt
 
 
 @dataclass
@@ -108,24 +115,22 @@ class EmpiricalCostStats:
     second_moment_final: np.ndarray = None
 
 
-def _step_operators(sys, cfg):
-    """Transition matrix and noise factor for one time step."""
+def _chain(sys, cost, cfg):
+    """The sampled chain in the model's basis: the step's transition matrix Phi
+    and noise factor L, the initial covariance's factor L0 and the trapezoid
+    weights w_k e^{2 alpha t_k} on the step grid t_k = k dt."""
     if cfg.scheme == "euler":
-        return np.eye(sys.dim) + sys.A * cfg.dt, psd_factor(sys.V) * math.sqrt(cfg.dt)
-    phi, w = _propagate(sys.A, sys.V, cfg.dt)
-    # psd_factor refuses a non-finite W as the caller's error
-    _require_finite(f"the exact step at dt = {cfg.dt:g}", phi, w)
-    return phi, psd_factor(w)
-
-
-def _cost_weights(cfg, alpha):
-    """Trapezoidal quadrature weights of exp(2 alpha t) dt on the step grid."""
-    steps = cfg.n_steps
-    t = cfg.dt * np.arange(steps + 1)
-    w = np.full(steps + 1, cfg.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w * np.exp(2.0 * alpha * t)
+        phi, noise = np.eye(sys.dim) + sys.A * cfg.dt, psd_factor(sys.V) * math.sqrt(cfg.dt)
+    else:
+        phi, w = _propagate(sys.A, sys.V, cfg.dt)
+        # psd_factor refuses a non-finite W as the caller's error
+        _require_finite(f"the exact step at dt = {cfg.dt:g}", phi, w)
+        noise = psd_factor(w)
+    t = cfg.dt * np.arange(cfg.n_steps + 1)
+    weights = np.full(t.size, cfg.dt)
+    weights[[0, -1]] *= 0.5
+    weights *= np.exp(2.0 * cost.alpha * t)
+    return phi, noise, psd_factor(sys.initial_covariance()), weights
 
 
 def _usable_cpus():
@@ -141,13 +146,11 @@ def _batch_stream(seed, batch_index):
     return Generator(SFC64(SeedSequence(seed, spawn_key=(batch_index,))))
 
 
-def _run_batch(batch_index, count, seed, z_mean0, z_init, state_op, noise_op, lam, u,
-               weights):
+def _run_batch(batch_index, count, seed, z_mean0, z_init, step_ops, lam, u, weights):
     """Costs of ``count`` paths and the sum of x x^T over them at the horizon.
 
-    The state is z = U^T x; ``z_mean0`` and ``z_init`` are U^T mu0 and U^T
-    times the factor of the initial covariance, ``state_op`` and ``noise_op``
-    are U^T Phi U and U^T L.
+    The state is z = U^T x; ``z_mean0`` and ``z_init`` are U^T mu0 and U^T L0,
+    ``step_ops`` are [U^T Phi U | U^T L] and [U^T L | U^T Phi U].
     """
     rng = _batch_stream(seed, batch_index)
     n = lam.size
@@ -159,8 +162,8 @@ def _run_batch(batch_index, count, seed, z_mean0, z_init, state_op, noise_op, la
     buf = np.empty((4 * n, count))
     xi, acc = buf[n:2 * n], buf[3 * n:]
     acc.fill(0.0)
-    down = (np.hstack((state_op, noise_op)), buf[:2 * n], buf[2 * n:3 * n])
-    up = (np.hstack((noise_op, state_op)), buf[n:3 * n], buf[:n])
+    down = (step_ops[0], buf[:2 * n], buf[2 * n:3 * n])
+    up = (step_ops[1], buf[n:3 * n], buf[:n])
     z = buf[:n]
     rng.standard_normal(out=xi)
     np.matmul(z_init, xi, out=z)
@@ -191,7 +194,7 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
     if abs(cfg.T / cfg.dt - steps) > 1e-6:
         warnings.warn(
             f"T/dt = {cfg.T / cfg.dt:.6g} is not an integer; "
-            f"simulating {steps} steps = {steps * cfg.dt:.6g} time units",
+            f"simulating {steps} steps = {cfg.horizon:.6g} time units",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -200,25 +203,21 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
     sizes = [min(BATCH_SIZE, n - b * BATCH_SIZE) for b in range(n_batches)]
     # an overflow leaves a value that is not finite, which _require_finite refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, noise_factor = _step_operators(sys, cfg)
-        init_factor = psd_factor(sys.initial_covariance())
-        weights = _cost_weights(cfg, cost.alpha)
+        phi, noise_factor, init_factor, weights = _chain(sys, cost, cfg)
+        # the chain in Q's eigenbasis, z = U^T x, and its two stacked step operators
         lam, u = np.linalg.eigh(cost.Q)
         state_op, noise_op = u.T @ phi @ u, u.T @ noise_factor
+        step_ops = np.hstack((state_op, noise_op)), np.hstack((noise_op, state_op))
         z_mean0, z_init = u.T @ sys.mu0, u.T @ init_factor
 
         def task(b):
             # errstate is a context variable, which a pool thread does not inherit
             with np.errstate(over="ignore", invalid="ignore"):
-                return _run_batch(b, sizes[b], cfg.seed, z_mean0, z_init, state_op, noise_op,
-                                  lam, u, weights)
+                return _run_batch(b, sizes[b], cfg.seed, z_mean0, z_init, step_ops, lam, u,
+                                  weights)
 
-        threads = min(n_batches, cfg.threads or _usable_cpus())
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(task, range(n_batches)))
-        else:
-            results = [task(b) for b in range(n_batches)]
+        with ThreadPoolExecutor(max_workers=min(n_batches, cfg.threads or _usable_cpus())) as pool:
+            results = list(pool.map(task, range(n_batches)))
 
         costs = np.concatenate([r[0] for r in results])
         second_final = sum(r[1] for r in results) / n
@@ -267,15 +266,14 @@ def simulation_report(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
     None without an analytic value or with fewer than two paths).
     """
     empirical = simulate_costs(sys, cost, cfg)
-    horizon = cfg.n_steps * cfg.dt
     analytic = analytic_error = agreement = None
     try:
-        stats = auto_cost_stats(sys, CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=horizon))
+        stats = auto_cost_stats(sys, CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=cfg.horizon))
     except LqgCostError as exc:
         analytic_error = str(exc)
     else:
         analytic = {"mean": stats.mean, "variance": stats.variance, "std": stats.std,
-                    "method": stats.method, "horizon": horizon}
+                    "method": stats.method, "horizon": cfg.horizon}
         if empirical.n_paths > 1:
             mean_z = _z_score(empirical.mean - stats.mean, empirical.mean_stderr)
             variance_z = _z_score(empirical.variance - stats.variance, empirical.variance_stderr)

@@ -26,11 +26,11 @@ Every input check lives in :mod:`lqgcost.linalg`: shapes and finiteness
 that overflows double precision is AccuracyError.  A cost's Q fits a
 system when it is the system's n x n; the routes that meet the two check it.
 
-``LtiSystem`` and ``CostSpec`` are immutable values: each copies its inputs
-when it is built, its fields cannot be reassigned and its arrays are
-read-only.  So a system can own ``factor``, the real Schur factor of its
-drift, built on first use and shared by every route, shift and horizon it is
-evaluated at.
+``LtiSystem``, ``CostSpec`` and ``LqgPlant`` are immutable values: each
+copies its inputs when it is built, its fields cannot be reassigned and its
+arrays are read-only.  So a system can own ``factor``, the real Schur factor
+of its drift, built on first use and shared by every route, shift and horizon
+it is evaluated at.
 """
 
 import math
@@ -140,14 +140,15 @@ def _with_gain_terms(sys, cost, a, q):
     return new_sys, new_cost
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LqgPlant:
-    """Controlled, observed plant for gain synthesis.
+    """Controlled, observed plant for gain synthesis, an immutable value.
 
     dx/dt = A x + B u + v,   y = C x + w, with process noise intensity V,
     measurement noise intensity W, cost weights Q (state) and R (input),
     and cost exponent alpha.  Building it validates and copies the arrays,
-    so a later write to the caller's arrays does not reach the plant.
+    which are then read-only, so a later write to the caller's arrays does
+    not reach the plant.
     """
 
     A: np.ndarray
@@ -160,20 +161,24 @@ class LqgPlant:
     alpha: float = 0.0
 
     def __post_init__(self):
-        self.A = _as_square(self.A, "A").copy()
-        n = self.A.shape[0]
-        self.B = _as_matrix(self.B, "B", (n, None)).copy()
-        self.C = _as_matrix(self.C, "C", (None, n)).copy()
-        m, p = self.B.shape[1], self.C.shape[0]
-        self.Q = _as_symmetric(self.Q, "Q", n)
-        _require_psd(self.Q, "Q")
-        self.R = _as_symmetric(self.R, "R", m)
-        _require_pd(self.R, "R")
-        self.V = _as_symmetric(self.V, "V", n)
-        _require_psd(self.V, "V")
-        self.W = _as_symmetric(self.W, "W", p)
-        _require_pd(self.W, "W")
-        self.alpha = _real_number("alpha", self.alpha)
+        a = _as_square(self.A, "A").copy()
+        n = a.shape[0]
+        b = _as_matrix(self.B, "B", (n, None)).copy()
+        c = _as_matrix(self.C, "C", (None, n)).copy()
+        m, p = b.shape[1], c.shape[0]
+        q = _as_symmetric(self.Q, "Q", n)
+        _require_psd(q, "Q")
+        r = _as_symmetric(self.R, "R", m)
+        _require_pd(r, "R")
+        v = _as_symmetric(self.V, "V", n)
+        _require_psd(v, "V")
+        w = _as_symmetric(self.W, "W", p)
+        _require_pd(w, "W")
+        _set_fields(self, A=a, B=b, C=c, Q=q, R=r, V=v, W=w,
+                    alpha=_real_number("alpha", self.alpha))
+
+    def __reduce__(self):
+        return LqgPlant, (self.A, self.B, self.C, self.Q, self.R, self.V, self.W, self.alpha)
 
     @property
     def n_states(self):

@@ -28,7 +28,7 @@ from .cost_lyap import SHIFTED_STABLE, CostStats, _infinite_objective_gradient, 
 from .exceptions import AccuracyError, ConditionError, InfeasibleGainError
 from .linalg import _as_matrix, _real_number, _whole_number
 from .lqg import _open_loop, _regain_full_state, close_loop_full_state
-from .systems import LqgPlant
+from .systems import LqgPlant, _set_fields
 
 __all__ = [
     "TuneOptions",
@@ -40,9 +40,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TuneOptions:
-    """Options for :func:`minimize_variance`."""
+    """Options for :func:`minimize_variance`, an immutable value whose ``f0`` is
+    a read-only copy."""
 
     f0: np.ndarray
     objective: str = "variance"      # "mean" | "variance"
@@ -51,12 +52,17 @@ class TuneOptions:
     max_iter: int = 2000
 
     def __post_init__(self):
-        self.f0 = _as_matrix(self.f0, "f0")
+        f0 = _as_matrix(self.f0, "f0").copy()
         if self.objective not in ("mean", "variance"):
             raise ValueError(f"objective must be 'mean' or 'variance', got {self.objective!r}")
-        self.step_tol = _real_number("step_tol", self.step_tol, 0.0, strict=True)
-        self.grad_tol = _real_number("grad_tol", self.grad_tol, 0.0, strict=True)
-        self.max_iter = _whole_number("max_iter", self.max_iter, 1)
+        _set_fields(self, f0=f0,
+                    step_tol=_real_number("step_tol", self.step_tol, 0.0, strict=True),
+                    grad_tol=_real_number("grad_tol", self.grad_tol, 0.0, strict=True),
+                    max_iter=_whole_number("max_iter", self.max_iter, 1))
+
+    def __reduce__(self):
+        return TuneOptions, (self.f0, self.objective, self.step_tol, self.grad_tol,
+                             self.max_iter)
 
 
 #: Armijo sufficient-decrease constant of the line search.

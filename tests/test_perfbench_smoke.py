@@ -1,8 +1,9 @@
-"""The benchmark's tune-plant workload runs end to end and passes its own checks.
+"""Each of the benchmark's workloads runs end to end and passes its own checks.
 
-Its checks compare the tuned gain's mean and variance with SciPy's Lyapunov
-and Riccati solvers and test that the gain stabilises the shifted loop, all
-without importing the library's own solvers.
+Their checks compare the library's results with SciPy's Lyapunov and
+Riccati solvers (the routes and the tuned gain) and the simulated moments
+with SciPy's reference values, all without importing the library's own
+solvers.
 """
 
 import json
@@ -10,11 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
-def test_tune_plant_workload_passes_its_checks():
-    done = subprocess.run([sys.executable, str(RUN), "--workload", "tune-plant",
+@pytest.mark.parametrize("workload", ["routes", "tune-plant", "sim-threshold"])
+def test_workload_passes_its_checks(workload):
+    done = subprocess.run([sys.executable, str(RUN), "--workload", workload,
                            "--seconds", "0.1"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr

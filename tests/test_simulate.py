@@ -1,6 +1,6 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from lqgcost import (
     evaluate_gain,
     expected_cost_finite,
     optimal_gain,
-    psd_factor,
     second_moment,
     simulate_costs,
     variance_cost_finite,
@@ -27,8 +26,7 @@ from lqgcost import (
 from lqgcost import simulate as simulate_module
 from lqgcost.demo import _gain_report
 from lqgcost.moments import _doubling_count, _propagate
-from lqgcost.simulate import (BATCH_SIZE, _batch_stream, _cost_weights, _step_operators,
-                              simulation_report)
+from lqgcost.simulate import BATCH_SIZE, _batch_stream, _chain, simulation_report
 from conftest import random_spd, random_system, scalar_cost, scalar_system, set_usable_cpus
 
 
@@ -41,15 +39,13 @@ def reference_case():
 def path_major_costs(sys, cost, cfg):
     """Reference step loop: states as (path, state) rows, cost x^T Q x by einsum.
 
-    Same step operators, weights and batches as :func:`simulate_costs`, and
+    Same chain (:func:`_chain`) and batches as :func:`simulate_costs`, and
     its random streams written out: batch b draws from SFC64 seeded by
     ``SeedSequence(seed, spawn_key=(b,))``, first an (n, count) block for the
     initial state, then one (n, count) block per step, coordinate-major.
     Returns every path's cost and the final second moment.
     """
-    phi, noise_factor = _step_operators(sys, cfg)
-    init_factor = psd_factor(sys.initial_covariance())
-    weights = _cost_weights(cfg, cost.alpha)
+    phi, noise_factor, init_factor, weights = _chain(sys, cost, cfg)
     q, n = cost.Q, sys.dim
     costs, second = [], np.zeros((n, n))
     for b, start in enumerate(range(0, cfg.n_paths, BATCH_SIZE)):
@@ -116,7 +112,7 @@ class TestSimConfig:
         for cpus, threads in ((1, None), (2, None), (8, None), (8, 1), (1, 2)):
             set_usable_cpus(monkeypatch, cpus)
             simulate_costs(sys, cost, SimConfig(threads=threads, **three_batches))
-        assert pools == [2, 3, 2]
+        assert pools == [1, 2, 3, 1, 2]
 
     def test_non_integer_step_count_warns(self):
         sys, cost = reference_case()
@@ -216,10 +212,11 @@ class TestExactStep:
         # stacked exponential of the Van Loan block, once per run
         sys = random_system(3, rng)
         cfg = SimConfig(dt=0.05, T=0.5, n_paths=8, seed=1)
+        cost = CostSpec(Q=random_spd(3, rng), alpha=-0.1, horizon=0.5)
         assert _doubling_count(sys.A, cfg.dt) == 0
-        simulate_costs(sys, CostSpec(Q=random_spd(3, rng), alpha=-0.1, horizon=0.5), cfg)
+        simulate_costs(sys, cost, cfg)
         assert expm_calls == [(1, 6, 6)]
-        phi, noise_factor = _step_operators(sys, cfg)
+        phi, noise_factor, _, _ = _chain(sys, cost, cfg)
         expected_phi, gramian = _propagate(sys.A, sys.V, cfg.dt)
         assert np.array_equal(phi, expected_phi)
         assert_allclose(noise_factor @ noise_factor.T, gramian, rtol=1e-12,
@@ -252,7 +249,7 @@ class TestStepMatchesPathMajorLoop:
         for label, sys, cost, paths in self.cases(rng):
             cfg = SimConfig(dt=0.05, T=0.5, n_paths=paths, seed=31, scheme=scheme)
             costs, second = path_major_costs(sys, cost, cfg)
-            cfg.threshold = float(np.median(costs))
+            cfg = replace(cfg, threshold=float(np.median(costs)))
             out = simulate_costs(sys, cost, cfg)
             assert out.mean == pytest.approx(costs.mean(), rel=1e-12), label
             assert out.variance == pytest.approx(costs.var(ddof=1), rel=1e-12), label

@@ -223,6 +223,23 @@ def test_int_past_the_largest_double_refused(setting):
         build(10 ** 400)
 
 
+@pytest.mark.parametrize("value,shown", [
+    (10 ** 400, "10000000000000000000... (401 digits)"),
+    (-10 ** 5000, "-10000000000000000000... (5001 digits)"),
+], ids=["401 digits", "5001 digits"])
+@pytest.mark.parametrize("name,build", [
+    ("alpha", lambda v: CostSpec(Q=[[1.0]], alpha=v)),
+    ("A", lambda v: LtiSystem(A=[[v]], V=[[1.0]], mu0=[0.0], Sigma0=[[1.0]])),
+    ("n_paths", lambda v: _sim_config(n_paths=v)),
+], ids=["_real_number", "_finite_array", "_whole_number"])
+def test_huge_int_shown_short(name, build, value, shown):
+    # the message shows the first 20 digits and the digit count, and the
+    # setting's name even past Python's 4300-digit limit of str()
+    with pytest.raises(ValueError, match=f"^{name} must ") as info:
+        build(value)
+    assert str(info.value).endswith(f", got {shown}")
+
+
 # each array input: the name its error gives and a call that passes a 2x2 in it
 ARRAYS = {
     "LtiSystem A": ("A", lambda m: LtiSystem(A=m, V=np.eye(2), mu0=np.zeros(2),
