@@ -33,6 +33,7 @@ from .exceptions import (
     ModelFormatError,
     NumericalError,
 )
+from .linalg import _block_chain
 from .lqg import close_loop_full_state, close_loop_output_feedback, synthesize_gains
 from .models import _parse_array, _read_json, dump_report, load_model, save_system_model
 from .simulate import SimConfig, simulation_report
@@ -175,11 +176,9 @@ def cmd_synthesize(args):
             plant, gains.F, doc.mu0, doc.Sigma0, horizon=doc.horizon)
     else:
         n = plant.n_states
-        mu0_aug = np.concatenate([doc.mu0, np.zeros(n)])
-        sigma0_aug = np.zeros((2 * n, 2 * n))
-        sigma0_aug[:n, :n] = doc.Sigma0
         closed_sys, closed_cost = close_loop_output_feedback(
-            plant, gains.F, gains.K, mu0_aug, sigma0_aug, horizon=doc.horizon)
+            plant, gains.F, gains.K, np.concatenate([doc.mu0, np.zeros(n)]),
+            _block_chain([doc.Sigma0, np.zeros((n, n))], []), horizon=doc.horizon)
 
     spectrum = np.sort_complex(np.linalg.eigvals(closed_sys.A))
     print(f"synthesize {args.model}")

@@ -1,6 +1,6 @@
 """Mean and variance of the finite-horizon cost through the paper's block matrix exponential.
 
-The exponential E = e^{C h} of the 5n x 5n upper block-triangular matrix
+The exponential E = e^{C h} of the 5n x 5n block chain (``linalg._block_chain``)
 
         [ -A_2^T   Q     0     0      0     ]
         [   0      A     V     0      0     ]
@@ -42,7 +42,7 @@ from scipy.linalg import expm
 
 from .cost_lyap import CostStats, _finalize_variance, _require_horizon, cost_stats_lyapunov
 from .exceptions import ConditionCheck
-from .linalg import _require_shape, symmetrize
+from .linalg import _block_chain, _require_shape, symmetrize
 from .moments import _compose, _doubling_count, _Segment, _van_loan_steps
 from .systems import CostSpec, LtiSystem
 
@@ -75,23 +75,11 @@ class BlockExpResult:
 
 
 def build_block_matrix(sys: LtiSystem, cost: CostSpec):
-    """Assemble the 5n x 5n block matrix C for the given system and cost."""
+    """The 5n x 5n block chain C for the given system and cost."""
     a, v, q = sys.A, sys.V, _require_shape(cost.Q, sys.A.shape, "Q")
-    n = sys.dim
-    eye = np.eye(n)
-    a2p = a + 2.0 * cost.alpha * eye
-    a2m = a - 2.0 * cost.alpha * eye
-    c = np.zeros((5 * n, 5 * n))
-    c[0:n, 0:n] = -a2p.T
-    c[0:n, n:2 * n] = q
-    c[n:2 * n, n:2 * n] = a
-    c[n:2 * n, 2 * n:3 * n] = v
-    c[2 * n:3 * n, 2 * n:3 * n] = -a.T
-    c[2 * n:3 * n, 3 * n:4 * n] = q
-    c[3 * n:4 * n, 3 * n:4 * n] = a2p
-    c[3 * n:4 * n, 4 * n:5 * n] = v
-    c[4 * n:5 * n, 4 * n:5 * n] = -a2m.T
-    return c
+    shift = 2.0 * cost.alpha * np.eye(sys.dim)
+    a2p = a + shift
+    return _block_chain([-a2p.T, a, -a.T, a2p, -(a - shift).T], [q, v, q, v])
 
 
 def _growth_exponent(sys, cost):

@@ -82,10 +82,11 @@ def _as_float(value):
 
 
 def _shown(value):
-    """repr of a refused ``value`` for a message; an int of more than 20 digits
-    shows its first 20 and its digit count."""
+    """repr of a refused ``value`` for a message; past 40 characters its first 20 and its
+    length, and an int of more than 20 digits its first 20 digits and its digit count."""
     if not isinstance(value, int) or -10 ** 20 < value < 10 ** 20:
-        return repr(value)
+        text = repr(value)
+        return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
     v = abs(value)
     # the bit length puts the digit count within one; Python refuses str() of
     # an int past 4300 digits, so it is not counted from the text
@@ -94,11 +95,12 @@ def _shown(value):
     return f"{'-' if value < 0 else ''}{v // 10 ** (digits - 20)}... ({digits} digits)"
 
 
-def _whole_number(name, value, least):
-    """``value`` as an int; ValueError unless it is a whole number >= ``least``
-    (a bool is not) that a float holds."""
-    if not (math.isfinite(_as_float(value)) and int(value) == value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
+def _whole_number(name, value, least, most=math.inf):
+    """``value`` as an int; ValueError unless it is a whole number from ``least``
+    to ``most`` (a bool is not) that a float holds."""
+    if not (math.isfinite(_as_float(value)) and int(value) == value and least <= value <= most):
+        bound = "" if most == math.inf else f" and <= {most}"
+        raise ValueError(f"{name} must be an integer >= {least}{bound}, got {_shown(value)}")
     return int(value)
 
 
@@ -513,11 +515,26 @@ def solve_lyapunov_transposed(a, q):
     return DriftFactor(a).solve(q, transposed=True)
 
 
+def _block_chain(diagonal, coupling):
+    """Every Van Loan chain and block diagonal: the square blocks ``diagonal``, of any sizes,
+    block i joined to block i + 1 by ``coupling[i]`` or, past its end, by zeros.  Unvalidated."""
+    size = sum(map(len, diagonal))
+    out = np.zeros((size, size))
+    top = lo = 0
+    for i, d in enumerate(diagonal):
+        hi = lo + len(d)
+        out[lo:hi, lo:hi] = d
+        if 0 < i <= len(coupling):
+            out[top:lo, lo:hi] = coupling[i - 1]
+        top, lo = lo, hi
+    return out
+
+
 def van_loan_integral(a1, q, a2, horizon):
     """Integral of e^{A1 (T-t)} Q e^{A2 t} over [0, T], quadrature-free.
 
-    Computed exactly as the upper-right block of
-    ``expm([[A1, Q], [0, A2]] * T)``; no spectral conditions on A1 or A2.
+    Computed exactly as the upper-right block of ``expm(M T)``, M the chain
+    [[A1, Q], [0, A2]] of :func:`_block_chain`; no spectral conditions on A1 or A2.
     """
     a1 = _as_square(a1, "A1")
     a2 = _as_square(a2, "A2")
@@ -526,11 +543,7 @@ def van_loan_integral(a1, q, a2, horizon):
     horizon = _real_number("horizon", horizon, 0.0)
     if horizon == 0.0:
         return np.zeros((n1, n2))
-    block = np.zeros((n1 + n2, n1 + n2))
-    block[:n1, :n1] = a1
-    block[:n1, n1:] = q
-    block[n1:, n1:] = a2
-    return expm(block * horizon)[:n1, n1:]
+    return expm(_block_chain([a1, a2], [q]) * horizon)[:n1, n1:]
 
 
 def psd_factor(m):

@@ -31,8 +31,8 @@ import numpy as np
 from scipy.linalg import schur
 
 from .exceptions import ConditionError, NumericalError, SynthesisError
-from .linalg import (_as_matrix, _as_square, _as_symmetric, _require_finite, _require_pd,
-                     classify_spectrum, solve_lyapunov_transposed, symmetrize)
+from .linalg import (_as_matrix, _as_square, _as_symmetric, _block_chain, _require_finite,
+                     _require_pd, classify_spectrum, solve_lyapunov_transposed, symmetrize)
 from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON, _with_gain_terms
 
 __all__ = [
@@ -183,11 +183,7 @@ def close_loop_output_feedback(plant: LqgPlant, f, k, mu0, sigma0,
     # row 1 is dx/dt = A x - B F xhat + v: the physical state sees the input
     # only through the estimate, so its own drift block stays A
     drift = np.block([[plant.A, -bf], [kc, plant.A - bf - kc]])
-    noise = np.zeros((2 * n, 2 * n))
-    noise[:n, :n] = plant.V
-    noise[n:, n:] = symmetrize(k @ plant.W @ k.T)
-    weight = np.zeros((2 * n, 2 * n))
-    weight[:n, :n] = plant.Q
-    weight[n:, n:] = symmetrize(f.T @ plant.R @ f)
+    noise = _block_chain([plant.V, symmetrize(k @ plant.W @ k.T)], [])
+    weight = _block_chain([plant.Q, symmetrize(f.T @ plant.R @ f)], [])
     sys = LtiSystem(A=drift, V=noise, mu0=mu0, Sigma0=sigma0)
     return sys, CostSpec(Q=weight, alpha=plant.alpha, horizon=horizon)

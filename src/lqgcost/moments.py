@@ -11,7 +11,7 @@ where W(t) = integral_0^t e^{A s} V e^{A^T s} ds is the noise Gramian and
 Sigma(t1, t2) = E[x(t1) x(t2)^T].  One propagation gives e^{A t} and W(t)
 for any square A, with no spectral condition and no Lyapunov solve: at a
 step h = t / 2^k with ||A||_1 h <= 1, one exponential E = e^{[[A, V], [0, -A^T]] h}
-gives e^{A h} = E_11 and W(h) = sym(E_12 E_11^T), and k doublings
+(``linalg._block_chain``) gives e^{A h} = E_11 and W(h) = sym(E_12 E_11^T), and k doublings
 
     W(2h) = W(h) + e^{A h} W(h) e^{A^T h},    e^{2 A h} = (e^{A h})^2
 
@@ -29,7 +29,8 @@ from collections import namedtuple
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import _as_square, _as_symmetric, _real_number, _require_finite, mat_exp, symmetrize
+from .linalg import (_as_square, _as_symmetric, _block_chain, _real_number, _require_finite,
+                     mat_exp, symmetrize)
 from .systems import LtiSystem
 
 __all__ = ["mean_state", "second_moment", "cross_moment", "noise_gramian_finite"]
@@ -47,11 +48,11 @@ def _doubling_count(a, t, shift=0.0):
 
 
 def _van_loan_steps(a, v, s):
-    """Stacks of e^{A s} and W(s) = sym(E_12 E_11^T) over the 1-d array s, where E
-    is the exponential of [[A, V], [0, -A^T]] s, taken for each s on its own in one
+    """Stacks of e^{A s} and W(s) = sym(E_12 E_11^T) over the 1-d array s, E the exponential
+    of the chain [[A, V], [0, -A^T]] s of :func:`_block_chain` for each s on its own in one
     call (Van Loan, IEEE TAC 23(3), 1978).  Unvalidated; accurate while ||A||_1 s <= 1."""
     n = a.shape[0]
-    e = expm(s[:, None, None] * np.block([[a, v], [np.zeros((n, n)), -a.T]]))
+    e = expm(s[:, None, None] * _block_chain([a, -a.T], [v]))
     phi = e[:, :n, :n]
     w = e[:, :n, n:] @ phi.transpose(0, 2, 1)
     return phi, 0.5 * (w + w.transpose(0, 2, 1))

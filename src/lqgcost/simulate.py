@@ -58,14 +58,17 @@ __all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "simulation_repo
 #: Paths per random stream; fixed so that results never depend on threading.
 BATCH_SIZE = 16384
 
+#: Most paths one run samples: it keeps every path's cost, 8 GB at this bound.
+MAX_PATHS = 10 ** 9
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation parameters, an immutable value.
 
-    ``threshold`` (not NaN) enables exceedance counting.  ``threads`` (by
-    default one per usable CPU) only distributes batches over workers and
-    never changes the results.
+    ``n_paths`` is at most ``MAX_PATHS`` (10**9).  ``threshold`` (not NaN)
+    enables exceedance counting.  ``threads`` (by default one per usable CPU)
+    only distributes batches over workers and never changes the results.
     """
 
     dt: float
@@ -80,7 +83,7 @@ class SimConfig:
         dt = _real_number("dt", self.dt, 0.0, strict=True)
         t = _real_number("T", self.T, 0.0, strict=True)
         _real_number("T/dt", t / dt)
-        n_paths = _whole_number("n_paths", self.n_paths, 1)
+        n_paths = _whole_number("n_paths", self.n_paths, 1, MAX_PATHS)
         seed = _whole_number("seed", self.seed, 0)
         threshold = (None if self.threshold is None
                      else _real_number("threshold", self.threshold, infinite=True))
@@ -200,7 +203,6 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
         )
     n = cfg.n_paths
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
-    sizes = [min(BATCH_SIZE, n - b * BATCH_SIZE) for b in range(n_batches)]
     # an overflow leaves a value that is not finite, which _require_finite refuses
     with np.errstate(over="ignore", invalid="ignore"):
         phi, noise_factor, init_factor, weights = _chain(sys, cost, cfg)
@@ -213,8 +215,8 @@ def simulate_costs(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
         def task(b):
             # errstate is a context variable, which a pool thread does not inherit
             with np.errstate(over="ignore", invalid="ignore"):
-                return _run_batch(b, sizes[b], cfg.seed, z_mean0, z_init, step_ops, lam, u,
-                                  weights)
+                return _run_batch(b, min(BATCH_SIZE, n - b * BATCH_SIZE), cfg.seed, z_mean0,
+                                  z_init, step_ops, lam, u, weights)
 
         with ThreadPoolExecutor(max_workers=min(n_batches, cfg.threads or _usable_cpus())) as pool:
             results = list(pool.map(task, range(n_batches)))

@@ -151,6 +151,16 @@ class TestAnalyze:
         assert main(["analyze", scalar_model]) == 1
         assert ": A must hold real numbers, got '-1.5'" in capsys.readouterr().err
 
+    def test_long_string_entry_shown_short(self, scalar_model, capsys):
+        path = pathlib.Path(scalar_model)
+        doc = json.loads(path.read_text())
+        doc["A"] = [["x" * 1000]]
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", scalar_model]) == 1
+        err = capsys.readouterr().err
+        assert ": A must hold real numbers, got 'xxxxxxxxxxxxxxxxxxx... (1002 characters)" in err
+        assert "x" * 40 not in err
+
     def test_boolean_schema_version_exits_1(self, scalar_model, capsys):
         path = pathlib.Path(scalar_model)
         path.write_text(path.read_text().replace('"schema_version": 1', '"schema_version": true'))

@@ -58,6 +58,28 @@ class TestBuildBlockMatrix:
         assert np.array_equal(c[0:3, 3:6], q)
         assert np.array_equal(c[9:12, 12:15], sys.V)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.3])
+    def test_same_matrix_as_hand_placed_blocks(self, n, alpha, rng):
+        # the reference places each block at its own offsets
+        sys = random_system(n, rng)
+        q = random_spd(n, rng)
+        a, v, eye = sys.A, sys.V, np.eye(n)
+        a2p = a + 2.0 * alpha * eye
+        a2m = a - 2.0 * alpha * eye
+        ref = np.zeros((5 * n, 5 * n))
+        ref[0:n, 0:n] = -a2p.T
+        ref[0:n, n:2 * n] = q
+        ref[n:2 * n, n:2 * n] = a
+        ref[n:2 * n, 2 * n:3 * n] = v
+        ref[2 * n:3 * n, 2 * n:3 * n] = -a.T
+        ref[2 * n:3 * n, 3 * n:4 * n] = q
+        ref[3 * n:4 * n, 3 * n:4 * n] = a2p
+        ref[3 * n:4 * n, 4 * n:5 * n] = v
+        ref[4 * n:5 * n, 4 * n:5 * n] = -a2m.T
+        c = build_block_matrix(sys, CostSpec(Q=q, alpha=alpha, horizon=1.0))
+        assert np.array_equal(c, ref)
+
     def test_transition_block_identity(self, rng):
         # the (4,4) block of the raw big exponential equals e^{A_2 T}
         from scipy.linalg import expm

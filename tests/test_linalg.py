@@ -547,6 +547,16 @@ class TestVanLoanIntegral:
         via_block = mat_exp(a, t) @ van_loan_integral(-a, q, a.T, t)
         assert_allclose(via_block, noise_gramian_finite(a, q, t), rtol=1e-9, atol=1e-11)
 
+    def test_same_block_as_the_hand_placed_matrix(self, rng):
+        a1, a2 = random_stable(2, rng), random_stable(3, rng)
+        q = rng.normal(size=(2, 3))
+        block = np.zeros((5, 5))
+        block[:2, :2] = a1
+        block[:2, 2:] = q
+        block[2:, 2:] = a2
+        from scipy.linalg import expm
+        assert np.array_equal(van_loan_integral(a1, q, a2, 1.1), expm(block * 1.1)[:2, 2:])
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             van_loan_integral(np.eye(2), np.ones((3, 2)), np.eye(2), 1.0)

@@ -318,6 +318,19 @@ class TestCloseLoopOutputFeedback:
         assert_allclose(cost.Q[:2, :2], plant.Q, rtol=1e-14)
         assert np.abs(cost.Q[2:, 2:]).max() == 0
 
+    def test_same_block_diagonals_as_hand_placed_blocks(self):
+        # the reference places each diagonal block at its own offsets
+        plant = benchmark_plant()
+        gains = synthesize_gains(plant)
+        sys, cost = close_loop_output_feedback(plant, gains.F, gains.K,
+                                               np.zeros(4), np.zeros((4, 4)))
+        noise, weight = np.zeros((4, 4)), np.zeros((4, 4))
+        noise[:2, :2] = plant.V
+        noise[2:, 2:] = linalg.symmetrize(gains.K @ plant.W @ gains.K.T)
+        weight[:2, :2] = plant.Q
+        weight[2:, 2:] = linalg.symmetrize(gains.F.T @ plant.R @ gains.F)
+        assert np.array_equal(sys.V, noise) and np.array_equal(cost.Q, weight)
+
     @pytest.mark.parametrize("name", ["F", "K"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gain_named(self, name, bad):

@@ -16,7 +16,7 @@ from lqgcost import (
     second_moment,
     solve_lyapunov,
 )
-from lqgcost.moments import _doubling_count, _propagate
+from lqgcost.moments import _doubling_count, _propagate, _van_loan_steps
 from conftest import finite_integral_by_quadrature, random_spd, random_system, scalar_system
 
 
@@ -184,6 +184,18 @@ class TestPropagate:
         phi, _ = _propagate(a, random_spd(3, rng), t)
         assert expm_calls == [(1, 6, 6)]
         assert_allclose(phi, expm(a * t), rtol=1e-12)
+
+
+class TestVanLoanSteps:
+    def test_same_exponentials_as_the_hand_placed_block(self, rng):
+        sys = random_system(3, rng)
+        a, v = sys.A, sys.V
+        s = np.array([0.05, 0.1, 0.3])
+        ref = expm(s[:, None, None] * np.block([[a, v], [np.zeros((3, 3)), -a.T]]))
+        w = ref[:, :3, 3:] @ ref[:, :3, :3].transpose(0, 2, 1)
+        phis, ws = _van_loan_steps(a, v, s)
+        assert np.array_equal(phis, ref[:, :3, :3])
+        assert np.array_equal(ws, 0.5 * (w + w.transpose(0, 2, 1)))
 
 
 class TestCrossMoment:

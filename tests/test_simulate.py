@@ -89,6 +89,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="threshold"):
             SimConfig(dt=0.01, T=1.0, n_paths=10, threshold=math.nan)
 
+    @pytest.mark.parametrize("n_paths", [1e300, 10 ** 9 + 1], ids=["1e300", "bound + 1"])
+    def test_path_count_bounded(self, n_paths):
+        # refused when the config is built; nothing is simulated
+        with pytest.raises(ValueError,
+                           match=r"^n_paths must be an integer >= 1 and <= 1000000000, got "):
+            SimConfig(dt=0.1, T=1.0, n_paths=n_paths)
+        assert SimConfig(dt=0.1, T=1.0, n_paths=10 ** 9).n_paths == 10 ** 9
+
     def test_whole_float_counts_become_int(self):
         cfg = SimConfig(dt=0.01, T=1.0, n_paths=10.0, seed=3.0, threads=2.0)
         assert (cfg.n_paths, cfg.seed, cfg.threads) == (10, 3, 2)

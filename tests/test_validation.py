@@ -240,6 +240,14 @@ def test_huge_int_shown_short(name, build, value, shown):
     assert str(info.value).endswith(f", got {shown}")
 
 
+def test_long_repr_shown_short():
+    # past 40 characters a refused value shows its first 20 and its length
+    with pytest.raises(ValueError) as info:
+        LtiSystem(A=[["x" * 1000]], V=[[1.0]], mu0=[0.0], Sigma0=[[1.0]])
+    assert str(info.value) == ("A must hold real numbers, got "
+                               "'xxxxxxxxxxxxxxxxxxx... (1002 characters)")
+
+
 # each array input: the name its error gives and a call that passes a 2x2 in it
 ARRAYS = {
     "LtiSystem A": ("A", lambda m: LtiSystem(A=m, V=np.eye(2), mu0=np.zeros(2),

@@ -19,6 +19,10 @@ Groups:
   and trace of ``perfbench``'s ``TunePlant`` pass;
 - ``moments``: ``second_moment`` and ``noise_gramian_finite`` of the same
   systems at t = 0.1 * 2^j, j = 0 to 9, most of them doubled;
+- ``output feedback``: ``close_loop_output_feedback`` of the benchmark plant
+  at its synthesized F and K, with mu0 = 1 and Sigma0 = I + 1 1^T on the
+  stacked state, at T = inf and T = 5: the loop's A, V, mu0, Sigma0 and Q
+  and ``auto_cost_stats``' mean and variance;
 - ``simulate dt=...``: ``simulate_costs`` on the benchmark plant's Riccati
   loop at seed 7, exact scheme;
 - ``reproduce-example``: the stdout and the ``--out`` report of
@@ -52,6 +56,7 @@ SIM_PATHS = 4096
 SIM_HORIZON = 20.0
 MOMENT_HORIZONS = tuple(math.ldexp(0.1, k) for k in range(10))
 EXAMPLE_PATHS = 25000
+FEEDBACK_HORIZONS = (math.inf, 5.0)
 
 
 def _feed(digest, value):
@@ -108,6 +113,19 @@ def _moments(cases):
     return out
 
 
+def _output_feedback():
+    plant = lq.benchmark_plant()
+    gains = lq.synthesize_gains(plant)
+    n = 2 * plant.n_states
+    out = []
+    for horizon in FEEDBACK_HORIZONS:
+        sys_, cost = lq.close_loop_output_feedback(plant, gains.F, gains.K, np.ones(n),
+                                                   np.eye(n) + np.ones((n, n)), horizon=horizon)
+        stats = lq.auto_cost_stats(sys_, cost)
+        out.append((sys_.A, sys_.V, sys_.mu0, sys_.Sigma0, cost.Q, stats.mean, stats.variance))
+    return out
+
+
 def _simulation(dt):
     plant = lq.benchmark_plant()
     assumption = lq.default_assumption()
@@ -140,6 +158,7 @@ def groups():
     yield "tune-plant", (result.F, result.mean_at_F, result.variance_at_F, result.iterations,
                          result.stop_reason, result.gradient_norm, result.trace)
     yield "moments", _moments(case for part in routes.parts.values() for case in part)
+    yield "output feedback", _output_feedback()
     for dt in SIM_DTS:
         yield f"simulate dt={dt:g}", _simulation(dt)
     yield "reproduce-example", _example()
