@@ -21,6 +21,7 @@ success, 1 for input/usage errors, 2 for mathematical-condition errors
 
 import argparse
 import sys as _sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .linalg import _block_chain
 from .lqg import close_loop_full_state, close_loop_output_feedback, synthesize_gains
 from .models import _parse_array, _read_json, dump_report, load_model, save_system_model
 from .simulate import SimConfig, simulation_report
-from .systems import CostSpec, INFINITE_HORIZON
+from .systems import INFINITE_HORIZON
 from .tune import TuneOptions, minimize_variance
 
 EXIT_OK = 0
@@ -87,7 +88,7 @@ def cmd_analyze(args):
     cost = doc.cost
     if args.horizon is not None:
         horizon = INFINITE_HORIZON if args.horizon == "inf" else float(args.horizon)
-        cost = CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=horizon)
+        cost = replace(cost, horizon=horizon)
     stats = _ROUTES[args.method](doc.system, cost)
 
     print(f"analyze {args.model}")

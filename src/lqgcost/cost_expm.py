@@ -35,7 +35,7 @@ rounding, or a mean or variance that overflows, raises :class:`AccuracyError`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -148,7 +148,7 @@ def cost_stats_expm(sys: LtiSystem, cost: CostSpec):
     k = 0 if growth <= BLOCK_GROWTH else _doubling_count(sys.A, cost.horizon,
                                                          2.0 * abs(cost.alpha))
     h = math.ldexp(cost.horizon, -k)
-    step = cost if k == 0 else CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=h)
+    step = cost if k == 0 else replace(cost, horizon=h)
     mu0, sigma0 = sys.mu0, sys.Sigma0
     # an overflow leaves a non-finite value, which _finalize_variance refuses
     with np.errstate(over="ignore", invalid="ignore"):

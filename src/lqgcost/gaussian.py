@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _as_matrix, _as_symmetric, _as_vector, _require_finite, _require_psd
-from .systems import _set_fields
+from .systems import _Value
 
 __all__ = [
     "JointGaussian",
@@ -31,7 +31,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class JointGaussian:
+class JointGaussian(_Value):
     """Jointly Gaussian pair (x, y): means and covariance blocks (K_yx = K_xy^T),
     an immutable value whose arrays are read-only copies."""
 
@@ -42,17 +42,14 @@ class JointGaussian:
     K_yy: np.ndarray
 
     def __post_init__(self):
-        mu_x = _as_vector(self.mu_x, "mu_x").copy()
-        mu_y = _as_vector(self.mu_y, "mu_y").copy()
+        mu_x = _as_vector(self.mu_x, "mu_x")
+        mu_y = _as_vector(self.mu_y, "mu_y")
         nx, ny = mu_x.size, mu_y.size
         k_xx = _as_symmetric(self.K_xx, "K_xx", nx)
         k_yy = _as_symmetric(self.K_yy, "K_yy", ny)
-        k_xy = _as_matrix(self.K_xy, "K_xy", (nx, ny)).copy()
+        k_xy = _as_matrix(self.K_xy, "K_xy", (nx, ny))
         _require_psd(np.block([[k_xx, k_xy], [k_xy.T, k_yy]]), "joint covariance")
-        _set_fields(self, mu_x=mu_x, mu_y=mu_y, K_xx=k_xx, K_xy=k_xy, K_yy=k_yy)
-
-    def __reduce__(self):
-        return JointGaussian, (self.mu_x, self.mu_y, self.K_xx, self.K_xy, self.K_yy)
+        self._set(mu_x=mu_x, mu_y=mu_y, K_xx=k_xx, K_xy=k_xy, K_yy=k_yy)
 
 
 def quartic_expectation(mu, second, p, q):

@@ -29,9 +29,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import expm
 from scipy.linalg.blas import dnrm2
-from scipy.linalg.lapack import dtrsyl
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .exceptions import (AccuracyError, ConditionCheck, ConditionError, DimensionError,
                          NumericalError, SingularLyapunovError)
@@ -318,21 +318,6 @@ def classify_spectrum(a):
     return _classify(lam, DEFAULT_SPECTRAL_TOL)
 
 
-def _schur_eigenvalues(t):
-    """Eigenvalues of a real quasi-triangular T from its 1x1 and 2x2 diagonal blocks."""
-    lam = np.diag(t).astype(complex)
-    top = np.flatnonzero(np.diag(t, -1))        # each 2x2 block starts at such an index
-    if top.size:
-        bot = top + 1
-        a, d = t[top, top], t[bot, bot]
-        half = 0.5 * (a - d)
-        disc = half * half + t[top, bot] * t[bot, top]
-        root = np.sqrt(disc.astype(complex))
-        lam[top] = 0.5 * (a + d) + root
-        lam[bot] = 0.5 * (a + d) - root
-    return lam
-
-
 class _Shifted(NamedTuple):
     """What every use of A + s I needs, built once per shift s."""
 
@@ -348,7 +333,7 @@ class DriftFactor:
     ``(A + s I) X + X (A + s I)^T + W = 0`` and its transpose
     ``(A + s I)^T Y + Y (A + s I) + W = 0`` is, in the basis U, one
     quasi-triangular Sylvester solve (LAPACK ``dtrsyl``) on T + s I; the
-    eigenvalues are read off the diagonal blocks of T.
+    eigenvalues come with T and U from the one LAPACK call (``dgees``).
 
     The factor is tested once, when it is built: ||A - U T U^T||_F must not
     exceed ``DEFAULT_RESIDUAL_RTOL * ||A||_F``.  After that every solve is
@@ -378,10 +363,11 @@ class DriftFactor:
 
     def __init__(self, a):
         self.a = _as_square(a, "A")
-        try:
-            self.t, self.u = schur(self.a, output="real", check_finite=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NumericalError(f"Schur factorization failed for {self.a.shape} matrix: {exc}")
+        # one LAPACK call, unsorted, gives T, U and the eigenvalues of T's blocks
+        self.t, _, wr, wi, self.u, _, info = dgees(lambda wr, wi: 0, self.a)
+        if info != 0:
+            raise NumericalError(f"Schur factorization failed for {self.a.shape} matrix "
+                                 f"(LAPACK dgees info {info})")
         residual = _fro(self.a - self.u @ self.t @ self.u.T)
         bound = _fro(self.a)
         if residual > DEFAULT_RESIDUAL_RTOL * bound:
@@ -389,7 +375,7 @@ class DriftFactor:
                 f"Schur factor residual {residual:.3e} exceeds "
                 f"{DEFAULT_RESIDUAL_RTOL:.1e} * {bound:.3e}"
             )
-        self.eigenvalues = _schur_eigenvalues(self.t)
+        self.eigenvalues = wr + 1j * wi
         self._shifted = {}
 
     def _at(self, shift):

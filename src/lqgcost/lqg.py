@@ -33,7 +33,7 @@ from scipy.linalg import schur
 from .exceptions import ConditionError, NumericalError, SynthesisError
 from .linalg import (_as_matrix, _as_square, _as_symmetric, _block_chain, _require_finite,
                      _require_pd, classify_spectrum, solve_lyapunov_transposed, symmetrize)
-from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON, _with_gain_terms
+from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON
 
 __all__ = [
     "GainPair",
@@ -160,7 +160,7 @@ def _regain_full_state(plant, sys, cost, f):
     with np.errstate(over="ignore", invalid="ignore"):
         a, q = plant.A - plant.B @ f, symmetrize(plant.Q + f.T @ plant.R @ f)
     _require_finite("the closed loop A - B F, Q + F^T R F", a, q)
-    return _with_gain_terms(sys, cost, a, q)
+    return sys._derived(A=a), cost._derived(Q=q)
 
 
 def close_loop_output_feedback(plant: LqgPlant, f, k, mu0, sigma0,

@@ -42,7 +42,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -51,7 +51,7 @@ from .cost_expm import auto_cost_stats
 from .exceptions import LqgCostError
 from .linalg import _real_number, _require_finite, _require_shape, _whole_number, psd_factor
 from .moments import _propagate
-from .systems import CostSpec, LtiSystem, _set_fields
+from .systems import CostSpec, LtiSystem, _Value
 
 __all__ = ["SimConfig", "EmpiricalCostStats", "simulate_costs", "simulation_report"]
 
@@ -61,14 +61,18 @@ BATCH_SIZE = 16384
 #: Most paths one run samples: it keeps every path's cost, 8 GB at this bound.
 MAX_PATHS = 10 ** 9
 
+#: Most steps one run takes: its trapezoid weights are built at once, 0.8 GB at this bound.
+MAX_STEPS = 10 ** 8
+
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Value):
     """Simulation parameters, an immutable value.
 
-    ``n_paths`` is at most ``MAX_PATHS`` (10**9).  ``threshold`` (not NaN)
-    enables exceedance counting.  ``threads`` (by default one per usable CPU)
-    only distributes batches over workers and never changes the results.
+    ``n_paths`` is at most ``MAX_PATHS`` (10**9), and T/dt rounds to at most
+    ``MAX_STEPS`` (10**8) steps.  ``threshold`` (not NaN) enables exceedance
+    counting.  ``threads`` (by default one per usable CPU) only distributes
+    batches over workers and never changes the results.
     """
 
     dt: float
@@ -82,7 +86,9 @@ class SimConfig:
     def __post_init__(self):
         dt = _real_number("dt", self.dt, 0.0, strict=True)
         t = _real_number("T", self.T, 0.0, strict=True)
-        _real_number("T/dt", t / dt)
+        if round(_real_number("T/dt", t / dt)) > MAX_STEPS:
+            raise ValueError(f"T/dt must round to at most {MAX_STEPS} steps, "
+                             f"got T = {t:g}, dt = {dt:g}")
         n_paths = _whole_number("n_paths", self.n_paths, 1, MAX_PATHS)
         seed = _whole_number("seed", self.seed, 0)
         threshold = (None if self.threshold is None
@@ -90,8 +96,7 @@ class SimConfig:
         if self.scheme not in ("euler", "exact"):
             raise ValueError(f"scheme must be 'euler' or 'exact', got {self.scheme!r}")
         threads = None if self.threads is None else _whole_number("threads", self.threads, 1)
-        _set_fields(self, dt=dt, T=t, n_paths=n_paths, seed=seed, threshold=threshold,
-                    threads=threads)
+        self._set(dt=dt, T=t, n_paths=n_paths, seed=seed, threshold=threshold, threads=threads)
 
     @property
     def n_steps(self):
@@ -270,7 +275,7 @@ def simulation_report(sys: LtiSystem, cost: CostSpec, cfg: SimConfig):
     empirical = simulate_costs(sys, cost, cfg)
     analytic = analytic_error = agreement = None
     try:
-        stats = auto_cost_stats(sys, CostSpec(Q=cost.Q, alpha=cost.alpha, horizon=cfg.horizon))
+        stats = auto_cost_stats(sys, replace(cost, horizon=cfg.horizon))
     except LqgCostError as exc:
         analytic_error = str(exc)
     else:

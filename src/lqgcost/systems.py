@@ -26,11 +26,14 @@ Every input check lives in :mod:`lqgcost.linalg`: shapes and finiteness
 that overflows double precision is AccuracyError.  A cost's Q fits a
 system when it is the system's n x n; the routes that meet the two check it.
 
-``LtiSystem``, ``CostSpec`` and ``LqgPlant`` are immutable values: each
-copies its inputs when it is built, its fields cannot be reassigned and its
-arrays are read-only.  So a system can own ``factor``, the real Schur factor
-of its drift, built on first use and shared by every route, shift and horizon
-it is evaluated at.
+``LtiSystem``, ``CostSpec`` and ``LqgPlant`` are immutable values, as are
+``SimConfig``, ``TuneOptions`` and ``JointGaussian``: each is a frozen
+dataclass on the base ``_Value``, which stores every validated array as a
+read-only copy and rebuilds a copied or unpickled value through its
+constructor.  A changed copy is ``dataclasses.replace(value, field=...)``,
+validated anew.  So a system can own ``factor``, the real Schur factor of its
+drift, built on first use and shared by every route, shift and horizon it is
+evaluated at.
 """
 
 import math
@@ -47,17 +50,40 @@ __all__ = ["LtiSystem", "CostSpec", "LqgPlant", "INFINITE_HORIZON"]
 INFINITE_HORIZON = math.inf
 
 
-def _set_fields(obj, **values):
-    """Set fields of the frozen ``obj``, making each array read-only; the
-    arrays must be ``obj``'s own."""
-    for name, value in values.items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        object.__setattr__(obj, name, value)
+class _Value:
+    """Base of the frozen dataclasses whose validated fields never change."""
+
+    def _set(self, **values):
+        """Store the validated ``values`` past the frozen ``__setattr__``, each
+        array as a read-only copy, so no caller's array reaches the value."""
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # a copy or an unpickled value is built anew: validated, read-only and
+        # without what it cached, such as a system's factor
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def _derived(self, **changes):
+        """A copy with the fields ``changes`` swapped in, not validated and
+        without what this value cached, for the tuner's closed loops.  The
+        caller passes new arrays that would pass validation (a finite drift,
+        a symmetric weight of the old shape), which become read-only in place."""
+        for value in changes.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        new = object.__new__(type(self))
+        # the instance dictionary directly, past the frozen __setattr__
+        vars(new).update({name: getattr(self, name) for name in self.__dataclass_fields__},
+                         **changes)
+        return new
 
 
 @dataclass(frozen=True, eq=False)
-class LtiSystem:
+class LtiSystem(_Value):
     """Autonomous noisy linear system (A, V, mu0, Sigma0), an immutable value.
 
     Building it validates and copies the arrays, which are then read-only.
@@ -72,16 +98,16 @@ class LtiSystem:
     Sigma0: np.ndarray
 
     def __post_init__(self):
-        a = _as_square(self.A, "A").copy()
+        a = _as_square(self.A, "A")
         n = a.shape[0]
         v = _as_symmetric(self.V, "V", n)
         _require_psd(v, "V")
-        mu0 = _as_vector(self.mu0, "mu0", n).copy()
+        mu0 = _as_vector(self.mu0, "mu0", n)
         sigma0 = _as_symmetric(self.Sigma0, "Sigma0", n)
         with np.errstate(over="ignore", invalid="ignore"):
             c0 = sigma0 - np.outer(mu0, mu0)
         _require_psd(_require_finite("Sigma0 - mu0 mu0^T", c0), "Sigma0 - mu0 mu0^T")
-        _set_fields(self, A=a, V=v, mu0=mu0, Sigma0=sigma0)
+        self._set(A=a, V=v, mu0=mu0, Sigma0=sigma0)
 
     @property
     def dim(self):
@@ -92,17 +118,13 @@ class LtiSystem:
         """The real Schur factor of A, shared by every solve on this system."""
         return DriftFactor(self.A)
 
-    def __reduce__(self):
-        # a copy or an unpickled system is built anew: read-only, without the factor
-        return LtiSystem, (self.A, self.V, self.mu0, self.Sigma0)
-
     def initial_covariance(self):
         """Covariance of the initial state, Sigma0 - mu0 mu0^T."""
         return self.Sigma0 - np.outer(self.mu0, self.mu0)
 
 
 @dataclass(frozen=True, eq=False)
-class CostSpec:
+class CostSpec(_Value):
     """Weight matrix, exponent and horizon of the quadratic cost, an immutable
     value whose Q is a read-only copy."""
 
@@ -114,34 +136,15 @@ class CostSpec:
         q = _as_symmetric(self.Q, "Q")
         alpha = _real_number("alpha", self.alpha)
         horizon = _real_number("horizon", self.horizon, 0.0, strict=True, infinite=True)
-        _set_fields(self, Q=q, alpha=alpha, horizon=horizon)
+        self._set(Q=q, alpha=alpha, horizon=horizon)
 
     @property
     def is_infinite(self):
         return math.isinf(self.horizon)
 
-    def __reduce__(self):
-        return CostSpec, (self.Q, self.alpha, self.horizon)
-
-
-def _with_gain_terms(sys, cost, a, q):
-    """Copies of the validated ``sys`` and ``cost`` with the drift ``a`` and the
-    weight ``q`` swapped in, for a gain's closed loop (A - B F and Q + F^T R F).
-
-    Nothing is re-validated and the copy has no factor yet: the caller passes
-    new arrays of the old shapes, ``a`` finite and ``q`` symmetric, which
-    become read-only.
-    """
-    a.flags.writeable = q.flags.writeable = False
-    new_sys, new_cost = object.__new__(LtiSystem), object.__new__(CostSpec)
-    # the instance dictionaries directly, past the frozen __setattr__
-    vars(new_sys).update(A=a, V=sys.V, mu0=sys.mu0, Sigma0=sys.Sigma0)
-    vars(new_cost).update(Q=q, alpha=cost.alpha, horizon=cost.horizon)
-    return new_sys, new_cost
-
 
 @dataclass(frozen=True, eq=False)
-class LqgPlant:
+class LqgPlant(_Value):
     """Controlled, observed plant for gain synthesis, an immutable value.
 
     dx/dt = A x + B u + v,   y = C x + w, with process noise intensity V,
@@ -161,10 +164,10 @@ class LqgPlant:
     alpha: float = 0.0
 
     def __post_init__(self):
-        a = _as_square(self.A, "A").copy()
+        a = _as_square(self.A, "A")
         n = a.shape[0]
-        b = _as_matrix(self.B, "B", (n, None)).copy()
-        c = _as_matrix(self.C, "C", (None, n)).copy()
+        b = _as_matrix(self.B, "B", (n, None))
+        c = _as_matrix(self.C, "C", (None, n))
         m, p = b.shape[1], c.shape[0]
         q = _as_symmetric(self.Q, "Q", n)
         _require_psd(q, "Q")
@@ -174,11 +177,7 @@ class LqgPlant:
         _require_psd(v, "V")
         w = _as_symmetric(self.W, "W", p)
         _require_pd(w, "W")
-        _set_fields(self, A=a, B=b, C=c, Q=q, R=r, V=v, W=w,
-                    alpha=_real_number("alpha", self.alpha))
-
-    def __reduce__(self):
-        return LqgPlant, (self.A, self.B, self.C, self.Q, self.R, self.V, self.W, self.alpha)
+        self._set(A=a, B=b, C=c, Q=q, R=r, V=v, W=w, alpha=_real_number("alpha", self.alpha))
 
     @property
     def n_states(self):

@@ -335,18 +335,18 @@ class TestSchurCoordinates:
     @pytest.mark.parametrize("n", [2, 10])
     def test_perturbed_factor_refused(self, n, rng, monkeypatch):
         a, _ = _drift_with_complex_pairs(n, 0.3, rng)
-        real = lqgcost.linalg.schur
+        real = lqgcost.linalg.dgees
         noise = rng.normal(size=(n, n))
 
         def perturbed(rel):
-            def factor(m, **kw):
-                t, u = real(m, **kw)
-                return t + rel * np.abs(t).max() * noise, u
+            def factor(*args, **kw):
+                t, *rest = real(*args, **kw)
+                return (t + rel * np.abs(t).max() * noise, *rest)
             return factor
 
-        monkeypatch.setattr(lqgcost.linalg, "schur", perturbed(1e-13))
+        monkeypatch.setattr(lqgcost.linalg, "dgees", perturbed(1e-13))
         DriftFactor(a)
-        monkeypatch.setattr(lqgcost.linalg, "schur", perturbed(1e-6))
+        monkeypatch.setattr(lqgcost.linalg, "dgees", perturbed(1e-6))
         with pytest.raises(NumericalError, match="Schur factor residual"):
             DriftFactor(a)
 
@@ -407,13 +407,13 @@ class TestOneFactorPerEvaluation:
     @pytest.fixture
     def schur_calls(self, monkeypatch):
         calls = []
-        real = lqgcost.linalg.schur
+        real = lqgcost.linalg.dgees
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lqgcost.linalg, "schur", counting)
+        monkeypatch.setattr(lqgcost.linalg, "dgees", counting)
         return calls
 
     @pytest.fixture

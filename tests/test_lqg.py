@@ -124,7 +124,7 @@ class TestSolveRiccati:
             return wrapped
 
         monkeypatch.setattr(lqg, "schur", counting("hamiltonian", lqg.schur))
-        monkeypatch.setattr(linalg, "schur", counting("drift", linalg.schur))
+        monkeypatch.setattr(linalg, "dgees", counting("drift", linalg.dgees))
         monkeypatch.setattr(lqg, "classify_spectrum",
                             counting("check", lqg.classify_spectrum))
         for gain in (optimal_gain, kalman_gain):

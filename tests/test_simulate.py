@@ -26,7 +26,7 @@ from lqgcost import (
 from lqgcost import simulate as simulate_module
 from lqgcost.demo import _gain_report
 from lqgcost.moments import _doubling_count, _propagate
-from lqgcost.simulate import BATCH_SIZE, _batch_stream, _chain, simulation_report
+from lqgcost.simulate import BATCH_SIZE, MAX_STEPS, _batch_stream, _chain, simulation_report
 from conftest import random_spd, random_system, scalar_cost, scalar_system, set_usable_cpus
 
 
@@ -96,6 +96,15 @@ class TestSimConfig:
                            match=r"^n_paths must be an integer >= 1 and <= 1000000000, got "):
             SimConfig(dt=0.1, T=1.0, n_paths=n_paths)
         assert SimConfig(dt=0.1, T=1.0, n_paths=10 ** 9).n_paths == 10 ** 9
+
+    @pytest.mark.parametrize("dt,t", [(1.0, MAX_STEPS + 1.0), (1e-300, 1.0)],
+                             ids=["bound + 1", "1e300"])
+    def test_step_count_bounded(self, dt, t):
+        # refused when the config is built, before any weight is made; nothing
+        # is simulated, and the config at the bound is only built
+        with pytest.raises(ValueError, match=r"^T/dt must round to at most 100000000 steps, "):
+            SimConfig(dt=dt, T=t, n_paths=1)
+        assert SimConfig(dt=1.0, T=MAX_STEPS, n_paths=1).n_steps == MAX_STEPS
 
     def test_whole_float_counts_become_int(self):
         cfg = SimConfig(dt=0.01, T=1.0, n_paths=10.0, seed=3.0, threads=2.0)
@@ -322,16 +331,27 @@ class TestExceedance:
         assert out.mean_stderr == out.exceed_stderr == math.inf
 
 
+def stiff_drift_report(n_paths, seed):
+    """``simulation_report`` of the exact scheme at dt = 2 on a drift with a mode
+    at -30, whose noise Gramian at dt holds e^{60} in one Van Loan block."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))
+    sys = LtiSystem(A=q @ np.diag([-0.1, -30.0]) @ q.T, V=np.eye(2), mu0=np.zeros(2),
+                    Sigma0=np.eye(2))
+    cfg = SimConfig(dt=2.0, T=20.0, n_paths=n_paths, seed=seed)
+    return simulation_report(sys, CostSpec(Q=np.eye(2), alpha=0.0, horizon=20.0), cfg)
+
+
 class TestSimulationReport:
     def test_stiff_drift_at_a_large_step(self):
-        # the exact scheme's noise Gramian at dt = 2 on a drift with a mode
-        # at -30: one Van Loan block at dt holds e^{60}
-        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))
-        sys = LtiSystem(A=q @ np.diag([-0.1, -30.0]) @ q.T, V=np.eye(2), mu0=np.zeros(2),
-                        Sigma0=np.eye(2))
-        cfg = SimConfig(dt=2.0, T=20.0, n_paths=20_000, seed=20)
-        report = simulation_report(sys, CostSpec(Q=np.eye(2), alpha=0.0, horizon=20.0), cfg)
-        assert report["agreement"]["within_4_stderr"] is True
+        assert stiff_drift_report(20_000, 20)["agreement"]["within_4_stderr"] is True
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "FOUND 187 in CHANGES.md, ROADMAP item 7: the report judges the sampled chain "
+        "against the continuous cost, and the trapezoid's dt/2 weight on the stiff "
+        "mode's initial variance biases the mean (z 5.71)"))
+    def test_stiff_drift_at_item_7s_path_count(self):
+        # the same model at 200,000 paths: item 7's comparator must pass it
+        assert stiff_drift_report(200_000, 0)["agreement"]["within_4_stderr"] is True
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_analytic_route_refused(self):

@@ -67,6 +67,21 @@ class TestImmutable:
             assert not arr.flags.writeable
         assert cost_stats_lyapunov(sys2, cost2) == stats
 
+    def test_derived_copies_share_what_they_keep(self, rng):
+        # the tuner's closed loops: the new arrays are frozen in place, the
+        # kept ones are the source's own, and no factor is carried over
+        a, v, mu0, sigma0, q = _inputs(rng)
+        sys, cost = LtiSystem(A=a, V=v, mu0=mu0, Sigma0=sigma0), CostSpec(Q=q, alpha=-0.4)
+        built = sys.factor
+        a2, q2 = 2.0 * sys.A, 2.0 * cost.Q
+        sys2, cost2 = sys._derived(A=a2), cost._derived(Q=q2)
+        assert sys2.A is a2 and cost2.Q is q2
+        assert not a2.flags.writeable and not q2.flags.writeable
+        assert sys2.V is sys.V and sys2.mu0 is sys.mu0 and sys2.Sigma0 is sys.Sigma0
+        assert (cost2.alpha, cost2.horizon) == (cost.alpha, cost.horizon)
+        assert "factor" not in vars(sys2)
+        assert np.array_equal(sys2.factor.a, a2) and sys2.factor is not built
+
 
 def _joint(mu_x=(1.0,), k_xy=((0.1, 0.0),)):
     return JointGaussian(mu_x=mu_x, mu_y=[0.0, 1.0], K_xx=[[1.0]], K_xy=k_xy, K_yy=np.eye(2))
@@ -80,6 +95,13 @@ VALUES = {
     "JointGaussian": _joint,
 }
 HOLDERS = ["LqgPlant", "TuneOptions", "JointGaussian"]
+
+# all six kinds of value
+ALL_VALUES = {
+    "LtiSystem": lambda: LtiSystem(*_inputs(np.random.default_rng(5))[:4]),
+    "CostSpec": lambda: CostSpec(Q=_inputs(np.random.default_rng(5))[4], alpha=-0.4),
+    **VALUES,
+}
 
 
 class TestValidatedValuesStay:
@@ -101,16 +123,22 @@ class TestValidatedValuesStay:
                 arr.flat[0] = -1.0
 
     def test_caller_arrays_are_copied_and_stay_writeable(self):
-        f0, mu_x, k_xy = np.zeros((1, 2)), np.array([1.0]), np.array([[0.1, 0.0]])
-        opts, joint = TuneOptions(f0=f0), _joint(mu_x, k_xy)
-        for arr in (f0, mu_x, k_xy):
-            assert arr.flags.writeable
-            arr.flat[0] = 5.0
-        assert opts.f0[0, 0] == 0.0 and joint.mu_x[0] == 1.0 and joint.K_xy[0, 0] == 0.1
+        # every array field of the six kinds (SimConfig holds none), rebuilt
+        # from writeable arrays the caller keeps
+        for kind, make in ALL_VALUES.items():
+            value = make()
+            given = {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+            given = {name: np.array(got) if isinstance(got, np.ndarray) else got
+                     for name, got in given.items()}
+            rebuilt = type(value)(**given)
+            for name, arr in given.items():
+                if isinstance(arr, np.ndarray):
+                    assert arr.flags.writeable, (kind, name)
+                    assert not np.shares_memory(getattr(rebuilt, name), arr), (kind, name)
 
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                        lambda obj: pickle.loads(pickle.dumps(obj))])
-    @pytest.mark.parametrize("kind", HOLDERS)
+    @pytest.mark.parametrize("kind", VALUES)
     def test_copies_are_rebuilt(self, kind, clone):
         # a copy or an unpickled value is built anew, its arrays read-only
         value = VALUES[kind]()

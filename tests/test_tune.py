@@ -332,7 +332,7 @@ class TestMinimizeVariance:
         opts = TuneOptions(f0=optimal_gain(plant), objective="variance", grad_tol=1e-2,
                            step_tol=1e-10, max_iter=3000)
         counts = {"schur": 0, "evaluations": 0}
-        real_schur, real_evaluation = linalg.schur, tune._value_and_gradient
+        real_schur, real_evaluation = linalg.dgees, tune._value_and_gradient
 
         def counting_schur(*args, **kwargs):
             counts["schur"] += 1
@@ -342,7 +342,7 @@ class TestMinimizeVariance:
             counts["evaluations"] += 1
             return real_evaluation(*args)
 
-        monkeypatch.setattr(linalg, "schur", counting_schur)
+        monkeypatch.setattr(linalg, "dgees", counting_schur)
         monkeypatch.setattr(tune, "_value_and_gradient", counting_evaluation)
         result = minimize_variance(plant, ZERO2, ZERO22, opts)
         assert result.stop_reason == "gradient" and result.iterations == 17

@@ -26,7 +26,13 @@ Groups:
 - ``simulate dt=...``: ``simulate_costs`` on the benchmark plant's Riccati
   loop at seed 7, exact scheme;
 - ``reproduce-example``: the stdout and the ``--out`` report of
-  ``lqgcost reproduce-example --paths 25000``.
+  ``lqgcost reproduce-example --paths 25000``;
+- ``cli``: ``lqgcost synthesize --out-model`` on the benchmark plant saved
+  with mu0 = (1, -0.5), Sigma0 = I + mu0 mu0^T and horizon 5, then
+  ``lqgcost analyze`` of the closed loop it writes under each ``--method``
+  (auto, lyapunov, expm) at ``--horizon 5`` and ``inf``: each command's exit
+  code, stdout and stderr, and every file the commands write (models and
+  ``--out`` reports), run in a temporary directory so no path differs.
 
 ``perfbench/workloads.py`` is imported, never changed.
 """
@@ -36,6 +42,7 @@ import copy
 import hashlib
 import io
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -57,6 +64,9 @@ SIM_HORIZON = 20.0
 MOMENT_HORIZONS = tuple(math.ldexp(0.1, k) for k in range(10))
 EXAMPLE_PATHS = 25000
 FEEDBACK_HORIZONS = (math.inf, 5.0)
+CLI_MU0 = (1.0, -0.5)
+CLI_HORIZON = 5.0
+CLI_METHODS = ("auto", "lyapunov", "expm")
 
 
 def _feed(digest, value):
@@ -148,6 +158,38 @@ def _example():
         return (code, stdout.getvalue(), out.read_text(encoding="utf-8"))
 
 
+def _cli_run(argv):
+    """Exit code, stdout and stderr of ``lqgcost`` with the arguments ``argv``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _cli():
+    plant = lq.benchmark_plant()
+    mu0 = np.array(CLI_MU0)
+    cwd = os.getcwd()
+    # relative names, so the printed paths are the same in every checkout
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            lq.save_plant_model("plant.json", plant, mu0,
+                                np.eye(plant.n_states) + np.outer(mu0, mu0), horizon=CLI_HORIZON)
+            runs = [_cli_run(["synthesize", "plant.json", "--out-model", "loop.json",
+                              "--out", "synthesize.json"])]
+            for method in CLI_METHODS:
+                for horizon in (f"{CLI_HORIZON:g}", "inf"):
+                    runs.append(_cli_run(["analyze", "loop.json", "--method", method,
+                                          "--horizon", horizon,
+                                          "--out", f"analyze-{method}-{horizon}.json"]))
+            written = [(path.name, path.read_text(encoding="utf-8"))
+                       for path in sorted(Path(tmp).iterdir())]
+        finally:
+            os.chdir(cwd)
+    return runs, written
+
+
 def groups():
     """``(name, outputs)`` for each group, computed in this order."""
     routes = workloads.Routes(ROUTES_SEED)
@@ -162,6 +204,7 @@ def groups():
     for dt in SIM_DTS:
         yield f"simulate dt={dt:g}", _simulation(dt)
     yield "reproduce-example", _example()
+    yield "cli", _cli()
 
 
 def main():
