@@ -34,7 +34,7 @@ from .exceptions import (
     ModelFormatError,
     NumericalError,
 )
-from .linalg import _block_chain
+from .linalg import _block_chain, _real_number
 from .lqg import close_loop_full_state, close_loop_output_feedback, synthesize_gains
 from .models import _parse_array, _read_json, dump_report, load_model, save_system_model
 from .simulate import SimConfig, simulation_report
@@ -87,13 +87,14 @@ def cmd_analyze(args):
     doc = _load(args, "system")
     cost = doc.cost
     if args.horizon is not None:
-        horizon = INFINITE_HORIZON if args.horizon == "inf" else float(args.horizon)
+        # a model file's rule: "inf", or a finite number > 0 (not 1e400 or "Infinity")
+        horizon = (INFINITE_HORIZON if args.horizon == "inf" else
+                   _real_number("--horizon", float(args.horizon), 0.0, strict=True))
         cost = replace(cost, horizon=horizon)
     stats = _ROUTES[args.method](doc.system, cost)
 
     print(f"analyze {args.model}")
-    horizon_txt = "inf" if cost.is_infinite else _fmt(cost.horizon)
-    print(f"  horizon = {horizon_txt}, alpha = {_fmt(cost.alpha)}")
+    print(f"  horizon = {_fmt(cost.horizon)}, alpha = {_fmt(cost.alpha)}")
     print(f"  method  = {stats.method}  [{stats.branch}]")
     _print_conditions(stats.conditions_checked)
     print(f"  mean     = {_fmt(stats.mean)}")
@@ -112,7 +113,7 @@ def cmd_analyze(args):
             {"name": c.name, "passed": c.passed, "detail": c.detail}
             for c in stats.conditions_checked
         ],
-        "horizon": "inf" if cost.is_infinite else cost.horizon,
+        "horizon": cost.horizon,
         "alpha": cost.alpha,
     }
 
@@ -319,7 +320,7 @@ def build_parser():
     p.add_argument("model")
     p.add_argument("--method", choices=list(_ROUTES), default="auto")
     p.add_argument("--horizon", default=None,
-                   help="override the model's cost horizon (a number or 'inf')")
+                   help="override the model's cost horizon ('inf' or a finite number > 0)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", parents=[common],

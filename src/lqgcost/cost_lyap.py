@@ -51,14 +51,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import expm
 
 from .exceptions import AccuracyError, ConditionCheck, ConditionError
-from .linalg import (_difference, _require_finite, _require_shape, mat_exp, symmetrize,
-                     van_loan_integral)
+from .linalg import _difference, _require_finite, _require_shape, symmetrize, van_loan_integral
 from .systems import CostSpec, LtiSystem
 
 __all__ = [
-    "ConditionCheck",
     "CostStats",
     "expected_cost_finite",
     "expected_cost_infinite",
@@ -210,7 +209,7 @@ class _Evaluation:
                 self.xv = xv = fac._solve_schur(self.v)
                 # each e^{(A + s I) T} is its own exponential: e^{s T} e^{A T}
                 # would make inf times 0 of a finite product
-                self.e_p = e_p = mat_exp(fac._at(alpha).t_s, horizon)
+                self.e_p = e_p = expm(fac._at(alpha).t_s * horizon)
                 # e^{2 alpha T} Sigma_T, with Sigma_T = e^{A T} (Sigma0 - X[V; A]) e^{A^T T}
                 # + X[V; A], as a difference
                 sig_t = _difference(e_p @ (self.s - xv) @ e_p.T,
@@ -241,7 +240,7 @@ class _Evaluation:
             )
         fac, q, alpha, t, e_p, xv = self.fac, self.q, self.alpha, self.horizon, self.e_p, self.xv
         delta = symmetrize(s - xv)
-        e_m = e_p if alpha == 0.0 else mat_exp(fac._at(-alpha).t_s, t)
+        e_m = e_p if alpha == 0.0 else expm(fac._at(-alpha).t_s * t)
         y_t = _transposed_finite(y, e_p, "Y_T of A+1a")
         # (e^{4aT} Y_T[Q; A_-1] - Y_T[Q; A_1]) / (4a), by parts (module docstring)
         y_of_y = fac._solve_schur(y, shift=-alpha, transposed=True)

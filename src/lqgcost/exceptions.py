@@ -9,6 +9,10 @@ given data.
 
 from dataclasses import dataclass
 
+__all__ = ["ConditionCheck", "LqgCostError", "DimensionError", "ModelFormatError",
+           "ConditionError", "SingularLyapunovError", "NumericalError", "AccuracyError",
+           "SynthesisError", "InfeasibleGainError"]
+
 
 @dataclass(frozen=True)
 class ConditionCheck:

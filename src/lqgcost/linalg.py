@@ -45,8 +45,6 @@ __all__ = [
     "solve_lyapunov_transposed",
     "van_loan_integral",
     "psd_factor",
-    "symmetrize",
-    "is_symmetric",
 ]
 
 #: Relative tolerance separating genuine spectral degeneracy from rounding.

@@ -29,6 +29,8 @@ pass the checks of :mod:`lqgcost.linalg`, arrays in the shape the declared
 n/m/p give, each error as ModelFormatError naming the file and the field.
 Floats are written with shortest round-trip precision (up to 17 significant
 digits), so save followed by load reproduces every matrix entry bit-for-bit.
+A document passes the reader's checks before it is written, so what the
+writers save the reader loads, and what it refuses no file holds.
 """
 
 import json
@@ -41,8 +43,7 @@ from .exceptions import ModelFormatError
 from .linalg import _as_array, _real_number
 from .systems import CostSpec, LqgPlant, LtiSystem, INFINITE_HORIZON
 
-__all__ = ["ModelDocument", "load_model", "save_system_model", "save_plant_model",
-           "to_jsonable", "dump_report"]
+__all__ = ["ModelDocument", "load_model", "save_system_model", "save_plant_model"]
 
 SCHEMA_VERSION = 1
 
@@ -206,14 +207,17 @@ def _document(kind, values):
         elif spec == "cost":
             value = _document(spec, value)
         elif spec == "horizon":
-            value = "inf" if math.isinf(value) else float(value)
+            value = to_jsonable(float(value))
         doc[name] = value
     return doc
 
 
 def _save(path, kind, values):
+    """Write ``values`` as a ``kind`` file, after the reader's checks pass on it."""
+    doc = _document(kind, values)
+    _parse(doc, kind, path, {})
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_document(kind, values), indent=2) + "\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def save_system_model(path, sys: LtiSystem, cost: CostSpec):

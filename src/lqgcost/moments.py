@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .linalg import (_as_square, _as_symmetric, _block_chain, _real_number, _require_finite,
-                     mat_exp, symmetrize)
+                     symmetrize)
 from .systems import LtiSystem
 
 __all__ = ["mean_state", "second_moment", "cross_moment", "noise_gramian_finite"]
@@ -101,7 +101,7 @@ def mean_state(sys: LtiSystem, t):
     """Mean of the state at time t: e^{A t} mu0 (AccuracyError on overflow)."""
     t = _real_number("t", t, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = mat_exp(sys.A, t) @ sys.mu0
+        out = expm(sys.A * t) @ sys.mu0
     return _require_finite(f"mu(t) at t = {t:g}", out)
 
 
@@ -133,5 +133,5 @@ def cross_moment(sys: LtiSystem, t1, t2):
     if t1 > t2:
         return cross_moment(sys, t2, t1).T
     with np.errstate(over="ignore", invalid="ignore"):
-        out = second_moment(sys, t1) @ mat_exp(sys.A.T, t2 - t1)
+        out = second_moment(sys, t1) @ expm(sys.A.T * (t2 - t1))
     return _require_finite(f"Sigma(t1, t2) at t1 = {t1:g}, t2 = {t2:g}", out)

@@ -67,6 +67,18 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["horizon"] == 3
 
+    @pytest.mark.parametrize("horizon", ["1e400", "Infinity", "INF", "nan", "-5"])
+    def test_horizon_follows_the_model_file_rule(self, scalar_model, capsys, horizon):
+        # only the literal "inf" is the infinite horizon, as in a model file
+        assert main(["analyze", scalar_model, "--horizon", horizon]) == 1
+        assert "--horizon must be a finite number > 0" in capsys.readouterr().err
+
+    def test_infinite_horizon_override(self, scalar_model, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["analyze", scalar_model, "--horizon", "inf", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["horizon"] == "inf"
+        assert "horizon = inf," in capsys.readouterr().out
+
     def test_expm_method_finite_horizon(self, scalar_model, tmp_path):
         out = tmp_path / "report.json"
         assert main(["analyze", scalar_model, "--method", "expm",

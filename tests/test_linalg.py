@@ -502,13 +502,13 @@ class TestOneFactorPerEvaluation:
         sys = random_system(3, rng, alpha_shifts=(-0.4, 0.3, -0.3, 0.4, -0.8, 0.6, 0.9))
         cost = CostSpec(Q=random_spd(3, rng), alpha=alpha, horizon=1.2)
         calls = []
-        real = lqgcost.cost_lyap.mat_exp
+        real = lqgcost.cost_lyap.expm
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(lqgcost.cost_lyap, "mat_exp", counting)
+        monkeypatch.setattr(lqgcost.cost_lyap, "expm", counting)
         stats = cost_stats_lyapunov(sys, cost)
         # one exponential per shift of R the route reads: alpha and -alpha,
         # which are one shift at alpha = 0

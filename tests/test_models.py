@@ -64,6 +64,22 @@ class TestPlantModelRoundTrip:
         assert doc.horizon == 20.0
 
 
+class TestSavedFilesLoad:
+    @pytest.mark.parametrize("mu0,horizon,field", [
+        (np.zeros(3), math.inf, "mu0"),
+        (np.zeros(2), -5.0, "horizon"),
+        (np.zeros(2), math.nan, "horizon"),
+        (np.zeros(2), -math.inf, "horizon"),
+    ], ids=["mu0 of length 3", "horizon -5", "horizon nan", "horizon -inf"])
+    def test_refused_before_writing(self, tmp_path, mu0, horizon, field):
+        plant = LqgPlant(A=-np.eye(2), B=np.ones((2, 1)), C=np.eye(2), Q=np.eye(2),
+                         R=np.eye(1), V=np.eye(2), W=np.eye(2))
+        path = tmp_path / "plant.json"
+        with pytest.raises(ModelFormatError, match=f"plant.json: {field} must be"):
+            save_plant_model(path, plant, mu0, np.eye(2), horizon=horizon)
+        assert not path.exists()
+
+
 class TestStrictness:
     def _base(self, tmp_path):
         doc = {

@@ -17,8 +17,10 @@ Groups:
   horizon, past ``BLOCK_GROWTH``, so the block route doubles its segment;
 - ``tune-plant``: F, mean, variance, iterations, stop reason, gradient norm
   and trace of ``perfbench``'s ``TunePlant`` pass;
-- ``moments``: ``second_moment`` and ``noise_gramian_finite`` of the same
-  systems at t = 0.1 * 2^j, j = 0 to 9, most of them doubled;
+- ``moments``: ``second_moment``, ``noise_gramian_finite`` and
+  ``mean_state`` of the same systems at t = 0.1 * 2^j, j = 0 to 9, most of
+  them doubled, and ``cross_moment`` at (t1, t2) = (t/2, t), (t, t/2) and
+  (t, t), the last through an exponential of the zero matrix;
 - ``output feedback``: ``close_loop_output_feedback`` of the benchmark plant
   at its synthesized F and K, with mu0 = 1 and Sigma0 = I + 1 1^T on the
   stacked state, at T = inf and T = 5: the loop's A, V, mu0, Sigma0 and Q
@@ -120,6 +122,9 @@ def _moments(cases):
         for t in MOMENT_HORIZONS:
             out.append(lq.second_moment(system, t))
             out.append(lq.noise_gramian_finite(system.A, system.V, t))
+            out.append(lq.mean_state(system, t))
+            for t1, t2 in ((t / 2, t), (t, t / 2), (t, t)):
+                out.append(lq.cross_moment(system, t1, t2))
     return out
 
 
